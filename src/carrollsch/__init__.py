@@ -20,7 +20,6 @@ from .numerics import (
     deriv_uniform,
     integrate_fundamental_pair,
     invert_monotone,
-    make_uniform_grid,
     schwarzian,
     schwarzian_samples,
     unitary_dft,
@@ -90,7 +89,6 @@ from .interaction import (
     gauge_reduce,
     interaction_momentum,
     quantized_modes,
-    stationary_temporal_current,
 )
 
 __version__ = "0.1.0"

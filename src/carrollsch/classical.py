@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
+from .numerics import cumulative_trapezoid
 from .potentials import PotentialSpec
 
 
@@ -208,15 +209,13 @@ def picard_iterate(
     already exact up to quadrature error.  Returns (x_samples, iterates)
     with iterates[0] the free line.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     mc3 = constants.mc3
     xs = np.linspace(x0, x_end, n_samples + 1)
     iterates = [t0 - q0 * (xs - x0) / mc3]
     for _ in range(n_iter):
         t_cur = iterates[-1]
         dv = np.array([v_car.dvdx_at(x, t) for x, t in zip(xs, t_cur)])
-        q = q0 + cumulative_trapezoid(dv, xs, initial=0.0)
-        t_new = t0 - cumulative_trapezoid(q, xs, initial=0.0) / mc3
+        q = q0 + cumulative_trapezoid(dv, xs)
+        t_new = t0 - cumulative_trapezoid(q, xs) / mc3
         iterates.append(t_new)
     return xs, iterates

@@ -5,7 +5,8 @@ seed; files are written atomically (temp + rename) with LF line endings and
 17-significant-digit floats so golden files diff cleanly.
 
 Exit codes: 0 success, 1 validation error (bad config / arguments),
-2 numerical failure (a declared tolerance was breached).
+2 numerical failure (a declared tolerance was breached, or a kernel raised
+BranchError, MonotoneError or SingularPointError).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import TimeGrid
+from .numerics import MonotoneError, SingularPointError, TimeGrid
 from .potentials import PotentialSpec
 from . import classical, currents, duality, interaction, operators, propagator
 
@@ -56,6 +57,10 @@ class ConfigError(ValueError):
 
 class ToleranceBreach(RuntimeError):
     pass
+
+
+#: kernel exceptions that report a numerical failure, not a bad config
+NUMERICAL_ERRORS = (duality.BranchError, MonotoneError, SingularPointError)
 
 
 def _fmt(value) -> str:
@@ -444,6 +449,8 @@ def cmd_dyson(cfg: dict, out: str, tol: dict) -> None:
     eps_list = [float(v) for v in block.get("eps", [0.005, 0.01, 0.02, 0.05])]
     x_end = float(block.get("x_end", 1.0))
     n_steps = int(block.get("n_steps", 256))
+    if len(set(eps_list)) < 2 or min(eps_list) <= 0:
+        raise ConfigError("dyson.eps needs at least two distinct positive values to fit a slope")
 
     grid = TimeGrid(-20.0, 20.0, 1024)
     params = propagator.GaussianParams(sigma=1.0)
@@ -509,6 +516,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config)
         tol = TOLERANCES[args.tolerance_profile]
         COMMANDS[args.subcommand](cfg, args.out, tol)
+    except NUMERICAL_ERRORS as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,10 +9,9 @@ transpose), so the only numerics left is the derivative residual itself.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import GridError, TimeGrid
+from .numerics import GridError, TimeGrid, cumulative_integral
 from .operators import MARGIN, Field2D, _d1
 from .potentials import PotentialSpec
 
@@ -33,19 +32,6 @@ def schrodinger_density_current(
     return rho, j
 
 
-def _phase_integral(
-    v: PotentialSpec, x: np.ndarray, t_grid: TimeGrid, t0: float
-) -> np.ndarray:
-    """int_{t0}^{t} V(x, tau) dtau on the tensor grid, shaped (n_x, n_t)."""
-    t = t_grid.times
-    V = v.v_xt(x, t)
-    F = cumulative_trapezoid(V, t, axis=1, initial=0.0)
-    idx = int(np.argmin(np.abs(t - t0)))
-    if abs(t[idx] - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise GridError(f"anchor {t0} is not a grid point")
-    return F - F[:, idx][:, None]
-
-
 def gauge_remove(
     psi: Field2D,
     v_car: PotentialSpec,
@@ -57,7 +43,8 @@ def gauge_remove(
     Unit-modulus factor: |Phi| = |psi| exactly.  The density built from Phi
     carries no explicit potential term.
     """
-    phase = _phase_integral(v_car, psi.x_grid.times, psi.t_grid, t0)
+    V = v_car.v_xt(psi.x_grid.times, psi.t_grid.times)
+    phase = cumulative_integral(V, psi.t_grid, t0, axis=1)
     vals = np.exp(-1j / constants.hbar * phase) * psi.values
     return Field2D(psi.x_grid, psi.t_grid, vals)
 

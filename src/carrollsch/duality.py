@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .constants import PhysicalConstants, NATURAL
 from .numerics import (
@@ -67,6 +66,8 @@ class DualityMap:
         lo, hi = self.monotone_interval
         if not (lo <= x <= hi):
             raise ValueError(f"x = {x} outside monotone interval [{lo}, {hi}]")
+        from scipy.interpolate import CubicSpline
+
         if np.iscomplexobj(self.tau):
             re = CubicSpline(self.x, self.tau.real)(x)
             im = CubicSpline(self.x, self.tau.imag)(x)
@@ -76,6 +77,8 @@ class DualityMap:
     def delta_at(self, t: float) -> float:
         if self.delta is None:
             raise ValueError("map carries no sampled delta")
+        from scipy.interpolate import CubicSpline
+
         return float(CubicSpline(self.delta_t, self.delta)(t))
 
     def reconstruct_v_car(self) -> np.ndarray:
@@ -133,7 +136,6 @@ def vsch_from_vcar(
 def _zero_free_patch(y2: np.ndarray, guard: int = 2) -> tuple[int, int]:
     """Largest index run on which y2 keeps one sign, trimmed by a guard band."""
     sgn = np.sign(y2)
-    sgn[sgn == 0] = 0
     breaks = [0]
     for i in range(1, len(y2)):
         if sgn[i] == 0 or (sgn[i - 1] != 0 and sgn[i] != sgn[i - 1]):
@@ -177,6 +179,8 @@ def inverse_tau(
         raise BranchError("tau is not strictly monotone on the trimmed patch")
 
     # invert tau on a uniform t grid spanning its range
+    from scipy.interpolate import CubicSpline
+
     order = np.argsort(tau)
     inv = CubicSpline(tau[order], xs[order])
     delta_t = np.linspace(tau.min(), tau.max(), len(xs))
@@ -200,6 +204,16 @@ def inverse_tau(
     )
 
 
+def _window_extrema(a: np.ndarray, size: int = 9) -> tuple[np.ndarray, np.ndarray]:
+    """Running max and min over `size` samples centred on each point (odd size).
+
+    The ends are padded by repeating the edge samples, as scipy.ndimage's
+    mode="nearest" does.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(a, size // 2, mode="edge"), size)
+    return windows.max(axis=1), windows.min(axis=1)
+
+
 def schwarzian_residual(dmap: DualityMap, margin: int = 4, target_step: float = 2e-3) -> float:
     """max |{sigma, x} + 2q| over interior samples, by finite differences.
 
@@ -209,8 +223,6 @@ def schwarzian_residual(dmap: DualityMap, margin: int = 4, target_step: float = 
     Mobius-equivalent ratio 1/sigma = y2/y1 is differentiated instead
     (same Schwarzian, bounded samples near zeros of y2).
     """
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
     n = len(dmap.sigma)
     stride = max(1, min(int(round(target_step / dmap.dx)), n // (2 * margin + 32)))
     sig = dmap.sigma[::stride]
@@ -222,9 +234,7 @@ def schwarzian_residual(dmap: DualityMap, margin: int = 4, target_step: float = 
         S_hi = schwarzian_samples(1.0 / sig, h)
     r_lo = np.abs(S_lo + 2 * q)
     r_hi = np.abs(S_hi + 2 * q)
-    a = np.abs(sig)
-    wmax = maximum_filter1d(a, size=9, mode="nearest")
-    wmin = minimum_filter1d(a, size=9, mode="nearest")
+    wmax, wmin = _window_extrema(np.abs(sig))
     r = np.where(wmax <= 1.0, r_lo, np.where(wmin >= 1.0, r_hi, np.minimum(r_lo, r_hi)))
     core = r[margin:-margin]
     core = core[np.isfinite(core)]
@@ -318,6 +328,8 @@ def inversion_identity_residual(
     S_tau = schwarzian_samples(dmap.tau[::sx], dmap.dx * sx)
     # pull -{tau,x} to the t grid: x = delta(t)
     xs = dmap.x[::sx]
+    from scipy.interpolate import CubicSpline
+
     spl = CubicSpline(xs[margin:-margin], -S_tau[margin:-margin])
     ok = np.abs(ddot) <= 3.0 * np.min(np.abs(ddot))
     ok[:margin] = ok[-margin:] = False

@@ -19,14 +19,13 @@ to a global phase, which makes the O(eps^2) truncation directly measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import ComplexSignal, GridError, TimeGrid
+from .numerics import ComplexSignal, TimeGrid, cumulative_integral, cumulative_trapezoid
 from .operators import Field2D
 from .potentials import PotentialSpec
 from .propagator import Wavefunction
@@ -50,6 +49,13 @@ class SpectrumResult:
         return (2.0 / self.T) * np.sin(n * np.pi * t / self.T) ** 2
 
 
+def CubicSpline(*args, **kwargs):
+    """scipy's CubicSpline, imported on first use so the package import stays numpy-only."""
+    from scipy.interpolate import CubicSpline as spline
+
+    return spline(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class InteractionMomentum:
     """F(x,t) = int_{t0}^{t} d_x V(x,tau) dtau on a tensor grid."""
@@ -57,12 +63,17 @@ class InteractionMomentum:
     field: Field2D
     t0: float
 
+    @cached_property
+    def _spline(self):
+        """Cubic interpolant of F along the x axis, built once per instance."""
+        return CubicSpline(self.field.x_grid.times, np.real(self.field.values), axis=0)
+
     def at_x(self, x: float) -> np.ndarray:
         """Row of F at station x by cubic interpolation along the x axis."""
         xg = self.field.x_grid.times
         if not (xg[0] <= x <= xg[-1]):
             raise ValueError(f"x = {x} outside the sampled range")
-        return CubicSpline(xg, np.real(self.field.values), axis=0)(x)
+        return self._spline(x)
 
 
 def quantized_modes(
@@ -86,32 +97,13 @@ def quantized_modes(
     grid = TimeGrid(0.0, T, n_samples)
     t = grid.times
     levels = np.arange(1, n_max + 1) * np.pi * hbar / T
-    phase = np.exp(
-        1j / hbar * cumulative_trapezoid(v_time.v_t(t), t, initial=0.0)
-    )
+    phase = np.exp(1j / hbar * cumulative_trapezoid(v_time.v_t(t), t))
     amp = np.sqrt(2.0 / T)
     modes = [
         ComplexSignal(grid, amp * np.sin(n * np.pi * t / T) * phase)
         for n in range(1, n_max + 1)
     ]
     return SpectrumResult(T=float(T), levels=levels, modes=modes, p0=float(p0))
-
-
-def stationary_temporal_current(
-    mode: ComplexSignal,
-    v_time: PotentialSpec,
-    constants: PhysicalConstants = NATURAL,
-) -> np.ndarray:
-    """Temporal current of a spatially stationary quantized mode.
-
-    The two potential-proportional contributions are equal and opposite, so
-    the current vanishes identically; both terms are formed explicitly and
-    summed so the cancellation is exercised, not assumed.
-    """
-    m, c = constants.m, constants.c
-    rho = np.abs(mode.values) ** 2
-    V = v_time.v_t(mode.grid.times)
-    return (-V / (m * c**2)) * rho + (V / (m * c**2)) * rho
 
 
 def interaction_momentum(
@@ -121,13 +113,7 @@ def interaction_momentum(
     t_grid: TimeGrid,
 ) -> InteractionMomentum:
     """Accumulate F(x,t) = int_{t0}^{t} d_x V(x,tau) dtau on the tensor grid."""
-    t = t_grid.times
-    dv = v.dv_dx(x_grid.times, t)
-    F = cumulative_trapezoid(dv, t, axis=1, initial=0.0)
-    idx = int(np.argmin(np.abs(t - t0)))
-    if abs(t[idx] - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise GridError(f"anchor {t0} is not a grid point")
-    F = F - F[:, idx][:, None]
+    F = cumulative_integral(v.dv_dx(x_grid.times, t_grid.times), t_grid, t0, axis=1)
     return InteractionMomentum(field=Field2D(x_grid, t_grid, F), t0=float(t0))
 
 
@@ -145,13 +131,8 @@ def gauge_reduce(
     solution of the interacting equation factors as exp[+(i/hbar) int V]
     times a solution of the reduced one, so the reduction strips that phase.
     """
-    t = psi.t_grid.times
-    V = v.v_xt(psi.x_grid.times, t)
-    I = cumulative_trapezoid(V, t, axis=1, initial=0.0)
-    idx = int(np.argmin(np.abs(t - t0)))
-    if abs(t[idx] - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise GridError(f"anchor {t0} is not a grid point")
-    I = I - I[:, idx][:, None]
+    V = v.v_xt(psi.x_grid.times, psi.t_grid.times)
+    I = cumulative_integral(V, psi.t_grid, t0, axis=1)
     return Field2D(psi.x_grid, psi.t_grid, np.exp(-1j / constants.hbar * I) * psi.values)
 
 
@@ -219,6 +200,29 @@ def _u0_apply(
     return vals
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson sum over an odd number of samples at abscissae x.
+
+    The operations and their order are those of scipy's `simpson(y, x=x)` on
+    an odd sample count (its `_basic_simpson` with explicit x), so the result
+    is bit-identical to it.
+    """
+
+    def div(a, b):  # a / b, and 0 where b == 0
+        return np.divide(a, b, out=np.zeros_like(b), where=b != 0)
+
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    h0divh1 = div(h0, h1)
+    tmp = hsum / 6.0 * (
+        y[:-2:2] * (2.0 - div(1.0, h0divh1))
+        + y[1:-1:2] * (hsum * div(hsum, h0 * h1))
+        + y[2::2] * (2.0 - h0divh1)
+    )
+    return np.sum(tmp)
+
+
 def dyson_first_order(
     phi0: Wavefunction,
     g: PotentialSpec,
@@ -240,9 +244,7 @@ def dyson_first_order(
         n_steps += 1  # composite Simpson needs an even panel count
     u0 = _u0_apply(phi0.values, phi0.grid, g, x0, x_end, n_steps, constants)
     xi = np.linspace(x0, x_end, n_steps + 1)
-    from scipy.integrate import simpson
-
-    I_eta = float(simpson(np.asarray(eta(xi), dtype=float), x=xi))
+    I_eta = float(_simpson(np.asarray(eta(xi), dtype=float), xi))
     vals = (1.0 - 1j * eps * I_eta / (constants.hbar * constants.c)) * u0
     return replace(phi0, x=x_end, values=vals)
 

@@ -3,7 +3,9 @@
 Uniform grids with a periodic (endpoint-excluded) convention, the unitary
 discrete Fourier transform, fixed-step RK4 integration of y'' + q(x) y = 0,
 finite-difference Schwarzian derivatives, monotone inversion and cumulative
-quadrature.  Everything here is a pure function of its inputs.
+quadrature.  Everything here is a pure function of its inputs.  Importing
+this module loads numpy only; the sampled path of `invert_monotone` imports
+scipy's CubicSpline when it runs.
 """
 from __future__ import annotations
 
@@ -11,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
 
 class GridError(ValueError):
@@ -60,10 +60,6 @@ class TimeGrid:
     def omegas(self) -> np.ndarray:
         """Angular frequencies in standard wrap-around (fftfreq) order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, self.dt)
-
-
-def make_uniform_grid(t_min: float, t_max: float, n: int) -> TimeGrid:
-    return TimeGrid(float(t_min), float(t_max), int(n))
 
 
 @dataclass(frozen=True)
@@ -256,6 +252,8 @@ def invert_monotone(
         d = np.diff(ys)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise MonotoneError("samples are not strictly monotone")
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(xs, ys)
         return invert_monotone(lambda x: float(spline(x)), target, xs[0], xs[-1], tol=tol)
 
@@ -292,16 +290,32 @@ def invert_monotone(
     return float(0.5 * (a + b))
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Composite-trapezoid running integral along `axis`, starting at 0.
+
+    Same operations in the same order as scipy's
+    `cumulative_trapezoid(y, x, axis=axis, initial=0)`, so the result is
+    bit-identical to it.
+    """
+    y = np.moveaxis(np.asarray(y), axis, -1)
+    res = np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    res = np.concatenate((np.zeros_like(res[..., :1]), res), axis=-1)
+    return np.moveaxis(res, -1, axis)
+
+
 def cumulative_integral(
-    values: np.ndarray, grid: TimeGrid | np.ndarray, anchor: float
+    values: np.ndarray, grid: TimeGrid | np.ndarray, anchor: float, axis: int = -1
 ) -> np.ndarray:
-    """Composite-trapezoid antiderivative vanishing at the anchor grid point."""
+    """Composite-trapezoid antiderivative along `axis`, vanishing at the anchor.
+
+    The anchor must be a grid point; the integral is taken over `grid` and
+    the values at the anchor index are subtracted.
+    """
     ts = grid.times if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
-    v = np.asarray(values)
     if not (ts[0] - 1e-12 <= anchor <= ts[-1] + 1e-12):
         raise GridError(f"anchor {anchor} outside grid [{ts[0]}, {ts[-1]}]")
-    F = cumulative_trapezoid(v, ts, initial=0.0)
     idx = int(np.argmin(np.abs(ts - anchor)))
     if abs(ts[idx] - anchor) > 1e-9 * max(1.0, abs(anchor)):
         raise GridError(f"anchor {anchor} is not a grid point")
-    return F - F[idx]
+    F = cumulative_trapezoid(values, ts, axis=axis)
+    return F - np.take(F, [idx], axis=axis)

@@ -4,10 +4,14 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import carrollsch
 from carrollsch import cli
 
 
@@ -58,6 +62,20 @@ class TestExitCodes:
             tmp_path, {"schema": cli.SCHEMA, "gaussian": {"sigma": -1.0}}
         )
         assert cli.main(["gaussian", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def test_branch_error_is_numerical_failure(self, tmp_path, capsys):
+        # E_sch far above the well makes y2 oscillate too fast for a usable patch
+        cfg = _write_config(
+            tmp_path,
+            {"schema": cli.SCHEMA, "duality": {"target": "harmonic", "omega": 1.0, "E_sch": 1e6}},
+        )
+        assert cli.main(["duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "no usable zero-free patch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", [[0.01], [0.01, 0.01], [0.0, 0.01]])
+    def test_dyson_eps_cannot_fit_a_slope(self, tmp_path, eps):
+        cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "dyson": {"eps": eps}})
+        assert cli.main(["dyson", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
     def test_unknown_duality_target(self, tmp_path):
         cfg = _write_config(
@@ -120,3 +138,26 @@ class TestCsvFormat:
             ["quantize", "--out", str(tmp_path / "o"), "--tolerance-profile", "strict"]
         )
         assert code == 0
+
+
+def test_scipy_loaded_only_where_needed(tmp_path):
+    """The package import and the five scipy-free subcommands load no scipy module."""
+    code = textwrap.dedent(
+        f"""
+        import sys
+        import carrollsch
+        from carrollsch import cli
+
+        def scipy_modules():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+        assert not scipy_modules(), scipy_modules()
+        for sub in ("gaussian", "commutator", "currents", "rays", "dyson"):
+            assert cli.main([sub, "--out", {str(tmp_path)!r} + "/" + sub]) == 0, sub
+            assert not scipy_modules(), (sub, scipy_modules())
+        """
+    )
+    src = os.path.dirname(os.path.dirname(carrollsch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

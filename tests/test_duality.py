@@ -16,6 +16,7 @@ from carrollsch import (
     schwarzian_residual,
     vsch_from_vcar,
 )
+from carrollsch.duality import _window_extrema
 from carrollsch.numerics import deriv_uniform, schwarzian_samples
 
 TARGETS = [
@@ -162,3 +163,14 @@ class TestHermitianBranch:
         assert np.max(np.abs(np.imag(interior))) <= 1e-6 * max(
             1.0, np.max(np.abs(interior))
         )
+
+
+class TestWindowExtrema:
+    @pytest.mark.parametrize("n", [1, 5, 9, 200])
+    def test_matches_ndimage_nearest(self, n):
+        from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
+        a = np.abs(np.random.default_rng(n).standard_cauchy(n))
+        wmax, wmin = _window_extrema(a)
+        assert np.array_equal(wmax, maximum_filter1d(a, size=9, mode="nearest"))
+        assert np.array_equal(wmin, minimum_filter1d(a, size=9, mode="nearest"))

@@ -18,8 +18,8 @@ from carrollsch import (
     gaussian_exact,
     interaction_momentum,
     quantized_modes,
-    stationary_temporal_current,
 )
+from carrollsch.interaction import _simpson
 from carrollsch.operators import _d1, _d2
 
 
@@ -48,12 +48,6 @@ class TestQuantizedModes:
             quantized_modes(-1.0, 3, 1.0, PotentialSpec.zero())
         with pytest.raises(ValueError):
             quantized_modes(1.0, 0, 1.0, PotentialSpec.zero())
-
-    def test_stationary_current_vanishes(self):
-        v = PotentialSpec.time_profile(np.sin, np.cos)
-        spec = quantized_modes(np.pi, 2, 1.0, v)
-        j = stationary_temporal_current(spec.modes[0], v)
-        assert np.max(np.abs(j)) == 0.0
 
 
 class TestDirichletOracle:
@@ -101,6 +95,17 @@ class TestInteractionMomentum:
         F = interaction_momentum(v, 0.0, xg, tg)
         row = F.at_x(0.5)
         np.testing.assert_allclose(row, 2 * 0.5 * (1.0 - np.cos(tg.times)), atol=1e-4)
+
+    def test_at_x_equals_fresh_spline(self):
+        from scipy.interpolate import CubicSpline
+
+        xg, tg = self._grids()
+        v = PotentialSpec.separable(lambda x: np.sin(3 * x), np.cos, da=lambda x: 3 * np.cos(3 * x))
+        F = interaction_momentum(v, 0.0, xg, tg)
+        xs = xg.times
+        for x in (xs[0], 0.37, xs[31], 1.5, xs[-1]):
+            fresh = CubicSpline(xs, np.real(F.field.values), axis=0)(x)
+            assert np.array_equal(F.at_x(x), fresh)
 
     def test_at_x_out_of_range(self):
         xg, tg = self._grids()
@@ -230,3 +235,11 @@ class TestDysonFirstOrder:
             dy = dyson_first_order(phi0, g, eta, eps, 0.0, 1.0, 128)
             errs.append(np.sqrt(grid.dt * np.sum(np.abs(ref.values - dy.values) ** 2)))
         assert 3.2 <= errs[0] / errs[1] <= 4.8
+
+    @pytest.mark.parametrize("x0, x_end, n_steps", [(0.0, 1.0, 256), (-0.3, 2.1, 128), (1.0, 1.0, 8)])
+    def test_simpson_matches_scipy(self, x0, x_end, n_steps):
+        from scipy.integrate import simpson
+
+        xi = np.linspace(x0, x_end, n_steps + 1)
+        y = 1.0 + 0.5 * np.sin(xi)
+        assert np.array_equal(_simpson(y, xi), simpson(y, x=xi))

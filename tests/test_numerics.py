@@ -12,6 +12,7 @@ from carrollsch.numerics import (
     SingularPointError,
     TimeGrid,
     cumulative_integral,
+    cumulative_trapezoid,
     deriv_uniform,
     integrate_fundamental_pair,
     invert_monotone,
@@ -203,3 +204,40 @@ class TestCumulativeIntegral:
         g = TimeGrid(0.0, 1.0, 64)
         with pytest.raises(GridError):
             cumulative_integral(np.ones(64), g, anchor=2.0)
+
+    def test_axis_matches_rows(self):
+        g = TimeGrid(0.0, 1.0, 64)
+        rows = np.sin(np.arange(3)[:, None] + g.times[None, :])
+        F = cumulative_integral(rows, g, anchor=g.times[10], axis=1)
+        for r, row in zip(F, rows):
+            assert np.array_equal(r, cumulative_integral(row, g, anchor=g.times[10]))
+        assert np.all(F[:, 10] == 0.0)
+
+
+class TestCumulativeTrapezoid:
+    """The numpy running trapezoid reproduces scipy's initial=0 result bit for bit."""
+
+    @staticmethod
+    def _scipy(y, x, axis=-1):
+        from scipy.integrate import cumulative_trapezoid as reference
+
+        return reference(y, x, axis=axis, initial=0.0)
+
+    def test_real_1d(self):
+        rng = np.random.default_rng(1)
+        x = np.sort(rng.uniform(-2.0, 3.0, 257))
+        y = np.sin(3 * x) + rng.normal(size=x.size)
+        assert np.array_equal(cumulative_trapezoid(y, x), self._scipy(y, x))
+
+    def test_complex_1d(self):
+        g = TimeGrid(0.0, 2 * np.pi, 512)
+        y = np.exp(2j * np.cos(g.times))
+        out = cumulative_trapezoid(y, g.times)
+        assert out.dtype == complex
+        assert np.array_equal(out, self._scipy(y, g.times))
+
+    def test_2d_axis1(self):
+        rng = np.random.default_rng(2)
+        x = np.linspace(-1.0, 1.0, 100)
+        y = rng.normal(size=(7, 100))
+        assert np.array_equal(cumulative_trapezoid(y, x, axis=1), self._scipy(y, x, axis=1))
