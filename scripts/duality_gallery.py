@@ -13,20 +13,12 @@ import os
 import numpy as np
 
 from carrollsch import (
-    PotentialSpec,
     inverse_tau,
     inversion_identity_residual,
     roundtrip_residual,
     schwarzian_residual,
 )
-from carrollsch.cli import write_csv
-
-TARGETS = [
-    ("free", PotentialSpec.zero(), 0.0, (0.0, 2.0)),
-    ("constant", PotentialSpec.constant(2.0), 0.0, (0.0, 0.6)),
-    ("harmonic", PotentialSpec.space_profile(lambda x: 0.5 * x**2), 0.25, (-1.5, 1.5)),
-    ("coulomb-like", PotentialSpec.space_profile(lambda x: -1.0 / x), -0.5, (0.5, 3.0)),
-]
+from carrollsch.cli import _duality_target, write_csv
 
 
 def main() -> None:
@@ -37,7 +29,9 @@ def main() -> None:
     args = parser.parse_args()
 
     rows = []
-    for name, v, e_sch, x_range in TARGETS:
+    for target in ("free", "constant", "harmonic", "coulomb-like"):
+        # the CLI's target table, with its default parameters
+        name, v, e_sch, x_range = _duality_target({"target": target})
         dmap = inverse_tau(v, e_sch, args.E0, x_range, n=args.n)
         row = [
             name,

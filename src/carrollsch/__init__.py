@@ -60,7 +60,6 @@ from .propagator import (
 from .currents import (
     continuity_equivalence,
     coordinate_inversion,
-    gauge_remove,
     schrodinger_density_current,
 )
 from .classical import (

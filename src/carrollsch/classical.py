@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import cumulative_trapezoid
+from .numerics import cumulative_trapezoid, rk4
 from .potentials import PotentialSpec
 
 
@@ -169,9 +169,6 @@ def trace_ray(
     mc3 = constants.mc3
     h = (x_end - x0) / n_steps
     xs = x0 + h * np.arange(n_steps + 1)
-    ts = np.empty(n_steps + 1)
-    qs = np.empty(n_steps + 1)
-    ts[0], qs[0] = t0, q0
 
     def rhs(x: float, s: np.ndarray) -> np.ndarray:
         dv = v_car.dvdx_at(x, s[0])
@@ -179,15 +176,7 @@ def trace_ray(
             raise ValueError(f"potential gradient non-finite at x = {x}")
         return np.array([-s[1] / mc3, dv])
 
-    s = np.array([t0, q0], dtype=float)
-    for k in range(n_steps):
-        x = xs[k]
-        k1 = rhs(x, s)
-        k2 = rhs(x + 0.5 * h, s + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h, s + 0.5 * h * k2)
-        k4 = rhs(x + h, s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ts[k + 1], qs[k + 1] = s
+    ts, qs = rk4(rhs, np.array([t0, q0], dtype=float), xs, h).T
     return RaySolution(x=xs, t=ts, q=qs, p_x=qs**2 / (2 * mc3), initial=(x0, t0, q0))
 
 

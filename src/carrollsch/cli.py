@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,13 +96,32 @@ def load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    if cfg.get("schema") != SCHEMA:
+    if not isinstance(cfg, dict) or cfg.get("schema") != SCHEMA:
         raise ConfigError(f"config schema must be {SCHEMA!r}")
     return cfg
 
 
+def _block(cfg: dict, name: str) -> dict:
+    """The config block `name`; a missing block reads as {} (all defaults)."""
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"config block {name!r} must be a JSON object")
+    return block
+
+
+def _list(block: dict, name: str, key: str, default: list, cast: Callable) -> list:
+    """The list-valued key `name.key`, each entry converted by `cast`."""
+    value = block.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{name}.{key} must be a list")
+    try:
+        return [cast(v) for v in value]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad entry in {name}.{key}: {exc}") from exc
+
+
 def _constants(cfg: dict) -> PhysicalConstants:
-    block = cfg.get("constants", {})
+    block = _block(cfg, "constants")
     try:
         return PhysicalConstants(
             hbar=float(block.get("hbar", 1.0)),
@@ -117,14 +136,14 @@ def _constants(cfg: dict) -> PhysicalConstants:
 
 
 def cmd_gaussian(cfg: dict, out: str, tol: dict) -> None:
-    block = cfg.get("gaussian", {})
+    block = _block(cfg, "gaussian")
     sigma = float(block.get("sigma", 1.0))
     omega0 = float(block.get("omega0", 2.0))
     t0 = float(block.get("t0", 0.0))
-    stations = [float(v) for v in block.get("stations", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])]
+    stations = _list(block, "gaussian", "stations", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], float)
     n = int(block.get("n", 2048))
     consts = _constants(cfg)
-    if sigma <= 0:
+    if not sigma > 0:
         raise ConfigError("gaussian.sigma must be positive")
 
     half = 20.0 * propagator.effective_width(sigma, max(abs(s) for s in stations) or 1.0, consts)
@@ -208,7 +227,7 @@ def _duality_target(block: dict):
 
 
 def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
-    block = cfg.get("duality", {})
+    block = _block(cfg, "duality")
     consts = _constants(cfg)
     E0 = float(block.get("E0", 1.0))
     name = block.get("target", "free")
@@ -267,10 +286,10 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
 
 
 def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
-    block = cfg.get("commutator", {})
+    block = _block(cfg, "commutator")
     consts = _constants(cfg)
     shift = float(block.get("shift", 0.7))
-    sizes = [int(v) for v in block.get("sizes", [48, 96, 192])]
+    sizes = _list(block, "commutator", "sizes", [64, 128, 256], int)
 
     v_t = PotentialSpec.time_profile(np.sin, np.cos)
     v_t_shift = PotentialSpec.time_profile(lambda t: np.sin(t) + shift)
@@ -285,8 +304,8 @@ def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
     rows = []
     for label, vs, vc in cases:
         for n in sizes:
-            xg = TimeGrid(-4.0, 4.0, _next_pow2(n))
-            tg = TimeGrid(-4.0, 4.0, _next_pow2(n))
+            xg = TimeGrid(-4.0, 4.0, n)
+            tg = TimeGrid(-4.0, 4.0, n)
             probes = operators.gaussian_probes(xg, tg)
             r = operators.commutator_residual(vs, vc, probes, consts)
             rows.append((label, xg.n, r))
@@ -297,27 +316,19 @@ def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
     )
 
 
-def _next_pow2(n: int) -> int:
-    p = 8
-    while p < n:
-        p *= 2
-    return p
-
-
 # ---------------------------------------------------------------- currents
 
 
 def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
-    block = cfg.get("currents", {})
+    block = _block(cfg, "currents")
     consts = _constants(cfg)
     sigma = float(block.get("sigma", 1.0))
-    sizes = [int(v) for v in block.get("sizes", [128, 256, 512])]
+    sizes = _list(block, "currents", "sizes", [128, 256, 512], int)
 
     params = propagator.GaussianParams(sigma=sigma, t0=0.0, omega0=0.0)
     rows = []
     prev = None
     for n in sizes:
-        n = _next_pow2(n)
         tg = TimeGrid(-12.0, 12.0, n)
         xg = TimeGrid(-12.0, 12.0, n)
         vals = np.stack(
@@ -342,7 +353,7 @@ def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
 
 
 def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
-    block = cfg.get("rays", {})
+    block = _block(cfg, "rays")
     consts = _constants(cfg)
     kind = block.get("potential", "linear")
     x_end = float(block.get("x_end", 1.0))
@@ -403,7 +414,7 @@ def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
 
 
 def cmd_quantize(cfg: dict, out: str, tol: dict) -> None:
-    block = cfg.get("quantize", {})
+    block = _block(cfg, "quantize")
     consts = _constants(cfg)
     T = float(block.get("T", np.pi))
     n_max = int(block.get("n_max", 3))
@@ -444,9 +455,9 @@ def cmd_quantize(cfg: dict, out: str, tol: dict) -> None:
 
 
 def cmd_dyson(cfg: dict, out: str, tol: dict) -> None:
-    block = cfg.get("dyson", {})
+    block = _block(cfg, "dyson")
     consts = _constants(cfg)
-    eps_list = [float(v) for v in block.get("eps", [0.005, 0.01, 0.02, 0.05])]
+    eps_list = _list(block, "dyson", "eps", [0.005, 0.01, 0.02, 0.05], float)
     x_end = float(block.get("x_end", 1.0))
     n_steps = int(block.get("n_steps", 256))
     if len(set(eps_list)) < 2 or min(eps_list) <= 0:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import GridError, TimeGrid, cumulative_integral
-from .operators import MARGIN, Field2D, _d1
+from .interaction import gauge_reduce
+from .numerics import GridError, TimeGrid, deriv_uniform
+from .operators import MARGIN, Field2D
 from .potentials import PotentialSpec
 
 
@@ -27,26 +28,9 @@ def schrodinger_density_current(
     """
     hbar, m = constants.hbar, constants.m
     rho = np.abs(psi.values) ** 2
-    dpsi = _d1(psi.values, psi.x_grid.dt, 0)
+    dpsi = deriv_uniform(psi.values, psi.x_grid.dt, 1, axis=0)
     j = hbar / m * np.imag(np.conj(psi.values) * dpsi)
     return rho, j
-
-
-def gauge_remove(
-    psi: Field2D,
-    v_car: PotentialSpec,
-    t0: float,
-    constants: PhysicalConstants = NATURAL,
-) -> Field2D:
-    """Phi = exp[-(i/hbar) int_{t0}^t V_car(x,tau) dtau] psi.
-
-    Unit-modulus factor: |Phi| = |psi| exactly.  The density built from Phi
-    carries no explicit potential term.
-    """
-    V = v_car.v_xt(psi.x_grid.times, psi.t_grid.times)
-    phase = cumulative_integral(V, psi.t_grid, t0, axis=1)
-    vals = np.exp(-1j / constants.hbar * phase) * psi.values
-    return Field2D(psi.x_grid, psi.t_grid, vals)
 
 
 def coordinate_inversion(
@@ -77,16 +61,16 @@ def continuity_equivalence(
 ) -> float:
     """Schrodinger-form continuity residual of a transformed Carroll field.
 
-    Gauge-removes the potential (if any), applies the coordinate inversion,
-    then evaluates max |d_t' rho + d_x' J| on interior samples with rho, J
-    from schrodinger_density_current.  Converges to zero under refinement
-    when psi_car solves the Carroll equation.
+    Strips the potential (if any) with `interaction.gauge_reduce`, applies the
+    coordinate inversion, then evaluates max |d_t' rho + d_x' J| on interior
+    samples with rho, J from schrodinger_density_current.  Converges to zero
+    under refinement when psi_car solves the Carroll equation.
     """
     f = psi_car
     if v_car is not None and v_car.kind != "zero":
-        f = gauge_remove(f, v_car, psi_car.t_grid.t_min if t0 is None else t0, constants)
+        f = gauge_reduce(f, v_car, psi_car.t_grid.t_min if t0 is None else t0, constants)
     f = coordinate_inversion(f, constants)
     rho, j = schrodinger_density_current(f, constants)
-    res = _d1(rho, f.t_grid.dt, 1) + _d1(j, f.x_grid.dt, 0)
+    res = deriv_uniform(rho, f.t_grid.dt, 1, axis=1) + deriv_uniform(j, f.x_grid.dt, 1, axis=0)
     core = res[margin:-margin, margin:-margin]
     return float(np.max(np.abs(core)))

@@ -136,8 +136,28 @@ def gauge_reduce(
     return Field2D(psi.x_grid, psi.t_grid, np.exp(-1j / constants.hbar * I) * psi.values)
 
 
-def _kinetic_phase(grid: TimeGrid, dx: float, constants: PhysicalConstants) -> np.ndarray:
-    return np.exp(-1j * constants.beta * dx * grid.omegas**2)
+def _split_step(
+    values: np.ndarray,
+    grid: TimeGrid,
+    x0: float,
+    h: float,
+    n_steps: int,
+    half_phase: Callable[[float], np.ndarray],
+    constants: PhysicalConstants,
+) -> np.ndarray:
+    """Strang steps of size h from station x0.
+
+    The potential factor half_phase(x) is applied at both cell edges around
+    the exact spectral kinetic multiplier exp(-i beta h w^2).
+    """
+    kin = np.exp(-1j * constants.beta * h * grid.omegas**2)
+    x = x0
+    for _ in range(n_steps):
+        values = values * half_phase(x)
+        values = np.fft.ifft(kin * np.fft.fft(values))
+        x += h
+        values = values * half_phase(x)
+    return values
 
 
 def evolve_interacting(
@@ -156,48 +176,17 @@ def evolve_interacting(
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    grid = phi0.grid
-    t = grid.times
+    t = phi0.grid.times
     h = (x_end - x0) / n_steps
 
-    def f_at(x: float) -> np.ndarray:
+    def half_phase(x: float) -> np.ndarray:
         row = F.at_x(x) if isinstance(F, InteractionMomentum) else np.asarray(F(x, t))
         if np.iscomplexobj(row) and np.max(np.abs(row.imag)) > 0:
             raise ValueError("complex interaction momentum rejected")
-        return np.real(row)
+        return np.exp(-0.5j * h / constants.hbar * np.real(row))
 
-    kin = _kinetic_phase(grid, h, constants)
-    vals = phi0.values.copy()
-    x = x0
-    for _ in range(n_steps):
-        vals = vals * np.exp(-0.5j * h / constants.hbar * f_at(x))
-        vals = np.fft.ifft(kin * np.fft.fft(vals))
-        x += h
-        vals = vals * np.exp(-0.5j * h / constants.hbar * f_at(x))
+    vals = _split_step(phi0.values, phi0.grid, x0, h, n_steps, half_phase, constants)
     return replace(phi0, x=x_end, values=vals)
-
-
-def _u0_apply(
-    values: np.ndarray,
-    grid: TimeGrid,
-    g: PotentialSpec,
-    x0: float,
-    x_end: float,
-    n_steps: int,
-    constants: PhysicalConstants,
-) -> np.ndarray:
-    """Unperturbed x-evolution with the time profile g absorbed (split-step)."""
-    t = grid.times
-    gv = np.real(g.v_t(t))
-    h = (x_end - x0) / n_steps
-    kin = _kinetic_phase(grid, h, constants)
-    pot = np.exp(-0.5j * h / (constants.hbar * constants.c) * gv)
-    vals = values.copy()
-    for _ in range(n_steps):
-        vals = pot * vals
-        vals = np.fft.ifft(kin * np.fft.fft(vals))
-        vals = pot * vals
-    return vals
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -242,7 +231,10 @@ def dyson_first_order(
     """
     if n_steps % 2 == 1:
         n_steps += 1  # composite Simpson needs an even panel count
-    u0 = _u0_apply(phi0.values, phi0.grid, g, x0, x_end, n_steps, constants)
+    # unperturbed evolution U0, with the time profile g absorbed in a constant phase
+    h = (x_end - x0) / n_steps
+    pot = np.exp(-0.5j * h / (constants.hbar * constants.c) * np.real(g.v_t(phi0.grid.times)))
+    u0 = _split_step(phi0.values, phi0.grid, x0, h, n_steps, lambda x: pot, constants)
     xi = np.linspace(x0, x_end, n_steps + 1)
     I_eta = float(_simpson(np.asarray(eta(xi), dtype=float), xi))
     vals = (1.0 - 1j * eps * I_eta / (constants.hbar * constants.c)) * u0

@@ -1,14 +1,15 @@
 """Shared numerical substrate.
 
-Uniform grids with a periodic (endpoint-excluded) convention, the unitary
-discrete Fourier transform, fixed-step RK4 integration of y'' + q(x) y = 0,
-finite-difference Schwarzian derivatives, monotone inversion and cumulative
-quadrature.  Everything here is a pure function of its inputs.  Importing
-this module loads numpy only; the sampled path of `invert_monotone` imports
-scipy's CubicSpline when it runs.
+Uniform grids with a periodic (endpoint-excluded) convention, validated
+complex samples, the unitary DFT and spectral derivative, the fixed-step RK4
+loop, finite-difference stencils along any axis, Schwarzian derivatives,
+monotone inversion and cumulative quadrature.  Everything here is a pure
+function of its inputs.  Importing this module loads numpy only; the sampled
+path of `invert_monotone` imports scipy's CubicSpline when it runs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,18 +63,23 @@ class TimeGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, self.dt)
 
 
+def complex_samples(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """`values` as a complex array, checked to have `shape` and finite entries."""
+    v = np.asarray(values, dtype=complex)
+    if v.shape != shape:
+        raise ValueError(f"expected samples of shape {shape}, got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("samples contain non-finite entries")
+    return v
+
+
 @dataclass(frozen=True)
 class ComplexSignal:
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} samples, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signal contains non-finite samples")
+        object.__setattr__(self, "values", complex_samples(self.values, (self.grid.n,)))
 
     def norm(self) -> float:
         """Discrete L2 norm with the grid measure dt."""
@@ -87,6 +93,11 @@ def unitary_dft(signal: ComplexSignal) -> np.ndarray:
 
 def unitary_idft(freq: np.ndarray, grid: TimeGrid) -> ComplexSignal:
     return ComplexSignal(grid, np.fft.ifft(np.asarray(freq, dtype=complex), norm="ortho"))
+
+
+def spectral_derivative(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Spectral derivative along the periodic grid: ifft(i w fft(values))."""
+    return np.fft.ifft(1j * grid.omegas * np.fft.fft(values))
 
 
 @dataclass(frozen=True)
@@ -126,37 +137,45 @@ def integrate_fundamental_pair(
 
     def qv(x: float) -> float:
         val = q(np.asarray(x))
-        val = complex(val) if np.iscomplexobj(np.asarray(val)) else float(val)
-        if not np.isfinite(val):
-            raise ValueError(f"q evaluates non-finite at x = {x}")
-        return val
-
-    # state: (y1, y1', y2, y2')
-    y = np.zeros((n + 1, 4))
-    y[0] = (1.0, 0.0, 0.0, 1.0)
+        if np.iscomplexobj(val) or not math.isfinite(val):
+            raise ValueError(f"q must be real and finite, got {val} at x = {x}")
+        return float(val)
 
     def rhs(x: float, s: np.ndarray) -> np.ndarray:
         qx = qv(x)
         return np.array([s[1], -qx * s[0], s[3], -qx * s[2]])
 
-    s = y[0].copy()
-    for k in range(n):
-        x = xs[k]
-        k1 = rhs(x, s)
-        k2 = rhs(x + 0.5 * h, s + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h, s + 0.5 * h * k2)
-        k4 = rhs(x + h, s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        y[k + 1] = s
-
+    # state: (y1, y1', y2, y2')
+    y = rk4(rhs, np.array([1.0, 0.0, 0.0, 1.0]), xs, h)
     return FundamentalPair(
         x=xs,
         y1=y[:, 0],
         y1_prime=y[:, 1],
         y2=y[:, 2],
         y2_prime=y[:, 3],
-        q=np.array([q(np.asarray(x)) for x in xs], dtype=float),
+        q=np.array([qv(x) for x in xs]),
     )
+
+
+def rk4(
+    rhs: Callable[[float, np.ndarray], np.ndarray], s0: np.ndarray, xs: np.ndarray, h: float
+) -> np.ndarray:
+    """Classical RK4 for s' = rhs(x, s), s(xs[0]) = s0: the state at every node of xs.
+
+    `h` is passed, not read off `xs`: xs[1] - xs[0] need not equal it bit for bit.
+    """
+    s = np.asarray(s0)
+    out = np.empty((len(xs),) + s.shape, dtype=s.dtype)
+    out[0] = s
+    for k in range(len(xs) - 1):
+        x = xs[k]
+        k1 = rhs(x, s)
+        k2 = rhs(x + 0.5 * h, s + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h, s + 0.5 * h * k2)
+        k4 = rhs(x + h, s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[k + 1] = s
+    return out
 
 
 def _schwarzian_step(x: float) -> float:
@@ -178,49 +197,36 @@ def schwarzian(f: Callable[[float], complex], x: float, h: float | None = None) 
     return f3 / f1 - 1.5 * (f2 / f1) ** 2
 
 
-def deriv_uniform(values: np.ndarray, dx: float, order: int = 1) -> np.ndarray:
-    """Derivative of uniformly sampled values.
+def deriv_uniform(values: np.ndarray, dx: float, order: int = 1, axis: int = 0) -> np.ndarray:
+    """Derivative of values sampled uniformly along `axis`.
 
     4th-order central differences in the interior, one-sided 2nd-order at the
     edges.  Supports order 1, 2, 3.
     """
-    v = np.asarray(values)
-    n = v.shape[0]
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2 or 3")
+    v = np.asarray(values).swapaxes(axis, 0)
+    if v.shape[0] < (9 if order == 3 else 7):
+        raise ValueError(f"need at least {9 if order == 3 else 7} samples")
     out = np.empty_like(v, dtype=complex if np.iscomplexobj(v) else float)
     if order == 1:
-        if n < 7:
-            raise ValueError("need at least 7 samples")
         out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * dx)
-        for i in (0, 1):
-            out[i] = (-3 * v[i] + 4 * v[i + 1] - v[i + 2]) / (2 * dx)
-        for i in (n - 2, n - 1):
-            out[i] = (3 * v[i] - 4 * v[i - 1] + v[i - 2]) / (2 * dx)
+        out[:2] = (-3 * v[:2] + 4 * v[1:3] - v[2:4]) / (2 * dx)
+        out[-2:] = (3 * v[-2:] - 4 * v[-3:-1] + v[-4:-2]) / (2 * dx)
     elif order == 2:
-        if n < 7:
-            raise ValueError("need at least 7 samples")
         out[2:-2] = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * dx * dx)
-        for i in (0, 1):
-            out[i] = (2 * v[i] - 5 * v[i + 1] + 4 * v[i + 2] - v[i + 3]) / dx**2
-        for i in (n - 2, n - 1):
-            out[i] = (2 * v[i] - 5 * v[i - 1] + 4 * v[i - 2] - v[i - 3]) / dx**2
-    elif order == 3:
-        if n < 9:
-            raise ValueError("need at least 9 samples")
+        out[:2] = (2 * v[:2] - 5 * v[1:3] + 4 * v[2:4] - v[3:5]) / (dx * dx)
+        out[-2:] = (2 * v[-2:] - 5 * v[-3:-1] + 4 * v[-4:-2] - v[-5:-3]) / (dx * dx)
+    else:
         out[3:-3] = (
             v[:-6] - 8 * v[1:-5] + 13 * v[2:-4] - 13 * v[4:-2] + 8 * v[5:-1] - v[6:]
         ) / (8 * dx**3)
         # 2nd-order one-sided third derivative
-        for i in range(3):
-            out[i] = (
-                -2.5 * v[i] + 9 * v[i + 1] - 12 * v[i + 2] + 7 * v[i + 3] - 1.5 * v[i + 4]
-            ) / dx**3
-        for i in range(n - 3, n):
-            out[i] = (
-                2.5 * v[i] - 9 * v[i - 1] + 12 * v[i - 2] - 7 * v[i - 3] + 1.5 * v[i - 4]
-            ) / dx**3
-    else:
-        raise ValueError("order must be 1, 2 or 3")
-    return out
+        out[:3] = (-2.5 * v[:3] + 9 * v[1:4] - 12 * v[2:5] + 7 * v[3:6] - 1.5 * v[4:7]) / dx**3
+        out[-3:] = (
+            2.5 * v[-3:] - 9 * v[-4:-1] + 12 * v[-5:-2] - 7 * v[-6:-3] + 1.5 * v[-7:-4]
+        ) / dx**3
+    return out.swapaxes(0, axis)
 
 
 def schwarzian_samples(values: np.ndarray, dx: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import TimeGrid
+from .numerics import TimeGrid, complex_samples, deriv_uniform
 from .potentials import PotentialSpec
 
 #: boundary ring (per side, per axis) excluded from operator norms
@@ -35,46 +35,11 @@ class Field2D:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.x_grid.n, self.t_grid.n):
-            raise ValueError(
-                f"values shape {v.shape} != ({self.x_grid.n}, {self.t_grid.n})"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite entries")
+        shape = (self.x_grid.n, self.t_grid.n)
+        object.__setattr__(self, "values", complex_samples(self.values, shape))
 
     def interior(self, margin: int = MARGIN) -> np.ndarray:
         return self.values[margin:-margin, margin:-margin]
-
-
-def _d1_axis0(v: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(v)
-    out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
-    out[:2] = (-3 * v[:2] + 4 * v[1:3] - v[2:4]) / (2 * h)
-    out[-2:] = (3 * v[-2:] - 4 * v[-3:-1] + v[-4:-2]) / (2 * h)
-    return out
-
-
-def _d2_axis0(v: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(v)
-    out[2:-2] = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * h * h)
-    out[:2] = (2 * v[:2] - 5 * v[1:3] + 4 * v[2:4] - v[3:5]) / (h * h)
-    out[-2:] = (2 * v[-2:] - 5 * v[-3:-1] + 4 * v[-4:-2] - v[-5:-3]) / (h * h)
-    return out
-
-
-def _d1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """4th-order first derivative; 2nd-order one-sided at the edges."""
-    if axis == 0:
-        return _d1_axis0(v, h)
-    return _d1_axis0(v.T, h).T
-
-
-def _d2(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    if axis == 0:
-        return _d2_axis0(v, h)
-    return _d2_axis0(v.T, h).T
 
 
 def apply_H(
@@ -86,9 +51,9 @@ def apply_H(
     hbar, m = constants.hbar, constants.m
     V = v_sch.v_xt(psi.x_grid.times, psi.t_grid.times)
     out = (
-        -(hbar**2) / (2 * m) * _d2(psi.values, psi.x_grid.dt, 0)
+        -(hbar**2) / (2 * m) * deriv_uniform(psi.values, psi.x_grid.dt, 2, axis=0)
         + V * psi.values
-        - 1j * hbar * _d1(psi.values, psi.t_grid.dt, 1)
+        - 1j * hbar * deriv_uniform(psi.values, psi.t_grid.dt, 1, axis=1)
     )
     return Field2D(psi.x_grid, psi.t_grid, out)
 
@@ -106,11 +71,10 @@ def apply_F(
     V = v_car.v_xt(psi.x_grid.times, psi.t_grid.times)
 
     def a(v: np.ndarray) -> np.ndarray:
-        return -1j * hbar * _d1(v, psi.t_grid.dt, 1) - V * v
+        return -1j * hbar * deriv_uniform(v, psi.t_grid.dt, 1, axis=1) - V * v
 
-    out = c * 1j * hbar * _d1(psi.values, psi.x_grid.dt, 0) - a(a(psi.values)) / (
-        2 * m * c**2
-    )
+    dpsi_dx = deriv_uniform(psi.values, psi.x_grid.dt, 1, axis=0)
+    out = c * 1j * hbar * dpsi_dx - a(a(psi.values)) / (2 * m * c**2)
     return Field2D(psi.x_grid, psi.t_grid, out)
 
 

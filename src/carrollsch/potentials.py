@@ -1,17 +1,15 @@
 """Potential profiles over t, x, or (x, t).
 
-A PotentialSpec wraps either a closed form (callables, with optional analytic
-derivatives) or tabulated samples.  Real-valued unless explicitly flagged
-complex; the complex branch is needed by the velocity-profile construction.
+A PotentialSpec wraps a closed form (callables, with optional analytic
+derivatives).  Real-valued unless explicitly flagged complex; the complex
+branch is needed by the velocity-profile construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .numerics import deriv_uniform
 
 _FD_REL = 1e-5  # step for callable finite differences
 
@@ -31,9 +29,6 @@ class PotentialSpec:
     f_x: Optional[Callable] = None
     df_x: Optional[Callable] = None
     f_xt: Optional[Callable] = None
-    table: Optional[np.ndarray] = field(default=None, repr=False)
-    table_x: Optional[np.ndarray] = field(default=None, repr=False)
-    table_t: Optional[np.ndarray] = field(default=None, repr=False)
     allow_complex: bool = False
 
     # -- constructors -------------------------------------------------------
@@ -61,15 +56,6 @@ class PotentialSpec:
     @classmethod
     def space_time(cls, f) -> "PotentialSpec":
         return cls(kind="space_time", f_xt=f)
-
-    @classmethod
-    def tabulated(cls, values: np.ndarray, x: np.ndarray, t: np.ndarray) -> "PotentialSpec":
-        values = np.asarray(values)
-        if values.shape != (len(x), len(t)):
-            raise ValueError("table shape must be (n_x, n_t)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("tabulated potential has non-finite entries")
-        return cls(kind="tabulated", table=values, table_x=np.asarray(x), table_t=np.asarray(t))
 
     # -- evaluation ---------------------------------------------------------
     @property
@@ -127,10 +113,6 @@ class PotentialSpec:
             return np.asarray(self.f_x(x))[:, None] * np.asarray(self.f_t(t))[None, :]
         if self.kind == "space_time":
             return np.asarray(self.f_xt(x[:, None], t[None, :]))
-        if self.kind == "tabulated":
-            if x.size != len(self.table_x) or t.size != len(self.table_t):
-                raise ValueError("tabulated potential evaluated off its own grid")
-            return self.table
         raise ValueError(f"unknown kind {self.kind!r}")
 
     def dv_dx(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -154,9 +136,6 @@ class PotentialSpec:
                 + 8 * self.f_xt(xi + h, t[None, :])
                 - self.f_xt(xi + 2 * h, t[None, :])
             ) / (12 * h)
-        if self.kind == "tabulated":
-            dx = self.table_x[1] - self.table_x[0]
-            return np.apply_along_axis(deriv_uniform, 0, self.table, dx)
         raise ValueError(f"unknown kind {self.kind!r}")
 
     def dvdx_at(self, x: float, t: float) -> float:

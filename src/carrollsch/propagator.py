@@ -20,7 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import TimeGrid, ComplexSignal, unitary_dft, unitary_idft
+from .numerics import (
+    ComplexSignal, TimeGrid, complex_samples, spectral_derivative, unitary_dft, unitary_idft
+)
 from .potentials import PotentialSpec
 
 
@@ -32,12 +34,7 @@ class Wavefunction:
     constants: PhysicalConstants = NATURAL
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.n,):
-            raise ValueError("sample count does not match grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite wavefunction samples")
+        object.__setattr__(self, "values", complex_samples(self.values, (self.grid.n,)))
 
     def norm(self) -> float:
         return float(np.sqrt(self.grid.dt * np.sum(np.abs(self.values) ** 2)))
@@ -50,7 +47,7 @@ class Wavefunction:
 
     def dt_values(self) -> np.ndarray:
         """Spectral time derivative of the samples."""
-        return np.fft.ifft(1j * self.grid.omegas * np.fft.fft(self.values))
+        return spectral_derivative(self.values, self.grid)
 
 
 @dataclass(frozen=True)
@@ -168,6 +165,5 @@ def continuity_residual(
 
     drho_dx = (psi_b.density() - psi_a.density()) / dx
     j_mid = 0.5 * (total_current(psi_a) + total_current(psi_b))
-    w = psi_a.grid.omegas
-    dj_dt = np.real(np.fft.ifft(1j * w * np.fft.fft(j_mid)))
+    dj_dt = np.real(spectral_derivative(j_mid, psi_a.grid))
     return float(np.max(np.abs(drho_dx + dj_dt)))

@@ -29,6 +29,10 @@ class TestConfigHandling:
         path = _write_config(tmp_path, {"schema": "other/9"})
         with pytest.raises(cli.ConfigError):
             cli.load_config(path)
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(str(path))
 
     def test_unreadable_config_exit_code(self, tmp_path):
         code = cli.main(["gaussian", "--config", str(tmp_path / "missing.json")])
@@ -76,6 +80,21 @@ class TestExitCodes:
     def test_dyson_eps_cannot_fit_a_slope(self, tmp_path, eps):
         cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "dyson": {"eps": eps}})
         assert cli.main(["dyson", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"gaussian": []}, "'gaussian' must be a JSON object"),
+            ({"gaussian": {"stations": 5}}, "gaussian.stations must be a list"),
+            ({"gaussian": {"sigma": float("nan")}}, "gaussian.sigma must be positive"),
+            ({"commutator": {"sizes": [48]}}, "power of two"),
+        ],
+    )
+    def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):
+        cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, **payload})
+        sub = next(iter(payload))
+        assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_unknown_duality_target(self, tmp_path):
         cfg = _write_config(

@@ -20,7 +20,7 @@ from carrollsch import (
     quantized_modes,
 )
 from carrollsch.interaction import _simpson
-from carrollsch.operators import _d1, _d2
+from carrollsch.numerics import deriv_uniform
 
 
 class TestQuantizedModes:
@@ -150,7 +150,8 @@ class TestGaugeReduce:
         X = xg.times[:, None]
         psi = np.exp(-1j * p0 * X) * spec.modes[0].values[None, :]
         phi = gauge_reduce(Field2D(xg, tg, psi), v, 0.0)
-        res = 1j * _d1(phi.values, xg.dt, 0) + 0.5 * _d2(phi.values, tg.dt, 1)
+        dphi_dx = deriv_uniform(phi.values, xg.dt, 1, axis=0)
+        res = 1j * dphi_dx + 0.5 * deriv_uniform(phi.values, tg.dt, 2, axis=1)
         assert np.max(np.abs(res[8:-8, 8:-8])) <= 1e-6
 
 

@@ -21,6 +21,8 @@ from carrollsch.numerics import (
     unitary_dft,
     unitary_idft,
 )
+from carrollsch.operators import Field2D
+from carrollsch.propagator import Wavefunction
 
 
 class TestTimeGrid:
@@ -75,6 +77,15 @@ class TestUnitaryDFT:
         v[3] = np.nan
         with pytest.raises(ValueError):
             ComplexSignal(g, v)
+        # the three sample containers share one validator
+        bad = [
+            lambda: ComplexSignal(g, np.ones((8, 1))),
+            lambda: Wavefunction(x=0.0, grid=g, values=np.full(8, complex(0.0, np.inf))),
+            lambda: Field2D(g, TimeGrid(0.0, 1.0, 16), np.ones((16, 8))),
+        ]
+        for make in bad:
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestFundamentalPair:
@@ -103,6 +114,11 @@ class TestFundamentalPair:
     def test_rejects_nonfinite_q(self):
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
             integrate_fundamental_pair(lambda x: 1.0 / (x - 0.5), 0.0, 1.0, 64)
+
+    def test_rejects_complex_q(self):
+        # a complex q used to be truncated to its real part with a ComplexWarning
+        with pytest.raises(ValueError, match="real"):
+            integrate_fundamental_pair(lambda x: (1 + 0.5j) * np.ones_like(x), 0.0, 1.0, 32)
 
 
 class TestSchwarzian:
@@ -154,6 +170,17 @@ class TestDerivUniform:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             deriv_uniform(self.v, self.h, 4)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_axis_matches_transpose(self, order, dtype):
+        rng = np.random.default_rng(order)
+        v = rng.standard_normal((12, 20)).astype(dtype)
+        if dtype is complex:
+            v = v + 1j * rng.standard_normal((12, 20))
+        expected = deriv_uniform(v.T, self.h, order, axis=0).T
+        for axis in (1, -1):
+            assert np.array_equal(deriv_uniform(v, self.h, order, axis=axis), expected)
 
 
 class TestInvertMonotone:

@@ -50,15 +50,6 @@ class TestEvaluation:
             v.dv_dx(x, t), np.outer(np.cos(x), np.cos(t)), atol=1e-8
         )
 
-    def test_tabulated_shape_checked(self):
-        with pytest.raises(ValueError):
-            PotentialSpec.tabulated(np.zeros((3, 4)), np.zeros(4), np.zeros(3))
-
-    def test_tabulated_off_grid_rejected(self):
-        v = PotentialSpec.tabulated(np.zeros((4, 4)), np.arange(4.0), np.arange(4.0))
-        with pytest.raises(ValueError):
-            v.v_xt(np.arange(3.0), np.arange(4.0))
-
     def test_scalar_accessors(self):
         v = PotentialSpec.separable(lambda x: x**2, np.sin, da=lambda x: 2 * x)
         assert v.at(2.0, np.pi / 2) == pytest.approx(4.0)
