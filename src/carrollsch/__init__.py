@@ -55,6 +55,7 @@ from .propagator import (
     effective_width,
     evolve_free,
     gaussian_exact,
+    gaussian_field,
     measured_moments,
 )
 from .currents import (
@@ -84,6 +85,7 @@ from .interaction import (
     SpectrumResult,
     dirichlet_eigenvalue_oracle,
     dyson_first_order,
+    dyson_sweep,
     evolve_interacting,
     gauge_reduce,
     interaction_momentum,

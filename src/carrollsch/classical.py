@@ -202,8 +202,7 @@ def picard_iterate(
     xs = np.linspace(x0, x_end, n_samples + 1)
     iterates = [t0 - q0 * (xs - x0) / mc3]
     for _ in range(n_iter):
-        t_cur = iterates[-1]
-        dv = np.array([v_car.dvdx_at(x, t) for x, t in zip(xs, t_cur)])
+        dv = v_car.dvdx_at(xs, iterates[-1])
         q = q0 + cumulative_trapezoid(dv, xs)
         t_new = t0 - cumulative_trapezoid(q, xs) / mc3
         iterates.append(t_new)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -109,26 +110,34 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
+def _cast(value, where: str, cast: Callable):
+    """A JSON number as float or, for cast=int, as an integer; `where` names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if cast is int and not (math.isfinite(value) and value == int(value)):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return cast(value)
+
+
+def _scalar(block: dict, name: str, key: str, default, cast: Callable = float):
+    """The numeric key `name.key`, converted by `cast` (float or int)."""
+    return _cast(block.get(key, default), f"{name}.{key}", cast)
+
+
 def _list(block: dict, name: str, key: str, default: list, cast: Callable) -> list:
-    """The list-valued key `name.key`, each entry converted by `cast`."""
+    """The list-valued key `name.key`, each entry converted by `cast` (float or int)."""
     value = block.get(key, default)
     if not isinstance(value, list):
         raise ConfigError(f"{name}.{key} must be a list")
-    try:
-        return [cast(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad entry in {name}.{key}: {exc}") from exc
+    return [_cast(v, f"entry of {name}.{key}", cast) for v in value]
 
 
 def _constants(cfg: dict) -> PhysicalConstants:
     block = _block(cfg, "constants")
+    values = {key: _scalar(block, "constants", key, 1.0) for key in ("hbar", "m", "c")}
     try:
-        return PhysicalConstants(
-            hbar=float(block.get("hbar", 1.0)),
-            m=float(block.get("m", 1.0)),
-            c=float(block.get("c", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        return PhysicalConstants(**values)
+    except ValueError as exc:
         raise ConfigError(f"bad constants block: {exc}") from exc
 
 
@@ -137,11 +146,11 @@ def _constants(cfg: dict) -> PhysicalConstants:
 
 def cmd_gaussian(cfg: dict, out: str, tol: dict) -> None:
     block = _block(cfg, "gaussian")
-    sigma = float(block.get("sigma", 1.0))
-    omega0 = float(block.get("omega0", 2.0))
-    t0 = float(block.get("t0", 0.0))
+    sigma = _scalar(block, "gaussian", "sigma", 1.0)
+    omega0 = _scalar(block, "gaussian", "omega0", 2.0)
+    t0 = _scalar(block, "gaussian", "t0", 0.0)
     stations = _list(block, "gaussian", "stations", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], float)
-    n = int(block.get("n", 2048))
+    n = _scalar(block, "gaussian", "n", 2048, int)
     consts = _constants(cfg)
     if not sigma > 0:
         raise ConfigError("gaussian.sigma must be positive")
@@ -202,25 +211,26 @@ def _duality_target(block: dict):
     if name == "free":
         return name, PotentialSpec.zero(), 0.0, (0.0, 2.0)
     if name == "constant":
-        v0 = float(block.get("v0", 2.0))
-        return name, PotentialSpec.constant(v0), float(block.get("E_sch", 0.0)), (0.0, 0.6)
+        v0 = _scalar(block, "duality", "v0", 2.0)
+        E_sch = _scalar(block, "duality", "E_sch", 0.0)
+        return name, PotentialSpec.constant(v0), E_sch, (0.0, 0.6)
     if name == "harmonic":
-        omega = float(block.get("omega", 1.0))
-        x0 = float(block.get("x0", 0.0))
+        omega = _scalar(block, "duality", "omega", 1.0)
+        x0 = _scalar(block, "duality", "x0", 0.0)
         return (
             name,
             PotentialSpec.space_profile(lambda x: 0.5 * omega**2 * (x - x0) ** 2),
-            float(block.get("E_sch", 0.25)),
+            _scalar(block, "duality", "E_sch", 0.25),
             (x0 - 1.5, x0 + 1.5),
         )
     if name == "coulomb-like":
-        k = float(block.get("k", 1.0))
-        x0 = float(block.get("x0", 0.0))
-        sign = float(block.get("sign", -1.0))
+        k = _scalar(block, "duality", "k", 1.0)
+        x0 = _scalar(block, "duality", "x0", 0.0)
+        sign = _scalar(block, "duality", "sign", -1.0)
         return (
             name,
             PotentialSpec.space_profile(lambda x: sign * k / (x - x0)),
-            float(block.get("E_sch", -0.5)),
+            _scalar(block, "duality", "E_sch", -0.5),
             (x0 + 0.5, x0 + 3.0),
         )
     raise ConfigError(f"unknown duality target {name!r}")
@@ -229,17 +239,19 @@ def _duality_target(block: dict):
 def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
     block = _block(cfg, "duality")
     consts = _constants(cfg)
-    E0 = float(block.get("E0", 1.0))
+    E0 = _scalar(block, "duality", "E0", 1.0)
+    n = _scalar(block, "duality", "n", 2048, int)
     name = block.get("target", "free")
 
     if name == "velocity-profile":
         # forward route: V_car from the prescribed velocity v(t) = 1 + t^2
-        tg = TimeGrid(-1.0, 1.0, int(block.get("n", 2048)))
+        tg = TimeGrid(-1.0, 1.0, n)
         v_car = PotentialSpec.time_profile(
             lambda t: -0.5j * consts.hbar * 2 * t / (1 + t**2), allow_complex=True
         )
         delta = duality.forward_delta(v_car, 1.0, 0.0, tg, consts)
-        xs, vs = duality.vsch_from_vcar(v_car, delta, tg, float(block.get("E_sch", 0.0)), E0, consts)
+        E_sch = _scalar(block, "duality", "E_sch", 0.0)
+        xs, vs = duality.vsch_from_vcar(v_car, delta, tg, E_sch, E0, consts)
         write_csv(
             os.path.join(out, "duality_forward.csv"),
             ["t", "delta_re", "delta_im", "x=Re(delta)", "V_sch_re", "V_sch_im"],
@@ -251,7 +263,7 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
         return
 
     name, v_sch, E_sch, x_range = _duality_target(block)
-    dmap = duality.inverse_tau(v_sch, E_sch, E0, x_range, consts, n=int(block.get("n", 2048)))
+    dmap = duality.inverse_tau(v_sch, E_sch, E0, x_range, consts, n=n)
     rt = duality.roundtrip_residual(dmap, v_sch)
     sw = duality.schwarzian_residual(dmap)
 
@@ -288,7 +300,7 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
 def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
     block = _block(cfg, "commutator")
     consts = _constants(cfg)
-    shift = float(block.get("shift", 0.7))
+    shift = _scalar(block, "commutator", "shift", 0.7)
     sizes = _list(block, "commutator", "sizes", [64, 128, 256], int)
 
     v_t = PotentialSpec.time_profile(np.sin, np.cos)
@@ -301,14 +313,15 @@ def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
         ("time_matched_minus", v_t, v_t_neg),
         ("space_target", v_x, v_t_shift),
     ]
-    rows = []
-    for label, vs, vc in cases:
-        for n in sizes:
-            xg = TimeGrid(-4.0, 4.0, n)
-            tg = TimeGrid(-4.0, 4.0, n)
-            probes = operators.gaussian_probes(xg, tg)
-            r = operators.commutator_residual(vs, vc, probes, consts)
-            rows.append((label, xg.n, r))
+    probes = {}
+    for n in sizes:
+        grid = TimeGrid(-4.0, 4.0, n)
+        probes[n] = operators.gaussian_probes(grid, grid)
+    rows = [
+        (label, n, operators.commutator_residual(vs, vc, probes[n], consts))
+        for label, vs, vc in cases
+        for n in sizes
+    ]
     write_csv(
         os.path.join(out, "commutator_residuals.csv"),
         ["case", "n", "residual=max||(HF-FH)psi||/||psi||"],
@@ -322,7 +335,7 @@ def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
 def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
     block = _block(cfg, "currents")
     consts = _constants(cfg)
-    sigma = float(block.get("sigma", 1.0))
+    sigma = _scalar(block, "currents", "sigma", 1.0)
     sizes = _list(block, "currents", "sizes", [128, 256, 512], int)
 
     params = propagator.GaussianParams(sigma=sigma, t0=0.0, omega0=0.0)
@@ -331,10 +344,7 @@ def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
     for n in sizes:
         tg = TimeGrid(-12.0, 12.0, n)
         xg = TimeGrid(-12.0, 12.0, n)
-        vals = np.stack(
-            [propagator.gaussian_exact(params, x, tg, consts).values for x in xg.times]
-        )
-        field = operators.Field2D(xg, tg, vals)
+        field = propagator.gaussian_field(params, xg, tg, consts)
         res = currents.continuity_equivalence(field, consts)
         ratio = prev / res if prev is not None else float("nan")
         rows.append((n, res, ratio))
@@ -356,10 +366,10 @@ def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
     block = _block(cfg, "rays")
     consts = _constants(cfg)
     kind = block.get("potential", "linear")
-    x_end = float(block.get("x_end", 1.0))
-    n_steps = int(block.get("n_steps", 256))
-    q0 = float(block.get("q0", 0.0))
-    t0 = float(block.get("t0", 0.0))
+    x_end = _scalar(block, "rays", "x_end", 1.0)
+    n_steps = _scalar(block, "rays", "n_steps", 256, int)
+    q0 = _scalar(block, "rays", "q0", 0.0)
+    t0 = _scalar(block, "rays", "t0", 0.0)
 
     if kind == "time-only":
         v = PotentialSpec.time_profile(np.cos, lambda t: -np.sin(t))
@@ -369,14 +379,14 @@ def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
             return t0 - q0 * x / consts.mc3
 
     elif kind == "linear":
-        alpha = float(block.get("alpha", 1.0))
+        alpha = _scalar(block, "rays", "alpha", 1.0)
         v = PotentialSpec.space_profile(lambda x: alpha * x, lambda x: alpha * np.ones_like(x))
 
         def t_exact(x):
             return t0 - q0 * x / consts.mc3 - alpha * x**2 / (2 * consts.mc3)
 
     elif kind == "quadratic":
-        kappa = float(block.get("kappa", 6.0))
+        kappa = _scalar(block, "rays", "kappa", 6.0)
         v = PotentialSpec.space_profile(lambda x: 0.5 * kappa * x**2, lambda x: kappa * x)
 
         def t_exact(x):
@@ -416,9 +426,9 @@ def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
 def cmd_quantize(cfg: dict, out: str, tol: dict) -> None:
     block = _block(cfg, "quantize")
     consts = _constants(cfg)
-    T = float(block.get("T", np.pi))
-    n_max = int(block.get("n_max", 3))
-    p0 = float(block.get("p0", 1.0))
+    T = _scalar(block, "quantize", "T", np.pi)
+    n_max = _scalar(block, "quantize", "n_max", 3, int)
+    p0 = _scalar(block, "quantize", "p0", 1.0)
     profile = block.get("profile", "sin")
     if profile == "sin":
         v = PotentialSpec.time_profile(np.sin, np.cos)
@@ -458,8 +468,8 @@ def cmd_dyson(cfg: dict, out: str, tol: dict) -> None:
     block = _block(cfg, "dyson")
     consts = _constants(cfg)
     eps_list = _list(block, "dyson", "eps", [0.005, 0.01, 0.02, 0.05], float)
-    x_end = float(block.get("x_end", 1.0))
-    n_steps = int(block.get("n_steps", 256))
+    x_end = _scalar(block, "dyson", "x_end", 1.0)
+    n_steps = _scalar(block, "dyson", "n_steps", 256, int)
     if len(set(eps_list)) < 2 or min(eps_list) <= 0:
         raise ConfigError("dyson.eps needs at least two distinct positive values to fit a slope")
 
@@ -471,22 +481,11 @@ def cmd_dyson(cfg: dict, out: str, tol: dict) -> None:
     def eta(x):
         return 1.0 + 0.5 * np.sin(np.asarray(x))
 
-    rows = []
-    errs = []
-    for eps in eps_list:
-        def f_full(x, t, _e=eps):
-            return (np.real(g.v_t(t)) + _e * eta(x)) / consts.c
-
-        ref = interaction.evolve_interacting(phi0, f_full, 0.0, x_end, n_steps, consts)
-        dy = interaction.dyson_first_order(phi0, g, eta, eps, 0.0, x_end, n_steps, consts)
-        err = float(
-            np.sqrt(grid.dt * np.sum(np.abs(ref.values - dy.values) ** 2))
-        )
-        errs.append(err)
-        rows.append((eps, err, float("nan")))
+    ref, dy = interaction.dyson_sweep(phi0, g, eta, eps_list, 0.0, x_end, n_steps, consts)
+    errs = np.sqrt(grid.dt * np.sum(np.abs(ref - dy) ** 2, axis=1))
 
     slope, _ = np.polyfit(np.log(eps_list), np.log(errs), 1)
-    rows = [(e, err, slope) for (e, err, _) in rows]
+    rows = [(e, err, slope) for e, err in zip(eps_list, errs)]
     write_csv(
         os.path.join(out, "dyson_scaling.csv"),
         ["eps", "err=||phi_dyson-phi_full||", "slope=dlog(err)/dlog(eps)"],

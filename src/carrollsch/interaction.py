@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -145,19 +145,30 @@ def _split_step(
     half_phase: Callable[[float], np.ndarray],
     constants: PhysicalConstants,
 ) -> np.ndarray:
-    """Strang steps of size h from station x0.
+    """Strang steps of size h from station x0, along the last axis of values.
 
     The potential factor half_phase(x) is applied at both cell edges around
-    the exact spectral kinetic multiplier exp(-i beta h w^2).
+    the exact spectral kinetic multiplier exp(-i beta h w^2).  Each station's
+    factor is evaluated once: the end phase of one step is the start phase of
+    the next.  Leading axes of values, and of the factors, are a batch.
     """
     kin = np.exp(-1j * constants.beta * h * grid.omegas**2)
     x = x0
+    phase = half_phase(x)
     for _ in range(n_steps):
-        values = values * half_phase(x)
+        values = values * phase
         values = np.fft.ifft(kin * np.fft.fft(values))
         x += h
-        values = values * half_phase(x)
+        phase = half_phase(x)
+        values = values * phase
     return values
+
+
+def _momentum_phase(row: np.ndarray, h: float, constants: PhysicalConstants) -> np.ndarray:
+    """Half-step potential factor exp(-i h F / 2 hbar) of a real momentum row."""
+    if np.iscomplexobj(row) and np.max(np.abs(row.imag)) > 0:
+        raise ValueError("complex interaction momentum rejected")
+    return np.exp(-0.5j * h / constants.hbar * np.real(row))
 
 
 def evolve_interacting(
@@ -181,9 +192,7 @@ def evolve_interacting(
 
     def half_phase(x: float) -> np.ndarray:
         row = F.at_x(x) if isinstance(F, InteractionMomentum) else np.asarray(F(x, t))
-        if np.iscomplexobj(row) and np.max(np.abs(row.imag)) > 0:
-            raise ValueError("complex interaction momentum rejected")
-        return np.exp(-0.5j * h / constants.hbar * np.real(row))
+        return _momentum_phase(row, h, constants)
 
     vals = _split_step(phi0.values, phi0.grid, x0, h, n_steps, half_phase, constants)
     return replace(phi0, x=x_end, values=vals)
@@ -212,6 +221,26 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return np.sum(tmp)
 
 
+def _unperturbed(
+    phi0: Wavefunction, g: PotentialSpec, eta: Callable, x0: float, x_end: float,
+    n_steps: int, constants: PhysicalConstants,
+) -> tuple[np.ndarray, float]:
+    """U0 phi0 and the Simpson integral of eta, on an even panel count."""
+    if n_steps % 2 == 1:
+        n_steps += 1  # composite Simpson needs an even panel count
+    # unperturbed evolution U0, with the time profile g absorbed in a constant phase
+    h = (x_end - x0) / n_steps
+    pot = np.exp(-0.5j * h / (constants.hbar * constants.c) * np.real(g.v_t(phi0.grid.times)))
+    u0 = _split_step(phi0.values, phi0.grid, x0, h, n_steps, lambda x: pot, constants)
+    xi = np.linspace(x0, x_end, n_steps + 1)
+    return u0, float(_simpson(np.asarray(eta(xi), dtype=float), xi))
+
+
+def _dyson_factor(eps, I_eta: float, constants: PhysicalConstants):
+    """1 - (i eps / hbar c) int eta: the first-order factor on U0 phi0."""
+    return 1.0 - 1j * (eps * I_eta / (constants.hbar * constants.c))
+
+
 def dyson_first_order(
     phi0: Wavefunction,
     g: PotentialSpec,
@@ -227,18 +256,45 @@ def dyson_first_order(
     phi ~ U0 phi0 - (i eps / hbar c) int_{x0}^{x} U0(x,xi) eta(xi) U0(xi,x0)
     phi0 dxi.  Because eta(xi) is a scalar it commutes with U0 and the
     xi-integral collapses to Simpson quadrature of eta times the full U0
-    propagation; the truncation error is O(eps^2).
+    propagation; the truncation error is O(eps^2).  An odd n_steps is
+    rounded up to even.
     """
-    if n_steps % 2 == 1:
-        n_steps += 1  # composite Simpson needs an even panel count
-    # unperturbed evolution U0, with the time profile g absorbed in a constant phase
+    u0, I_eta = _unperturbed(phi0, g, eta, x0, x_end, n_steps, constants)
+    return replace(phi0, x=x_end, values=_dyson_factor(eps, I_eta, constants) * u0)
+
+
+def dyson_sweep(
+    phi0: Wavefunction,
+    g: PotentialSpec,
+    eta: Callable[[np.ndarray], np.ndarray],
+    eps: Sequence[float],
+    x0: float,
+    x_end: float,
+    n_steps: int = 256,
+    constants: PhysicalConstants = NATURAL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split-step references and first-order Dyson solutions for every coupling.
+
+    Returns two (len(eps), n_t) arrays.  Row k of the first is
+    evolve_interacting(phi0, F_k, x0, x_end, n_steps).values with
+    F_k(x, t) = (g(t) + eps[k] eta(x)) / c; row k of the second is
+    dyson_first_order(phi0, g, eta, eps[k], x0, x_end, n_steps).values.
+    Both are bit-identical to those calls: the references run as one batch
+    of split steps, and the coupling-independent U0 evolution runs once.
+    """
+    if n_steps < 1:
+        raise ValueError("need at least one step")
     h = (x_end - x0) / n_steps
-    pot = np.exp(-0.5j * h / (constants.hbar * constants.c) * np.real(g.v_t(phi0.grid.times)))
-    u0 = _split_step(phi0.values, phi0.grid, x0, h, n_steps, lambda x: pot, constants)
-    xi = np.linspace(x0, x_end, n_steps + 1)
-    I_eta = float(_simpson(np.asarray(eta(xi), dtype=float), xi))
-    vals = (1.0 - 1j * eps * I_eta / (constants.hbar * constants.c)) * u0
-    return replace(phi0, x=x_end, values=vals)
+    g_t = np.real(g.v_t(phi0.grid.times))
+    eps_col = np.asarray(eps, dtype=float)[:, None]
+
+    def half_phase(x: float) -> np.ndarray:
+        return _momentum_phase((g_t + eps_col * eta(x)) / constants.c, h, constants)
+
+    batch = np.broadcast_to(phi0.values, (len(eps_col), phi0.grid.n))
+    ref = _split_step(batch, phi0.grid, x0, h, n_steps, half_phase, constants)
+    u0, I_eta = _unperturbed(phi0, g, eta, x0, x_end, n_steps, constants)
+    return ref, _dyson_factor(eps_col, I_eta, constants) * u0
 
 
 def dirichlet_eigenvalue_oracle(T: float, n_points: int, n_levels: int) -> np.ndarray:

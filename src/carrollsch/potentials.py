@@ -115,31 +115,43 @@ class PotentialSpec:
             return np.asarray(self.f_xt(x[:, None], t[None, :]))
         raise ValueError(f"unknown kind {self.kind!r}")
 
+    def _gradient(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """d_x V at the points (x, t) of two broadcastable float arrays."""
+        if self.kind in ("zero", "constant", "time_profile"):
+            return np.zeros(np.broadcast(x, t).shape)
+        if self.kind in ("space_profile", "separable"):
+            da = np.asarray(self.df_x(x)) if self.df_x is not None else _fd4(self.f_x, x)
+            return da if self.kind == "space_profile" else da * np.asarray(self.f_t(t))
+        if self.kind == "space_time":
+            h = _FD_REL
+            return (
+                self.f_xt(x - 2 * h, t)
+                - 8 * self.f_xt(x - h, t)
+                + 8 * self.f_xt(x + h, t)
+                - self.f_xt(x + 2 * h, t)
+            ) / (12 * h)
+        raise ValueError(f"unknown kind {self.kind!r}")
+
     def dv_dx(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Spatial derivative on the tensor grid, shaped (n_x, n_t)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.kind in ("zero", "constant", "time_profile"):
-            return np.zeros((x.size, t.size))
-        if self.kind == "space_profile":
-            dv = np.asarray(self.df_x(x)) if self.df_x is not None else _fd4(self.f_x, x)
-            return np.broadcast_to(dv[:, None], (x.size, t.size)).copy()
-        if self.kind == "separable":
-            da = np.asarray(self.df_x(x)) if self.df_x is not None else _fd4(self.f_x, x)
-            return da[:, None] * np.asarray(self.f_t(t))[None, :]
-        if self.kind == "space_time":
-            h = _FD_REL
-            xi = x[:, None]
-            return (
-                self.f_xt(xi - 2 * h, t[None, :])
-                - 8 * self.f_xt(xi - h, t[None, :])
-                + 8 * self.f_xt(xi + h, t[None, :])
-                - self.f_xt(xi + 2 * h, t[None, :])
-            ) / (12 * h)
-        raise ValueError(f"unknown kind {self.kind!r}")
+        dv = self._gradient(x[:, None], t[None, :])
+        return np.broadcast_to(dv, (x.size, t.size)).copy()
 
-    def dvdx_at(self, x: float, t: float) -> float:
-        return float(np.real_if_close(self.dv_dx(np.array([x]), np.array([t]))[0, 0]))
+    def dvdx_at(self, x, t):
+        """Spatial derivative at the paired points (x[i], t[i]).
+
+        Scalar x and t give a float, arrays an array of their broadcast shape.
+        A gradient with a non-negligible imaginary part is rejected.
+        """
+        x = np.asarray(x, dtype=float)
+        t = np.asarray(t, dtype=float)
+        # 1-element arrays, not 0-d: numpy scalar arithmetic can round differently
+        dv = np.real_if_close(self._gradient(np.atleast_1d(x), np.atleast_1d(t)))
+        if np.iscomplexobj(dv):
+            raise ValueError("complex potential gradient rejected")
+        return float(dv[0]) if x.ndim == t.ndim == 0 else dv
 
     def at(self, x: float, t: float) -> float:
         return float(np.real_if_close(self.v_xt(np.array([x]), np.array([t]))[0, 0]))

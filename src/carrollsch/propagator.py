@@ -23,6 +23,7 @@ from .constants import PhysicalConstants, NATURAL
 from .numerics import (
     ComplexSignal, TimeGrid, complex_samples, spectral_derivative, unitary_dft, unitary_idft
 )
+from .operators import Field2D
 from .potentials import PotentialSpec
 
 
@@ -70,6 +71,22 @@ def evolve_free(psi: Wavefunction, dx: float) -> Wavefunction:
     return replace(psi, x=psi.x + dx, values=out.values)
 
 
+def _packet(
+    params: GaussianParams, x, t: np.ndarray, constants: PhysicalConstants
+) -> np.ndarray:
+    """Closed-form packet samples at stations x and times t, broadcast together."""
+    hbar, m, c = constants.hbar, constants.m, constants.c
+    s, t0, w0 = params.sigma, params.t0, params.omega0
+    chi = hbar * x / (m * c**3 * s**2)
+    D = 1.0 + 1j * chi
+    drift = 2.0 * constants.beta * x * w0  # = hbar w0 x / (m c^3)
+    envelope = (np.pi * s**2) ** (-0.25) / np.sqrt(D) * np.exp(
+        -((t - drift - t0) ** 2) / (2 * s**2 * D)
+    )
+    carrier = np.exp(1j * w0 * (t - t0)) * np.exp(-1j * constants.beta * x * w0**2)
+    return envelope * carrier
+
+
 def gaussian_exact(
     params: GaussianParams,
     x: float,
@@ -83,17 +100,19 @@ def gaussian_exact(
     shifts the frequency content to w0, which drags the envelope center to
     t0 + (hbar w0/(m c^3)) x and adds the global phase exp(-i beta x w0^2).
     """
-    hbar, m, c = constants.hbar, constants.m, constants.c
-    s, t0, w0 = params.sigma, params.t0, params.omega0
-    t = grid.times
-    chi = hbar * x / (m * c**3 * s**2)
-    D = 1.0 + 1j * chi
-    drift = 2.0 * constants.beta * x * w0  # = hbar w0 x / (m c^3)
-    envelope = (np.pi * s**2) ** (-0.25) / np.sqrt(D) * np.exp(
-        -((t - drift - t0) ** 2) / (2 * s**2 * D)
-    )
-    carrier = np.exp(1j * w0 * (t - t0)) * np.exp(-1j * constants.beta * x * w0**2)
-    return Wavefunction(x=x, grid=grid, values=envelope * carrier, constants=constants)
+    values = _packet(params, x, grid.times, constants)
+    return Wavefunction(x=x, grid=grid, values=values, constants=constants)
+
+
+def gaussian_field(
+    params: GaussianParams,
+    x_grid: TimeGrid,
+    t_grid: TimeGrid,
+    constants: PhysicalConstants = NATURAL,
+) -> Field2D:
+    """The closed-form packet on a tensor grid: row i is gaussian_exact at x_grid.times[i]."""
+    values = _packet(params, x_grid.times[:, None], t_grid.times, constants)
+    return Field2D(x_grid, t_grid, values)
 
 
 def effective_width(sigma: float, x: float, constants: PhysicalConstants = NATURAL) -> float:
@@ -156,14 +175,10 @@ def continuity_residual(
     dx = psi_b.x - psi_a.x
     if dx == 0:
         raise ValueError("stations coincide")
-    hbar, mc3 = constants.hbar, constants.mc3
-    V = v_car.v_t(psi_a.grid.times)
-
-    def total_current(psi: Wavefunction) -> np.ndarray:
-        im = np.imag(np.conj(psi.values) * psi.dt_values())
-        return hbar / mc3 * im - V * psi.density() / mc3
-
+    # the total current j_t - V |psi|^2 / (m c^3) is -rho_car
+    rho_a = carroll_density_current(psi_a, v_car, constants)[0]
+    rho_b = carroll_density_current(psi_b, v_car, constants)[0]
     drho_dx = (psi_b.density() - psi_a.density()) / dx
-    j_mid = 0.5 * (total_current(psi_a) + total_current(psi_b))
+    j_mid = -0.5 * (rho_a + rho_b)
     dj_dt = np.real(spectral_derivative(j_mid, psi_a.grid))
     return float(np.max(np.abs(drho_dx + dj_dt)))

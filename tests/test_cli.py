@@ -88,6 +88,12 @@ class TestExitCodes:
             ({"gaussian": {"stations": 5}}, "gaussian.stations must be a list"),
             ({"gaussian": {"sigma": float("nan")}}, "gaussian.sigma must be positive"),
             ({"commutator": {"sizes": [48]}}, "power of two"),
+            ({"gaussian": {"sigma": None}}, "gaussian.sigma must be a number"),
+            ({"currents": {"sizes": [128.9, 256]}}, "currents.sizes must be an integer"),
+            ({"rays": {"n_steps": True}}, "rays.n_steps must be a number"),
+            ({"dyson": {"x_end": "1.0"}}, "dyson.x_end must be a number"),
+            ({"rays": {"n_steps": 255.5}}, "rays.n_steps must be an integer"),
+            ({"quantize": {}, "constants": {"hbar": None}}, "constants.hbar must be a number"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):

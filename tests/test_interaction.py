@@ -3,15 +3,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from carrollsch import (
     Field2D,
     GaussianParams,
+    InteractionMomentum,
+    PhysicalConstants,
     PotentialSpec,
     TimeGrid,
     dirichlet_eigenvalue_oracle,
     dyson_first_order,
+    dyson_sweep,
     evolve_free,
     evolve_interacting,
     gauge_reduce,
@@ -195,6 +199,91 @@ class TestEvolveInteracting:
         dense = evolve_interacting(phi0, f, 0.0, 1.0, 2048)
         err = np.sqrt(phi0.grid.dt * np.sum(np.abs(coarse.values - dense.values) ** 2))
         assert err <= 1e-6
+
+
+def _two_evaluation_strang(phi0, F, x0, x_end, n_steps, constants):
+    """Strang split-step that evaluates the potential factor twice per step."""
+    t = phi0.grid.times
+    h = (x_end - x0) / n_steps
+    kin = np.exp(-1j * constants.beta * h * phi0.grid.omegas**2)
+
+    def half_phase(x):
+        row = F.at_x(x) if isinstance(F, InteractionMomentum) else np.asarray(F(x, t))
+        return np.exp(-0.5j * h / constants.hbar * np.real(row))
+
+    values, x = phi0.values, x0
+    for _ in range(n_steps):
+        values = values * half_phase(x)
+        values = np.fft.ifft(kin * np.fft.fft(values))
+        x += h
+        values = values * half_phase(x)
+    return values
+
+
+_CONSTANTS = st.builds(
+    PhysicalConstants,
+    hbar=st.floats(0.5, 2.0),
+    m=st.floats(0.5, 2.0),
+    c=st.floats(0.7, 1.5),
+)
+
+
+class TestPhaseReuse:
+    """One potential factor per station gives the two-evaluation loop's result."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 24), st.floats(-1.0, 1.0), st.floats(0.1, 2.0), _CONSTANTS)
+    def test_callable_momentum(self, n_steps, x0, length, consts):
+        grid = TimeGrid(-10.0, 10.0, 128)
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0, omega0=0.5), x0, grid, consts)
+        f = lambda x, t: 0.5 * np.sin(t) * (1.0 + 0.2 * x)
+        out = evolve_interacting(phi0, f, x0, x0 + length, n_steps, consts)
+        looped = _two_evaluation_strang(phi0, f, x0, x0 + length, n_steps, consts)
+        assert np.array_equal(out.values, looped)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 24), st.floats(0.2, 1.0), _CONSTANTS)
+    def test_interaction_momentum(self, n_steps, amp, consts):
+        tg = TimeGrid(-10.0, 10.0, 128)
+        v = PotentialSpec.space_time(lambda x, t: amp * np.sin(2.0 * x) * np.exp(-(t**2) / 9.0))
+        F = interaction_momentum(v, tg.t_min, TimeGrid(0.0, 2.0, 16), tg)
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, tg, consts)
+        out = evolve_interacting(phi0, F, 0.0, 1.5, n_steps, consts)
+        looped = _two_evaluation_strang(phi0, F, 0.0, 1.5, n_steps, consts)
+        assert np.array_equal(out.values, looped)
+
+
+class TestDysonSweep:
+    """Every row of the batched sweep equals the per-coupling calls."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(st.floats(1e-3, 0.2), min_size=1, max_size=4),
+        st.integers(1, 40),
+        st.floats(0.2, 2.0),
+        _CONSTANTS,
+    )
+    def test_rows_equal_looped_calls(self, eps, n_steps, x_end, consts):
+        grid = TimeGrid(-10.0, 10.0, 128)
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, grid, consts)
+        g = PotentialSpec.time_profile(lambda t: 0.3 * np.cos(t))
+        eta = lambda x: 1.0 + 0.5 * np.sin(np.asarray(x))
+        ref, dy = dyson_sweep(phi0, g, eta, eps, 0.0, x_end, n_steps, consts)
+        assert ref.shape == dy.shape == (len(eps), grid.n)
+        for k, e in enumerate(eps):
+            def f_full(x, t, _e=e):
+                return (np.real(g.v_t(t)) + _e * eta(x)) / consts.c
+
+            one = evolve_interacting(phi0, f_full, 0.0, x_end, n_steps, consts)
+            assert np.array_equal(ref[k], one.values)
+            one = dyson_first_order(phi0, g, eta, e, 0.0, x_end, n_steps, consts)
+            assert np.array_equal(dy[k], one.values)
+
+    def test_complex_perturbation_rejected(self):
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, TimeGrid(-10.0, 10.0, 64))
+        g = PotentialSpec.time_profile(np.cos)
+        with pytest.raises(ValueError):
+            dyson_sweep(phi0, g, lambda x: 1j + 0.0 * np.asarray(x), [0.1, 0.2], 0.0, 1.0, 8)
 
 
 class TestDysonFirstOrder:

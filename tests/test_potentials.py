@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carrollsch import PotentialSpec
 
@@ -60,3 +61,46 @@ class TestEvaluation:
         assert PotentialSpec.constant(1.0).space_only
         assert PotentialSpec.time_profile(np.sin).time_only
         assert not PotentialSpec.time_profile(np.sin).space_only
+
+
+#: every kind, with the finite-difference fallbacks where a kind has one
+_KINDS = {
+    "zero": PotentialSpec.zero(),
+    "constant": PotentialSpec.constant(0.7),
+    "time_profile": PotentialSpec.time_profile(np.sin, np.cos),
+    "time_profile_fd": PotentialSpec.time_profile(np.sin),
+    "space_profile": PotentialSpec.space_profile(lambda x: 0.5 * x**2, lambda x: x),
+    "space_profile_fd": PotentialSpec.space_profile(lambda x: np.exp(-(x**2)) * np.cos(x)),
+    "separable": PotentialSpec.separable(np.sin, np.cos, da=np.cos),
+    "separable_fd": PotentialSpec.separable(lambda x: x**3, np.cos),
+    "space_time": PotentialSpec.space_time(lambda x, t: np.sin(x) * np.exp(-(t**2))),
+}
+
+_POINTS = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12)
+
+
+class TestPairedGradient:
+    """dvdx_at on paired arrays equals its per-point calls, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    @settings(max_examples=20, deadline=None)
+    @given(_POINTS, _POINTS)
+    def test_paired_equals_per_point(self, kind, xs, ts):
+        v = _KINDS[kind]
+        n = min(len(xs), len(ts))
+        x, t = np.array(xs[:n]), np.array(ts[:n])
+        paired = v.dvdx_at(x, t)
+        assert paired.shape == (n,)
+        assert np.array_equal(paired, [v.dvdx_at(a, b) for a, b in zip(xs, ts)])
+        assert np.array_equal(paired, np.diag(v.dv_dx(x, t)))
+
+    def test_scalar_points_give_float(self):
+        assert type(_KINDS["space_time"].dvdx_at(0.3, 0.1)) is float
+        assert type(_KINDS["zero"].dvdx_at(0.3, 0.1)) is float
+
+    def test_complex_gradient_rejected(self):
+        v = PotentialSpec.space_time(lambda x, t: (1.0 + 1j) * x * t)
+        with pytest.raises(ValueError, match="complex"):
+            v.dvdx_at(0.5, 1.0)
+        with pytest.raises(ValueError, match="complex"):
+            v.dvdx_at(np.array([0.5, 0.6]), np.array([1.0, 1.0]))

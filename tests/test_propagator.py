@@ -17,8 +17,10 @@ from carrollsch import (
     effective_width,
     evolve_free,
     gaussian_exact,
+    gaussian_field,
     measured_moments,
 )
+from carrollsch.numerics import spectral_derivative
 
 
 def _random_packet(seed: int, grid: TimeGrid) -> Wavefunction:
@@ -96,6 +98,26 @@ class TestGaussianExact:
         with pytest.raises(ValueError):
             GaussianParams(sigma=0.0)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(0.3, 2.0),
+        st.floats(-2.0, 2.0).filter(lambda t0: t0 != 0.0),
+        st.floats(-3.0, 3.0).filter(lambda w0: w0 != 0.0),
+        st.floats(-5.0, 5.0),
+        st.sampled_from([8, 16, 32]),
+        st.floats(0.5, 2.0),
+        st.floats(0.5, 2.0),
+        st.floats(0.7, 1.5),
+    )
+    def test_field_rows_equal_stations(self, sigma, t0, w0, x_min, n_x, hbar, m, c):
+        consts = PhysicalConstants(hbar=hbar, m=m, c=c)
+        params = GaussianParams(sigma=sigma, t0=t0, omega0=w0)
+        xg = TimeGrid(x_min, x_min + 3.0, n_x)
+        tg = TimeGrid(-15.0, 15.0, 64)
+        field = gaussian_field(params, xg, tg, consts)
+        rows = np.stack([gaussian_exact(params, x, tg, consts).values for x in xg.times])
+        assert np.array_equal(field.values, rows)
+
 
 class TestDensityCurrent:
     def test_free_density_equals_minus_current(self):
@@ -122,6 +144,26 @@ class TestDensityCurrent:
             b = gaussian_exact(params, 1.0 + dx, grid)
             res.append(continuity_residual(a, b, PotentialSpec.zero()))
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.2)
+
+    def test_continuity_residual_is_total_current_form(self):
+        # d_x |psi|^2 + d_t [j_t - V |psi|^2 / mc^3], written out with j_t
+        params = GaussianParams(sigma=1.0, omega0=1.0)
+        grid = TimeGrid(-40.0, 40.0, 2048)
+        for v in (PotentialSpec.zero(), PotentialSpec.time_profile(lambda t: 0.3 * np.cos(t))):
+            for dx in (0.1, 0.05):
+                a = gaussian_exact(params, 1.0, grid)
+                b = gaussian_exact(params, 1.0 + dx, grid)
+                V = v.v_t(grid.times)
+
+                def total(psi, hbar=1.0, mc3=1.0):
+                    im = np.imag(np.conj(psi.values) * psi.dt_values())
+                    return hbar / mc3 * im - V * psi.density() / mc3
+
+                j_mid = 0.5 * (total(a) + total(b))
+                dj = np.real(spectral_derivative(j_mid, grid))
+                drho_dx = (b.density() - a.density()) / (b.x - a.x)
+                expected = float(np.max(np.abs(drho_dx + dj)))
+                assert continuity_residual(a, b, v) == expected
 
     def test_coincident_stations_rejected(self):
         grid = TimeGrid(-10.0, 10.0, 256)
