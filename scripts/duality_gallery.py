@@ -18,7 +18,7 @@ from carrollsch import (
     roundtrip_residual,
     schwarzian_residual,
 )
-from carrollsch.cli import _duality_target, write_csv
+from carrollsch.cli import _duality_target, _resolve, write_csv
 
 
 def main() -> None:
@@ -31,7 +31,8 @@ def main() -> None:
     rows = []
     for target in ("free", "constant", "harmonic", "coulomb-like"):
         # the CLI's target table, with its default parameters
-        name, v, e_sch, x_range = _duality_target({"target": target})
+        block = _resolve({"duality": {"target": target}}, "duality")
+        name, v, e_sch, x_range = _duality_target(block)
         dmap = inverse_tau(v, e_sch, args.E0, x_range, n=args.n)
         row = [
             name,

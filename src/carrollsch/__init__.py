@@ -13,14 +13,10 @@ from .numerics import (
     ComplexSignal,
     FundamentalPair,
     GridError,
-    MonotoneError,
-    SingularPointError,
     TimeGrid,
     cumulative_integral,
     deriv_uniform,
     integrate_fundamental_pair,
-    invert_monotone,
-    schwarzian,
     schwarzian_samples,
     unitary_dft,
     unitary_idft,
@@ -65,7 +61,6 @@ from .currents import (
 )
 from .classical import (
     RaySolution,
-    RayState,
     SeparableAction,
     TwoMomentum,
     carroll_dispersion,

@@ -36,14 +36,6 @@ class TwoMomentum:
 
 
 @dataclass(frozen=True)
-class RayState:
-    x: float
-    t: float
-    q: float
-    p_x: float
-
-
-@dataclass(frozen=True)
 class RaySolution:
     x: np.ndarray
     t: np.ndarray
@@ -53,9 +45,6 @@ class RaySolution:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def state(self, i: int) -> RayState:
-        return RayState(float(self.x[i]), float(self.t[i]), float(self.q[i]), float(self.p_x[i]))
 
     def constraint_residual(self, constants: PhysicalConstants = NATURAL) -> float:
         """max |-c p_x + q^2/(2 m c^2)| along the ray (zero by construction)."""

@@ -6,7 +6,8 @@ seed; files are written atomically (temp + rename) with LF line endings and
 
 Exit codes: 0 success, 1 validation error (bad config / arguments),
 2 numerical failure (a declared tolerance was breached, or a kernel raised
-BranchError, MonotoneError or SingularPointError).
+BranchError).  `DEFAULTS` is the config schema: an unknown block or key, or a
+value of the wrong type, is a validation error.
 """
 from __future__ import annotations
 
@@ -16,12 +17,12 @@ import math
 import os
 import sys
 import tempfile
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .constants import PhysicalConstants, NATURAL
-from .numerics import MonotoneError, SingularPointError, TimeGrid
+from .constants import PhysicalConstants
+from .numerics import TimeGrid
 from .potentials import PotentialSpec
 from . import classical, currents, duality, interaction, operators, propagator
 
@@ -61,7 +62,30 @@ class ToleranceBreach(RuntimeError):
 
 
 #: kernel exceptions that report a numerical failure, not a bad config
-NUMERICAL_ERRORS = (duality.BranchError, MonotoneError, SingularPointError)
+NUMERICAL_ERRORS = (duality.BranchError,)
+
+#: duality target -> its default E_sch
+_E_SCH = {
+    "free": 0.0, "constant": 0.0, "harmonic": 0.25, "coulomb-like": -0.5, "velocity-profile": 0.0,
+}
+
+#: The config schema, block -> key -> default.  The default's type is the
+#: key's type: float, int, or a list of either.  A tuple lists the allowed
+#: strings, the first being the default.  duality.E_sch is a float whose
+#: default depends on the target (`_E_SCH`), so its entry is None.
+DEFAULTS = {
+    "constants": {"hbar": 1.0, "m": 1.0, "c": 1.0},
+    "gaussian": {"sigma": 1.0, "omega0": 2.0, "t0": 0.0, "stations": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                 "n": 2048},
+    "duality": {"target": tuple(_E_SCH), "E0": 1.0, "n": 2048, "E_sch": None, "v0": 2.0,
+                "omega": 1.0, "x0": 0.0, "k": 1.0, "sign": -1.0},
+    "commutator": {"shift": 0.7, "sizes": [64, 128, 256]},
+    "currents": {"sigma": 1.0, "sizes": [128, 256, 512]},
+    "rays": {"potential": ("linear", "time-only", "quadratic"), "x_end": 1.0, "n_steps": 256,
+             "q0": 0.0, "t0": 0.0, "alpha": 1.0, "kappa": 6.0},
+    "quantize": {"T": math.pi, "n_max": 3, "p0": 1.0, "profile": ("sin", "zero")},
+    "dyson": {"eps": [0.005, 0.01, 0.02, 0.05], "x_end": 1.0, "n_steps": 256},
+}
 
 
 def _fmt(value) -> str:
@@ -90,6 +114,7 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
 
 
 def load_config(path: str | None) -> dict:
+    """The config at `path`, every block checked against `DEFAULTS`."""
     if path is None:
         return {"schema": SCHEMA}
     try:
@@ -99,18 +124,13 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict) or cfg.get("schema") != SCHEMA:
         raise ConfigError(f"config schema must be {SCHEMA!r}")
+    for name in cfg:
+        if name != "schema":
+            _resolve(cfg, name)
     return cfg
 
 
-def _block(cfg: dict, name: str) -> dict:
-    """The config block `name`; a missing block reads as {} (all defaults)."""
-    block = cfg.get(name, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"config block {name!r} must be a JSON object")
-    return block
-
-
-def _cast(value, where: str, cast: Callable):
+def _cast(value, where: str, cast: type):
     """A JSON number as float or, for cast=int, as an integer; `where` names it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
@@ -119,38 +139,46 @@ def _cast(value, where: str, cast: Callable):
     return cast(value)
 
 
-def _scalar(block: dict, name: str, key: str, default, cast: Callable = float):
-    """The numeric key `name.key`, converted by `cast` (float or int)."""
-    return _cast(block.get(key, default), f"{name}.{key}", cast)
-
-
-def _list(block: dict, name: str, key: str, default: list, cast: Callable) -> list:
-    """The list-valued key `name.key`, each entry converted by `cast` (float or int)."""
+def _value(block: dict, key: str, default, where: str):
+    """block[key], or the default, checked against the type of the default."""
+    if isinstance(default, tuple):
+        value = block.get(key, default[0])
+        if value not in default:
+            raise ConfigError(f"{where} must be one of {', '.join(default)}, got {value!r}")
+        return value
     value = block.get(key, default)
-    if not isinstance(value, list):
-        raise ConfigError(f"{name}.{key} must be a list")
-    return [_cast(v, f"entry of {name}.{key}", cast) for v in value]
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        return [_cast(v, f"entry of {where}", type(default[0])) for v in value]
+    if value is None and key not in block:
+        return None  # duality.E_sch: the target's default
+    return _cast(value, where, int if type(default) is int else float)
+
+
+def _resolve(cfg: dict, name: str) -> dict:
+    """Block `name` of `cfg`, checked against `DEFAULTS`, with every default filled in."""
+    if name not in DEFAULTS:
+        raise ConfigError(f"unknown config block {name!r}")
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"config block {name!r} must be a JSON object")
+    for key in block:
+        if key not in DEFAULTS[name]:
+            raise ConfigError(f"unknown config key {name}.{key}")
+    return {key: _value(block, key, d, f"{name}.{key}") for key, d in DEFAULTS[name].items()}
 
 
 def _constants(cfg: dict) -> PhysicalConstants:
-    block = _block(cfg, "constants")
-    values = {key: _scalar(block, "constants", key, 1.0) for key in ("hbar", "m", "c")}
-    try:
-        return PhysicalConstants(**values)
-    except ValueError as exc:
-        raise ConfigError(f"bad constants block: {exc}") from exc
+    return PhysicalConstants(**_resolve(cfg, "constants"))
 
 
 # ---------------------------------------------------------------- gaussian
 
 
 def cmd_gaussian(cfg: dict, out: str, tol: dict) -> None:
-    block = _block(cfg, "gaussian")
-    sigma = _scalar(block, "gaussian", "sigma", 1.0)
-    omega0 = _scalar(block, "gaussian", "omega0", 2.0)
-    t0 = _scalar(block, "gaussian", "t0", 0.0)
-    stations = _list(block, "gaussian", "stations", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], float)
-    n = _scalar(block, "gaussian", "n", 2048, int)
+    b = _resolve(cfg, "gaussian")
+    sigma, omega0, t0, stations, n = b["sigma"], b["omega0"], b["t0"], b["stations"], b["n"]
     consts = _constants(cfg)
     if not sigma > 0:
         raise ConfigError("gaussian.sigma must be positive")
@@ -206,52 +234,41 @@ def cmd_gaussian(cfg: dict, out: str, tol: dict) -> None:
 # ----------------------------------------------------------------- duality
 
 
+def _e_sch(block: dict) -> float:
+    """E_sch of a resolved duality block: the configured value or its target's default."""
+    return _E_SCH[block["target"]] if block["E_sch"] is None else block["E_sch"]
+
+
 def _duality_target(block: dict):
-    name = block.get("target", "free")
+    """(name, V_sch, E_sch, x range) of the static target of a resolved duality block."""
+    name, x0 = block["target"], block["x0"]
     if name == "free":
         return name, PotentialSpec.zero(), 0.0, (0.0, 2.0)
     if name == "constant":
-        v0 = _scalar(block, "duality", "v0", 2.0)
-        E_sch = _scalar(block, "duality", "E_sch", 0.0)
-        return name, PotentialSpec.constant(v0), E_sch, (0.0, 0.6)
+        return name, PotentialSpec.constant(block["v0"]), _e_sch(block), (0.0, 0.6)
     if name == "harmonic":
-        omega = _scalar(block, "duality", "omega", 1.0)
-        x0 = _scalar(block, "duality", "x0", 0.0)
-        return (
-            name,
-            PotentialSpec.space_profile(lambda x: 0.5 * omega**2 * (x - x0) ** 2),
-            _scalar(block, "duality", "E_sch", 0.25),
-            (x0 - 1.5, x0 + 1.5),
-        )
-    if name == "coulomb-like":
-        k = _scalar(block, "duality", "k", 1.0)
-        x0 = _scalar(block, "duality", "x0", 0.0)
-        sign = _scalar(block, "duality", "sign", -1.0)
-        return (
-            name,
-            PotentialSpec.space_profile(lambda x: sign * k / (x - x0)),
-            _scalar(block, "duality", "E_sch", -0.5),
-            (x0 + 0.5, x0 + 3.0),
-        )
-    raise ConfigError(f"unknown duality target {name!r}")
+        omega = block["omega"]
+        v = PotentialSpec.space_profile(lambda x: 0.5 * omega**2 * (x - x0) ** 2)
+        return name, v, _e_sch(block), (x0 - 1.5, x0 + 1.5)
+    # coulomb-like
+    k, sign = block["k"], block["sign"]
+    v = PotentialSpec.space_profile(lambda x: sign * k / (x - x0))
+    return name, v, _e_sch(block), (x0 + 0.5, x0 + 3.0)
 
 
 def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
-    block = _block(cfg, "duality")
+    block = _resolve(cfg, "duality")
     consts = _constants(cfg)
-    E0 = _scalar(block, "duality", "E0", 1.0)
-    n = _scalar(block, "duality", "n", 2048, int)
-    name = block.get("target", "free")
+    E0, n = block["E0"], block["n"]
 
-    if name == "velocity-profile":
+    if block["target"] == "velocity-profile":
         # forward route: V_car from the prescribed velocity v(t) = 1 + t^2
         tg = TimeGrid(-1.0, 1.0, n)
         v_car = PotentialSpec.time_profile(
             lambda t: -0.5j * consts.hbar * 2 * t / (1 + t**2), allow_complex=True
         )
         delta = duality.forward_delta(v_car, 1.0, 0.0, tg, consts)
-        E_sch = _scalar(block, "duality", "E_sch", 0.0)
-        xs, vs = duality.vsch_from_vcar(v_car, delta, tg, E_sch, E0, consts)
+        xs, vs = duality.vsch_from_vcar(v_car, delta, tg, _e_sch(block), E0, consts)
         write_csv(
             os.path.join(out, "duality_forward.csv"),
             ["t", "delta_re", "delta_im", "x=Re(delta)", "V_sch_re", "V_sch_im"],
@@ -298,10 +315,9 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
 
 
 def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
-    block = _block(cfg, "commutator")
+    b = _resolve(cfg, "commutator")
     consts = _constants(cfg)
-    shift = _scalar(block, "commutator", "shift", 0.7)
-    sizes = _list(block, "commutator", "sizes", [64, 128, 256], int)
+    shift, sizes = b["shift"], b["sizes"]
 
     v_t = PotentialSpec.time_profile(np.sin, np.cos)
     v_t_shift = PotentialSpec.time_profile(lambda t: np.sin(t) + shift)
@@ -333,18 +349,16 @@ def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
 
 
 def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
-    block = _block(cfg, "currents")
+    b = _resolve(cfg, "currents")
     consts = _constants(cfg)
-    sigma = _scalar(block, "currents", "sigma", 1.0)
-    sizes = _list(block, "currents", "sizes", [128, 256, 512], int)
+    sigma, sizes = b["sigma"], b["sizes"]
 
     params = propagator.GaussianParams(sigma=sigma, t0=0.0, omega0=0.0)
     rows = []
     prev = None
     for n in sizes:
-        tg = TimeGrid(-12.0, 12.0, n)
-        xg = TimeGrid(-12.0, 12.0, n)
-        field = propagator.gaussian_field(params, xg, tg, consts)
+        grid = TimeGrid(-12.0, 12.0, n)
+        field = propagator.gaussian_field(params, grid, grid, consts)
         res = currents.continuity_equivalence(field, consts)
         ratio = prev / res if prev is not None else float("nan")
         rows.append((n, res, ratio))
@@ -363,13 +377,9 @@ def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
 
 
 def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
-    block = _block(cfg, "rays")
+    b = _resolve(cfg, "rays")
     consts = _constants(cfg)
-    kind = block.get("potential", "linear")
-    x_end = _scalar(block, "rays", "x_end", 1.0)
-    n_steps = _scalar(block, "rays", "n_steps", 256, int)
-    q0 = _scalar(block, "rays", "q0", 0.0)
-    t0 = _scalar(block, "rays", "t0", 0.0)
+    kind, x_end, n_steps, q0, t0 = b["potential"], b["x_end"], b["n_steps"], b["q0"], b["t0"]
 
     if kind == "time-only":
         v = PotentialSpec.time_profile(np.cos, lambda t: -np.sin(t))
@@ -379,21 +389,18 @@ def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
             return t0 - q0 * x / consts.mc3
 
     elif kind == "linear":
-        alpha = _scalar(block, "rays", "alpha", 1.0)
+        alpha = b["alpha"]
         v = PotentialSpec.space_profile(lambda x: alpha * x, lambda x: alpha * np.ones_like(x))
 
         def t_exact(x):
             return t0 - q0 * x / consts.mc3 - alpha * x**2 / (2 * consts.mc3)
 
-    elif kind == "quadratic":
-        kappa = _scalar(block, "rays", "kappa", 6.0)
+    else:  # quadratic
+        kappa = b["kappa"]
         v = PotentialSpec.space_profile(lambda x: 0.5 * kappa * x**2, lambda x: kappa * x)
 
         def t_exact(x):
             return t0 - q0 * x / consts.mc3 - kappa * x**3 / (6 * consts.mc3)
-
-    else:
-        raise ConfigError(f"unknown rays potential {kind!r}")
 
     ray = classical.trace_ray(v, 0.0, t0, q0, x_end, n_steps, consts)
     xs, picard = classical.picard_iterate(
@@ -424,18 +431,12 @@ def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
 
 
 def cmd_quantize(cfg: dict, out: str, tol: dict) -> None:
-    block = _block(cfg, "quantize")
+    b = _resolve(cfg, "quantize")
     consts = _constants(cfg)
-    T = _scalar(block, "quantize", "T", np.pi)
-    n_max = _scalar(block, "quantize", "n_max", 3, int)
-    p0 = _scalar(block, "quantize", "p0", 1.0)
-    profile = block.get("profile", "sin")
-    if profile == "sin":
-        v = PotentialSpec.time_profile(np.sin, np.cos)
-    elif profile == "zero":
+    T, n_max, p0 = b["T"], b["n_max"], b["p0"]
+    v = PotentialSpec.time_profile(np.sin, np.cos)
+    if b["profile"] == "zero":
         v = PotentialSpec.zero()
-    else:
-        raise ConfigError(f"unknown quantize profile {profile!r}")
 
     spec = interaction.quantized_modes(T, n_max, p0, v, consts)
     oracle = interaction.dirichlet_eigenvalue_oracle(T, 2000, n_max) * consts.hbar
@@ -465,11 +466,9 @@ def cmd_quantize(cfg: dict, out: str, tol: dict) -> None:
 
 
 def cmd_dyson(cfg: dict, out: str, tol: dict) -> None:
-    block = _block(cfg, "dyson")
+    b = _resolve(cfg, "dyson")
     consts = _constants(cfg)
-    eps_list = _list(block, "dyson", "eps", [0.005, 0.01, 0.02, 0.05], float)
-    x_end = _scalar(block, "dyson", "x_end", 1.0)
-    n_steps = _scalar(block, "dyson", "n_steps", 256, int)
+    eps_list, x_end, n_steps = b["eps"], b["x_end"], b["n_steps"]
     if len(set(eps_list)) < 2 or min(eps_list) <= 0:
         raise ConfigError("dyson.eps needs at least two distinct positive values to fit a slope")
 

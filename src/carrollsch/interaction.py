@@ -69,11 +69,16 @@ class InteractionMomentum:
         return CubicSpline(self.field.x_grid.times, np.real(self.field.values), axis=0)
 
     def at_x(self, x: float) -> np.ndarray:
-        """Row of F at station x by cubic interpolation along the x axis."""
+        """Row of F at station x by cubic interpolation along the x axis.
+
+        An x past the sampled range by roundoff only, as a station summed up
+        step by step can be, is clamped to the end sample.
+        """
         xg = self.field.x_grid.times
-        if not (xg[0] <= x <= xg[-1]):
+        slack = 1e-9 * (xg[-1] - xg[0])
+        if not (xg[0] - slack <= x <= xg[-1] + slack):
             raise ValueError(f"x = {x} outside the sampled range")
-        return self._spline(x)
+        return self._spline(min(max(x, xg[0]), xg[-1]))
 
 
 def quantized_modes(

@@ -2,30 +2,21 @@
 
 Uniform grids with a periodic (endpoint-excluded) convention, validated
 complex samples, the unitary DFT and spectral derivative, the fixed-step RK4
-loop, finite-difference stencils along any axis, Schwarzian derivatives,
-monotone inversion and cumulative quadrature.  Everything here is a pure
-function of its inputs.  Importing this module loads numpy only; the sampled
-path of `invert_monotone` imports scipy's CubicSpline when it runs.
+loop, finite-difference stencils along any axis, the Schwarzian of sampled
+functions and cumulative quadrature.  Everything here is a pure function of
+its inputs, and this module loads numpy only.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 
 class GridError(ValueError):
     """Invalid grid construction or use."""
-
-
-class SingularPointError(ValueError):
-    """Derivative-based evaluation at a critical point."""
-
-
-class MonotoneError(ValueError):
-    """Monotone inversion preconditions violated."""
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -178,25 +169,6 @@ def rk4(
     return out
 
 
-def _schwarzian_step(x: float) -> float:
-    return max(1e-4 * abs(x), 1e-4)
-
-
-def schwarzian(f: Callable[[float], complex], x: float, h: float | None = None) -> complex:
-    """Schwarzian derivative f'''/f' - 1.5 (f''/f')^2 by 4th-order stencils."""
-    if h is None:
-        h = _schwarzian_step(x)
-    offs = np.arange(-3, 4)
-    fv = np.array([f(x + k * h) for k in offs], dtype=complex)
-    # 4th-order central stencils on 7 points
-    f1 = (fv[1] - 8 * fv[2] + 8 * fv[4] - fv[5]) / (12 * h)
-    f2 = (-fv[1] + 16 * fv[2] - 30 * fv[3] + 16 * fv[4] - fv[5]) / (12 * h * h)
-    f3 = (fv[0] - 8 * fv[1] + 13 * fv[2] - 13 * fv[4] + 8 * fv[5] - fv[6]) / (8 * h**3)
-    if abs(f1) < 1e-10:
-        raise SingularPointError(f"f'({x}) below threshold; Schwarzian undefined")
-    return f3 / f1 - 1.5 * (f2 / f1) ** 2
-
-
 def deriv_uniform(values: np.ndarray, dx: float, order: int = 1, axis: int = 0) -> np.ndarray:
     """Derivative of values sampled uniformly along `axis`.
 
@@ -235,65 +207,6 @@ def schwarzian_samples(values: np.ndarray, dx: float) -> np.ndarray:
     f2 = deriv_uniform(values, dx, 2)
     f3 = deriv_uniform(values, dx, 3)
     return f3 / f1 - 1.5 * (f2 / f1) ** 2
-
-
-def invert_monotone(
-    f,
-    target: float,
-    lo: float | None = None,
-    hi: float | None = None,
-    xs: np.ndarray | None = None,
-    tol: float = 1e-10,
-) -> float:
-    """Solve f(x) = target for strictly monotone f.
-
-    Either a callable with bracket [lo, hi], or samples (xs, f) where `f` is
-    the sampled array; the sampled path goes through a cubic interpolant.
-    Bracketed bisection refined by linear interpolation; deterministic
-    midpoint tie-break on plateaus.
-    """
-    if xs is not None:
-        ys = np.asarray(f, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        d = np.diff(ys)
-        if not (np.all(d > 0) or np.all(d < 0)):
-            raise MonotoneError("samples are not strictly monotone")
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(xs, ys)
-        return invert_monotone(lambda x: float(spline(x)), target, xs[0], xs[-1], tol=tol)
-
-    if lo is None or hi is None:
-        raise ValueError("callable inversion needs a bracket [lo, hi]")
-    f_lo, f_hi = f(lo), f(hi)
-    scale = max(abs(f_lo), abs(f_hi), 1.0)
-    a, b, fa, fb = lo, hi, f_lo - target, f_hi - target
-    if fa == 0.0:
-        return lo
-    if fb == 0.0:
-        return hi
-    if fa * fb > 0:
-        raise MonotoneError(f"target {target} outside range [{f_lo}, {f_hi}]")
-    if abs(fa) < 1e-14 * scale and abs(fb) < 1e-14 * scale:
-        return 0.5 * (a + b)  # plateau: deterministic midpoint
-    for _ in range(200):
-        # bisection step with a secant refinement once the bracket is tight
-        m = 0.5 * (a + b)
-        fm = f(m) - target
-        if abs(fm) <= tol * scale:
-            return float(m)
-        if (b - a) < 1e-15 * max(1.0, abs(m)):
-            break
-        if fa * fm <= 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    # final secant refinement inside the bracket
-    if fb != fa:
-        x = a - fa * (b - a) / (fb - fa)
-        if a <= x <= b:
-            return float(x)
-    return float(0.5 * (a + b))
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:

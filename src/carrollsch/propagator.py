@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
 from .numerics import (
-    ComplexSignal, TimeGrid, complex_samples, spectral_derivative, unitary_dft, unitary_idft
+    ComplexSignal, TimeGrid, spectral_derivative, unitary_dft, unitary_idft
 )
 from .operators import Field2D
 from .potentials import PotentialSpec
@@ -34,14 +34,9 @@ class Wavefunction:
     values: np.ndarray
     constants: PhysicalConstants = NATURAL
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", complex_samples(self.values, (self.grid.n,)))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.grid.dt * np.sum(np.abs(self.values) ** 2)))
-
-    def inner(self, other: "Wavefunction") -> complex:
-        return complex(self.grid.dt * np.sum(np.conj(self.values) * other.values))
+    # the samples-on-a-grid contract of ComplexSignal, with its check and norm
+    __post_init__ = ComplexSignal.__post_init__
+    norm = ComplexSignal.norm
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import filecmp
+import glob
 import json
 import os
 import subprocess
@@ -13,6 +14,9 @@ import pytest
 
 import carrollsch
 from carrollsch import cli
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs")
 
 
 def _write_config(tmp_path, payload: dict) -> str:
@@ -33,6 +37,17 @@ class TestConfigHandling:
         path.write_text("[]")
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))), ids=os.path.basename
+    )
+    def test_shipped_config_loads(self, path):
+        cli.load_config(path)
+
+    def test_default_json_matches_the_table(self):
+        cfg = cli.load_config(os.path.join(CONFIG_DIR, "default.json"))
+        for name in cli.DEFAULTS:
+            assert cli._resolve(cfg, name) == cli._resolve({}, name), name
 
     def test_unreadable_config_exit_code(self, tmp_path):
         code = cli.main(["gaussian", "--config", str(tmp_path / "missing.json")])
@@ -94,6 +109,10 @@ class TestExitCodes:
             ({"dyson": {"x_end": "1.0"}}, "dyson.x_end must be a number"),
             ({"rays": {"n_steps": 255.5}}, "rays.n_steps must be an integer"),
             ({"quantize": {}, "constants": {"hbar": None}}, "constants.hbar must be a number"),
+            ({"gaussian": {"sigmma": 0.5}}, "unknown config key gaussian.sigmma"),
+            ({"gaussian": {}, "gausian": {"sigma": 0.5}}, "unknown config block 'gausian'"),
+            ({"rays": {"potential": "cubic"}}, "rays.potential must be one of"),
+            ({"quantize": {"profile": 3}}, "quantize.profile must be one of"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):

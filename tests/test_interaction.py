@@ -114,8 +114,20 @@ class TestInteractionMomentum:
     def test_at_x_out_of_range(self):
         xg, tg = self._grids()
         F = interaction_momentum(PotentialSpec.zero(), 0.0, xg, tg)
-        with pytest.raises(ValueError):
-            F.at_x(10.0)
+        for x in (10.0, xg.times[-1] + 1e-6, xg.times[0] - 1e-6):
+            with pytest.raises(ValueError):
+                F.at_x(x)
+
+    @pytest.mark.parametrize("n_steps", [100, 1000])
+    def test_evolve_to_last_sample(self, n_steps):
+        # x += h overshoots the last x sample by roundoff: 0.9843750000000018 at 100 steps
+        xg, tg = TimeGrid(0.0, 1.0, 64), TimeGrid(-10.0, 10.0, 256)
+        v = PotentialSpec.separable(np.sin, np.cos, da=np.cos)
+        F = interaction_momentum(v, tg.t_min, xg, tg)
+        assert np.array_equal(F.at_x(xg.times[-1] + 1e-15), F.at_x(xg.times[-1]))
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, tg)
+        out = evolve_interacting(phi0, F, 0.0, xg.times[-1], n_steps)
+        assert out.norm() == pytest.approx(phi0.norm(), rel=1e-12)
 
 
 class TestGaugeReduce:

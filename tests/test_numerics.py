@@ -8,15 +8,11 @@ from hypothesis import given, settings, strategies as st
 from carrollsch.numerics import (
     ComplexSignal,
     GridError,
-    MonotoneError,
-    SingularPointError,
     TimeGrid,
     cumulative_integral,
     cumulative_trapezoid,
     deriv_uniform,
     integrate_fundamental_pair,
-    invert_monotone,
-    schwarzian,
     schwarzian_samples,
     unitary_dft,
     unitary_idft,
@@ -122,26 +118,13 @@ class TestFundamentalPair:
 
 
 class TestSchwarzian:
-    def test_tangent(self):
-        # {tan x, x} = 2 everywhere
-        assert schwarzian(np.tan, 0.3) == pytest.approx(2.0, abs=1e-4)
-
-    def test_exponential(self):
-        # {e^x, x} = -1/2
-        assert schwarzian(np.exp, 1.1) == pytest.approx(-0.5, abs=1e-3)
-
-    def test_moebius_gives_zero(self):
-        f = lambda x: (2 * x + 1) / (x + 3)
-        assert abs(schwarzian(f, 0.7)) < 1e-4
-
-    def test_critical_point_rejected(self):
-        with pytest.raises(SingularPointError):
-            schwarzian(lambda x: x**2, 0.0)
-
     def test_sampled_matches_pointwise(self):
+        # {tan x, x} = 2, {e^x, x} = -1/2, and a Moebius map gives 0
         x = np.linspace(0.2, 1.2, 501)
-        s = schwarzian_samples(np.tan(x), x[1] - x[0])
-        np.testing.assert_allclose(s[5:-5], 2.0, atol=1e-5)
+        cases = [(np.tan(x), 2.0), (np.exp(x), -0.5), ((2 * x + 1) / (x + 3), 0.0)]
+        for values, expected in cases:
+            s = schwarzian_samples(values, x[1] - x[0])
+            np.testing.assert_allclose(s[5:-5], expected, atol=1e-5)
 
 
 class TestDerivUniform:
@@ -181,33 +164,6 @@ class TestDerivUniform:
         expected = deriv_uniform(v.T, self.h, order, axis=0).T
         for axis in (1, -1):
             assert np.array_equal(deriv_uniform(v, self.h, order, axis=axis), expected)
-
-
-class TestInvertMonotone:
-    def test_callable_bracket(self):
-        x = invert_monotone(lambda u: u**3, 8.0, 0.0, 3.0)
-        assert x == pytest.approx(2.0, abs=1e-9)
-
-    def test_sampled_path(self):
-        xs = np.linspace(0.0, 2.0, 200)
-        x = invert_monotone(np.exp(xs), np.exp(1.3), xs=xs)
-        assert x == pytest.approx(1.3, abs=1e-8)
-
-    def test_rejects_nonmonotone_samples(self):
-        xs = np.linspace(-1.0, 1.0, 50)
-        with pytest.raises(MonotoneError):
-            invert_monotone(xs**2, 0.5, xs=xs)
-
-    def test_rejects_out_of_range_target(self):
-        with pytest.raises(MonotoneError):
-            invert_monotone(lambda u: u, 5.0, 0.0, 1.0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.floats(-2.0, 2.0))
-    def test_roundtrip(self, x0):
-        f = lambda u: u**3 + u
-        x = invert_monotone(f, f(x0), -3.0, 3.0)
-        assert x == pytest.approx(x0, abs=1e-7)
 
 
 class TestCumulativeIntegral:
