@@ -243,7 +243,7 @@ def _duality_target(block: dict):
     """(name, V_sch, E_sch, x range) of the static target of a resolved duality block."""
     name, x0 = block["target"], block["x0"]
     if name == "free":
-        return name, PotentialSpec.zero(), 0.0, (0.0, 2.0)
+        return name, PotentialSpec.zero(), _e_sch(block), (0.0, 2.0)
     if name == "constant":
         return name, PotentialSpec.constant(block["v0"]), _e_sch(block), (0.0, 0.6)
     if name == "harmonic":
@@ -264,9 +264,7 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
     if block["target"] == "velocity-profile":
         # forward route: V_car from the prescribed velocity v(t) = 1 + t^2
         tg = TimeGrid(-1.0, 1.0, n)
-        v_car = PotentialSpec.time_profile(
-            lambda t: -0.5j * consts.hbar * 2 * t / (1 + t**2), allow_complex=True
-        )
+        v_car = PotentialSpec.time_profile(lambda t: -0.5j * consts.hbar * 2 * t / (1 + t**2))
         delta = duality.forward_delta(v_car, 1.0, 0.0, tg, consts)
         xs, vs = duality.vsch_from_vcar(v_car, delta, tg, _e_sch(block), E0, consts)
         write_csv(
@@ -305,10 +303,11 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
         [(name, rt, sw)],
     )
 
-    if name == "free":
-        tau1 = float(np.real(dmap.tau_at(1.0)))
-        if abs(tau1 - np.pi / 4) > tol["duality_tau_free"]:
-            raise ToleranceBreach(f"free-case tau(1) = {tau1}, expected pi/4")
+    if name == "free" and E_sch == 0:
+        # sigma = 1/x, so tau(1) = (hbar/E0) arctan(1)
+        tau1, expected = float(np.real(dmap.tau_at(1.0))), consts.hbar / E0 * np.pi / 4
+        if abs(tau1 - expected) > tol["duality_tau_free"]:
+            raise ToleranceBreach(f"free-case tau(1) = {tau1}, expected {expected}")
 
 
 # -------------------------------------------------------------- commutator
@@ -383,7 +382,6 @@ def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
 
     if kind == "time-only":
         v = PotentialSpec.time_profile(np.cos, lambda t: -np.sin(t))
-        q0 = q0 if q0 else 1.0
 
         def t_exact(x):
             return t0 - q0 * x / consts.mc3

@@ -61,13 +61,13 @@ def continuity_equivalence(
 ) -> float:
     """Schrodinger-form continuity residual of a transformed Carroll field.
 
-    Strips the potential (if any) with `interaction.gauge_reduce`, applies the
+    Strips v_car, when given, with `interaction.gauge_reduce`, applies the
     coordinate inversion, then evaluates max |d_t' rho + d_x' J| on interior
     samples with rho, J from schrodinger_density_current.  Converges to zero
     under refinement when psi_car solves the Carroll equation.
     """
     f = psi_car
-    if v_car is not None and v_car.kind != "zero":
+    if v_car is not None:
         f = gauge_reduce(f, v_car, psi_car.t_grid.t_min if t0 is None else t0, constants)
     f = coordinate_inversion(f, constants)
     rho, j = schrodinger_density_current(f, constants)

@@ -20,7 +20,7 @@ integrated with Q = -q to realize {sigma, x} = -2q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -45,8 +45,6 @@ class BranchError(ValueError):
 class DualityMap:
     E0: float
     E_sch: float
-    C0: complex
-    C1: complex
     x: np.ndarray
     sigma: np.ndarray
     tau: np.ndarray
@@ -189,8 +187,6 @@ def inverse_tau(
     return DualityMap(
         E0=E0,
         E_sch=E_sch,
-        C0=1.0,
-        C1=0.0,
         x=xs,
         sigma=sigma,
         tau=tau,
@@ -254,22 +250,7 @@ def hermitian_branch(dmap: DualityMap) -> DualityMap:
     hbar, E0 = dmap.constants.hbar, dmap.E0
     sigma_h = 1j * dmap.sigma
     tau_h = 1j * (hbar / E0) * np.arctanh(dmap.sigma.astype(complex))
-    return DualityMap(
-        E0=dmap.E0,
-        E_sch=dmap.E_sch,
-        C0=dmap.C0,
-        C1=dmap.C1,
-        x=dmap.x,
-        sigma=sigma_h,
-        tau=tau_h,
-        q=dmap.q,
-        delta_t=None,
-        delta=None,
-        branch="hermitian",
-        monotone_interval=dmap.monotone_interval,
-        pair=dmap.pair,
-        constants=dmap.constants,
-    )
+    return replace(dmap, sigma=sigma_h, tau=tau_h, delta_t=None, delta=None, branch="hermitian")
 
 
 def roundtrip_residual(

@@ -66,7 +66,8 @@ class InteractionMomentum:
     @cached_property
     def _spline(self):
         """Cubic interpolant of F along the x axis, built once per instance."""
-        return CubicSpline(self.field.x_grid.times, np.real(self.field.values), axis=0)
+        values = _real(self.field.values, "interaction momentum")
+        return CubicSpline(self.field.x_grid.times, values, axis=0)
 
     def at_x(self, x: float) -> np.ndarray:
         """Row of F at station x by cubic interpolation along the x axis.
@@ -169,11 +170,16 @@ def _split_step(
     return values
 
 
+def _real(a: np.ndarray, name: str) -> np.ndarray:
+    """The real part of a, which must have no nonzero imaginary part."""
+    if np.iscomplexobj(a) and np.max(np.abs(a.imag)) > 0:
+        raise ValueError(f"complex {name} rejected")
+    return np.real(a)
+
+
 def _momentum_phase(row: np.ndarray, h: float, constants: PhysicalConstants) -> np.ndarray:
     """Half-step potential factor exp(-i h F / 2 hbar) of a real momentum row."""
-    if np.iscomplexobj(row) and np.max(np.abs(row.imag)) > 0:
-        raise ValueError("complex interaction momentum rejected")
-    return np.exp(-0.5j * h / constants.hbar * np.real(row))
+    return np.exp(-0.5j * h / constants.hbar * _real(row, "interaction momentum"))
 
 
 def evolve_interacting(
@@ -227,15 +233,15 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 
 def _unperturbed(
-    phi0: Wavefunction, g: PotentialSpec, eta: Callable, x0: float, x_end: float,
+    phi0: Wavefunction, g_t: np.ndarray, eta: Callable, x0: float, x_end: float,
     n_steps: int, constants: PhysicalConstants,
 ) -> tuple[np.ndarray, float]:
     """U0 phi0 and the Simpson integral of eta, on an even panel count."""
     if n_steps % 2 == 1:
         n_steps += 1  # composite Simpson needs an even panel count
-    # unperturbed evolution U0, with the time profile g absorbed in a constant phase
+    # unperturbed evolution U0, with the time profile g_t absorbed in a constant phase
     h = (x_end - x0) / n_steps
-    pot = np.exp(-0.5j * h / (constants.hbar * constants.c) * np.real(g.v_t(phi0.grid.times)))
+    pot = np.exp(-0.5j * h / (constants.hbar * constants.c) * g_t)
     u0 = _split_step(phi0.values, phi0.grid, x0, h, n_steps, lambda x: pot, constants)
     xi = np.linspace(x0, x_end, n_steps + 1)
     return u0, float(_simpson(np.asarray(eta(xi), dtype=float), xi))
@@ -264,7 +270,8 @@ def dyson_first_order(
     propagation; the truncation error is O(eps^2).  An odd n_steps is
     rounded up to even.
     """
-    u0, I_eta = _unperturbed(phi0, g, eta, x0, x_end, n_steps, constants)
+    g_t = _real(g.v_t(phi0.grid.times), "time profile g")
+    u0, I_eta = _unperturbed(phi0, g_t, eta, x0, x_end, n_steps, constants)
     return replace(phi0, x=x_end, values=_dyson_factor(eps, I_eta, constants) * u0)
 
 
@@ -290,7 +297,7 @@ def dyson_sweep(
     if n_steps < 1:
         raise ValueError("need at least one step")
     h = (x_end - x0) / n_steps
-    g_t = np.real(g.v_t(phi0.grid.times))
+    g_t = _real(g.v_t(phi0.grid.times), "time profile g")
     eps_col = np.asarray(eps, dtype=float)[:, None]
 
     def half_phase(x: float) -> np.ndarray:
@@ -298,7 +305,7 @@ def dyson_sweep(
 
     batch = np.broadcast_to(phi0.values, (len(eps_col), phi0.grid.n))
     ref = _split_step(batch, phi0.grid, x0, h, n_steps, half_phase, constants)
-    u0, I_eta = _unperturbed(phi0, g, eta, x0, x_end, n_steps, constants)
+    u0, I_eta = _unperturbed(phi0, g_t, eta, x0, x_end, n_steps, constants)
     return ref, _dyson_factor(eps_col, I_eta, constants) * u0
 
 

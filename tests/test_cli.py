@@ -149,6 +149,39 @@ class TestSubcommands:
         assert cli.main(["duality", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "duality_forward.csv").exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"duality": {"target": "free", "E0": 2.0}}, {"duality": {"target": "free"}, "constants": {"hbar": 2.0}}],
+        ids=["E0", "hbar"],
+    )
+    def test_free_duality_gate_scales_with_hbar_over_E0(self, tmp_path, payload):
+        # tau(1) = (hbar/E0) pi/4, not pi/4
+        cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, **payload})
+        assert cli.main(["duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_free_duality_uses_configured_E_sch(self, tmp_path):
+        maps = {}
+        for e_sch in (0.0, 0.3):
+            cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "duality": {"target": "free", "E_sch": e_sch}})
+            out = tmp_path / str(e_sch)
+            assert cli.main(["duality", "--config", cfg, "--out", str(out)]) == 0
+            maps[e_sch] = (out / "duality_map.csv").read_text()
+        assert maps[0.0] != maps[0.3]
+        q = [float(row.split(",")[4]) for row in maps[0.3].splitlines()[1:]]
+        assert q == [-0.6] * len(q)  # q = (2m/hbar^2)(0 - E_sch)
+
+    def test_rays_time_only_honours_q0(self, tmp_path):
+        csv = {}
+        for q0 in (0.0, 1.0):
+            payload = {"rays": {"potential": "time-only", "q0": q0, "t0": 0.25}}
+            cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, **payload})
+            out = tmp_path / str(q0)
+            assert cli.main(["rays", "--config", cfg, "--out", str(out)]) == 0
+            csv[q0] = (out / "rays.csv").read_text()
+        assert csv[0.0] != csv[1.0]
+        t = [float(row.split(",")[1]) for row in csv[0.0].splitlines()[1:]]
+        assert t == [0.25] * len(t)  # q0 = 0: no drift in t
+
     def test_quantize_levels_content(self, tmp_path):
         out = tmp_path / "o"
         assert cli.main(["quantize", "--out", str(out)]) == 0

@@ -46,9 +46,7 @@ class TestForwardDelta:
         # anchor constant, absorbed here into C0 = v(t_min)
         tg = TimeGrid(-1.0, 1.0, 2048)
         t = tg.times
-        v_car = PotentialSpec.time_profile(
-            lambda s: -0.5j * 2 * s / (1 + s**2), allow_complex=True
-        )
+        v_car = PotentialSpec.time_profile(lambda s: -0.5j * 2 * s / (1 + s**2))
         delta = forward_delta(v_car, complex(1 + t[0] ** 2), 0.0, tg)
         ddot = deriv_uniform(delta, tg.dt, 1)
         np.testing.assert_allclose(ddot[4:-4], 1 + t[4:-4] ** 2, atol=1e-5)
@@ -60,9 +58,7 @@ class TestVschFromVcar:
         tg = TimeGrid(-1.0, 1.0, 2048)
         t = tg.times
         v = 1 + t**2
-        v_car = PotentialSpec.time_profile(
-            lambda s: -0.5j * 2 * s / (1 + s**2), allow_complex=True
-        )
+        v_car = PotentialSpec.time_profile(lambda s: -0.5j * 2 * s / (1 + s**2))
         delta = forward_delta(v_car, complex(1 + t[0] ** 2), 0.0, tg)
         e_sch, e0 = 0.3, 1.0
         xs, vs = vsch_from_vcar(v_car, delta, tg, e_sch, e0)

@@ -192,6 +192,21 @@ class TestEvolveInteracting:
         with pytest.raises(ValueError):
             evolve_interacting(phi0, lambda x, t: 1j * t, 0.0, 1.0, 16)
 
+    def test_complex_sampled_momentum_rejected(self):
+        phi0 = self._phi0(TimeGrid(-20.0, 20.0, 64))
+        xg = TimeGrid(0.0, 1.0, 32)
+        real = np.outer(xg.times, np.sin(phi0.grid.times))
+        F = InteractionMomentum(Field2D(xg, phi0.grid, real + 1e-3j * real), t0=0.0)
+        with pytest.raises(ValueError, match="complex interaction momentum"):
+            evolve_interacting(phi0, F, 0.0, 0.5, 8)
+        # a complex dtype with no imaginary part is the real F
+        F = InteractionMomentum(Field2D(xg, phi0.grid, real + 0j), t0=0.0)
+        F_real = InteractionMomentum(Field2D(xg, phi0.grid, real), t0=0.0)
+        assert np.array_equal(
+            evolve_interacting(phi0, F, 0.0, 0.5, 8).values,
+            evolve_interacting(phi0, F_real, 0.0, 0.5, 8).values,
+        )
+
     def test_self_convergence_second_order(self):
         phi0 = self._phi0()
         f = lambda x, t: 0.5 * np.sin(t) * (1.0 + 0.2 * x)
@@ -296,6 +311,15 @@ class TestDysonSweep:
         g = PotentialSpec.time_profile(np.cos)
         with pytest.raises(ValueError):
             dyson_sweep(phi0, g, lambda x: 1j + 0.0 * np.asarray(x), [0.1, 0.2], 0.0, 1.0, 8)
+
+    def test_complex_time_profile_rejected(self):
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, TimeGrid(-10.0, 10.0, 64))
+        g = PotentialSpec.time_profile(lambda t: 0.3 * np.cos(t) + 0.1j * np.sin(t))
+        eta = lambda x: 1.0 + 0.5 * np.sin(np.asarray(x))
+        with pytest.raises(ValueError, match="complex time profile"):
+            dyson_sweep(phi0, g, eta, [0.1, 0.2], 0.0, 1.0, 8)
+        with pytest.raises(ValueError, match="complex time profile"):
+            dyson_first_order(phi0, g, eta, 0.1, 0.0, 1.0, 8)
 
 
 class TestDysonFirstOrder:

@@ -35,6 +35,8 @@ class TestEvaluation:
         v = PotentialSpec.space_profile(np.sin)
         with pytest.raises(ValueError):
             v.v_t(np.zeros(3))
+        with pytest.raises(ValueError):
+            PotentialSpec.time_profile(np.sin).v_x(np.zeros(3))
 
     def test_separable_tensor(self):
         v = PotentialSpec.separable(lambda x: x, np.sin, da=lambda x: np.ones_like(x))
@@ -56,12 +58,6 @@ class TestEvaluation:
         assert v.at(2.0, np.pi / 2) == pytest.approx(4.0)
         assert v.dvdx_at(2.0, np.pi / 2) == pytest.approx(4.0)
 
-    def test_kind_flags(self):
-        assert PotentialSpec.constant(1.0).time_only
-        assert PotentialSpec.constant(1.0).space_only
-        assert PotentialSpec.time_profile(np.sin).time_only
-        assert not PotentialSpec.time_profile(np.sin).space_only
-
 
 #: every kind, with the finite-difference fallbacks where a kind has one
 _KINDS = {
@@ -75,6 +71,27 @@ _KINDS = {
     "separable_fd": PotentialSpec.separable(lambda x: x**3, np.cos),
     "space_time": PotentialSpec.space_time(lambda x, t: np.sin(x) * np.exp(-(t**2))),
 }
+
+_X = np.array([-1.5, 0.0, 0.4, 2.0])
+_T = np.array([-0.7, 0.0, 0.3, 1.1, 2.5])
+_ONES, _ZEROS = np.ones((4, 5)), np.zeros((4, 5))
+
+#: V and d_x V of each analytic `_KINDS` entry on the tensor grid of _X and _T
+_CLOSED_FORMS = {
+    "zero": (_ZEROS, _ZEROS),
+    "constant": (0.7 * _ONES, _ZEROS),
+    "time_profile": (_ONES * np.sin(_T), _ZEROS),
+    "space_profile": (_ONES * (0.5 * _X**2)[:, None], _ONES * _X[:, None]),
+    "separable": (np.sin(_X)[:, None] * np.cos(_T), np.cos(_X)[:, None] * np.cos(_T)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CLOSED_FORMS))
+def test_tensor_values_match_closed_form(kind):
+    v, dv = _CLOSED_FORMS[kind]
+    assert np.array_equal(_KINDS[kind].v_xt(_X, _T), v)
+    assert np.array_equal(_KINDS[kind].dv_dx(_X, _T), dv)
+
 
 _POINTS = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12)
 
