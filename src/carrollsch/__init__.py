@@ -10,7 +10,6 @@ expansion).
 """
 from .constants import NATURAL, PhysicalConstants
 from .numerics import (
-    ComplexSignal,
     FundamentalPair,
     GridError,
     TimeGrid,
@@ -18,8 +17,6 @@ from .numerics import (
     deriv_uniform,
     integrate_fundamental_pair,
     schwarzian_samples,
-    unitary_dft,
-    unitary_idft,
 )
 from .potentials import PotentialSpec
 from .operators import (

@@ -6,8 +6,9 @@ seed; files are written atomically (temp + rename) with LF line endings and
 
 Exit codes: 0 success, 1 validation error (bad config / arguments),
 2 numerical failure (a declared tolerance was breached, or a kernel raised
-BranchError).  `DEFAULTS` is the config schema: an unknown block or key, or a
-value of the wrong type, is a validation error.
+BranchError or an ArithmeticError such as an overflow).  `DEFAULTS` is the
+config schema: an unknown block or key, a value of the wrong type, or an
+empty list is a validation error.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ class ToleranceBreach(RuntimeError):
 
 
 #: kernel exceptions that report a numerical failure, not a bad config
-NUMERICAL_ERRORS = (duality.BranchError,)
+NUMERICAL_ERRORS = (duality.BranchError, ArithmeticError)
 
 #: duality target -> its default E_sch
 _E_SCH = {
@@ -150,6 +151,8 @@ def _value(block: dict, key: str, default, where: str):
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a list")
+        if not value:
+            raise ConfigError(f"{where} must not be empty")
         return [_cast(v, f"entry of {where}", type(default[0])) for v in value]
     if value is None and key not in block:
         return None  # duality.E_sch: the target's default
@@ -356,8 +359,9 @@ def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
     rows = []
     prev = None
     for n in sizes:
-        grid = TimeGrid(-12.0, 12.0, n)
-        field = propagator.gaussian_field(params, grid, grid, consts)
+        t_grid = TimeGrid(-12.0, 12.0, n)
+        x_grid = TimeGrid(-12.0 * consts.c, 12.0 * consts.c, n)  # dx = c dt for the inversion
+        field = propagator.gaussian_field(params, x_grid, t_grid, consts)
         res = currents.continuity_equivalence(field, consts)
         ratio = prev / res if prev is not None else float("nan")
         rows.append((n, res, ratio))

@@ -29,6 +29,7 @@ from .constants import PhysicalConstants, NATURAL
 from .numerics import (
     FundamentalPair,
     TimeGrid,
+    cubic_spline,
     cumulative_integral,
     deriv_uniform,
     integrate_fundamental_pair,
@@ -64,20 +65,13 @@ class DualityMap:
         lo, hi = self.monotone_interval
         if not (lo <= x <= hi):
             raise ValueError(f"x = {x} outside monotone interval [{lo}, {hi}]")
-        from scipy.interpolate import CubicSpline
-
-        if np.iscomplexobj(self.tau):
-            re = CubicSpline(self.x, self.tau.real)(x)
-            im = CubicSpline(self.x, self.tau.imag)(x)
-            return complex(re + 1j * im)
-        return float(CubicSpline(self.x, self.tau)(x))
+        value = cubic_spline(self.x, self.tau)(x)
+        return complex(value) if np.iscomplexobj(self.tau) else float(value)
 
     def delta_at(self, t: float) -> float:
         if self.delta is None:
             raise ValueError("map carries no sampled delta")
-        from scipy.interpolate import CubicSpline
-
-        return float(CubicSpline(self.delta_t, self.delta)(t))
+        return float(cubic_spline(self.delta_t, self.delta)(t))
 
     def reconstruct_v_car(self) -> np.ndarray:
         """V_car at t = tau(x) from the inverse-function quotient.
@@ -177,10 +171,8 @@ def inverse_tau(
         raise BranchError("tau is not strictly monotone on the trimmed patch")
 
     # invert tau on a uniform t grid spanning its range
-    from scipy.interpolate import CubicSpline
-
     order = np.argsort(tau)
-    inv = CubicSpline(tau[order], xs[order])
+    inv = cubic_spline(tau[order], xs[order])
     delta_t = np.linspace(tau.min(), tau.max(), len(xs))
     delta = inv(delta_t)
 
@@ -309,9 +301,7 @@ def inversion_identity_residual(
     S_tau = schwarzian_samples(dmap.tau[::sx], dmap.dx * sx)
     # pull -{tau,x} to the t grid: x = delta(t)
     xs = dmap.x[::sx]
-    from scipy.interpolate import CubicSpline
-
-    spl = CubicSpline(xs[margin:-margin], -S_tau[margin:-margin])
+    spl = cubic_spline(xs[margin:-margin], -S_tau[margin:-margin])
     ok = np.abs(ddot) <= 3.0 * np.min(np.abs(ddot))
     ok[:margin] = ok[-margin:] = False
     ok &= (delta >= xs[margin]) & (delta <= xs[-margin - 1])

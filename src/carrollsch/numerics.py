@@ -1,10 +1,11 @@
 """Shared numerical substrate.
 
-Uniform grids with a periodic (endpoint-excluded) convention, validated
-complex samples, the unitary DFT and spectral derivative, the fixed-step RK4
-loop, finite-difference stencils along any axis, the Schwarzian of sampled
+Uniform grids with a periodic (endpoint-excluded) convention; the one check
+of complex samples and the one rule for a real V; the spectral multiplier
+and derivative; the lazily loaded cubic spline; the fixed-step RK4 loop,
+finite-difference stencils along any axis, the Schwarzian of sampled
 functions and cumulative quadrature.  Everything here is a pure function of
-its inputs, and this module loads numpy only.
+its inputs, and this module loads numpy only (scipy on the first spline).
 """
 from __future__ import annotations
 
@@ -64,31 +65,31 @@ def complex_samples(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class ComplexSignal:
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", complex_samples(self.values, (self.grid.n,)))
-
-    def norm(self) -> float:
-        """Discrete L2 norm with the grid measure dt."""
-        return float(np.sqrt(self.grid.dt * np.sum(np.abs(self.values) ** 2)))
+def real_samples(values: np.ndarray, what: str) -> np.ndarray:
+    """`values` as a real array; any nonzero imaginary part raises, naming `what`."""
+    v = np.asarray(values)
+    if v.dtype.kind != "c":
+        return v
+    if np.any(v.imag):
+        raise ValueError(f"complex {what} rejected")
+    return v.real
 
 
-def unitary_dft(signal: ComplexSignal) -> np.ndarray:
-    """Unitary DFT (1/sqrt(n) per direction); wrap-around frequency order."""
-    return np.fft.fft(signal.values, norm="ortho")
-
-
-def unitary_idft(freq: np.ndarray, grid: TimeGrid) -> ComplexSignal:
-    return ComplexSignal(grid, np.fft.ifft(np.asarray(freq, dtype=complex), norm="ortho"))
+def spectral_multiply(values: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The Fourier multiplier m applied along the last axis: ifft(m fft(values))."""
+    return np.fft.ifft(m * np.fft.fft(values))
 
 
 def spectral_derivative(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Spectral derivative along the periodic grid: ifft(i w fft(values))."""
-    return np.fft.ifft(1j * grid.omegas * np.fft.fft(values))
+    return spectral_multiply(values, 1j * grid.omegas)
+
+
+def cubic_spline(x: np.ndarray, y: np.ndarray, axis: int = 0):
+    """scipy's CubicSpline of y at x, imported on first use so this module loads numpy only."""
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(x, y, axis=axis)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Potentials V(x, t), each one callable on broadcastable float arrays, with
 d_x V and, for a V of t alone, d_t V; a derivative not given in closed form
 is a 4-point central difference.  V may be complex; the kernels that need a
-real V reject a complex one.
+real V reject a complex one by the one rule of `numerics.real_samples`.
 """
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .numerics import real_samples
 
 _FD_REL = 1e-5  # step for callable finite differences
 
@@ -111,14 +113,12 @@ class PotentialSpec:
     def dvdx_at(self, x, t):
         """Spatial derivative at the paired points (x[i], t[i]): a float for
         scalar x and t, else an array of their broadcast shape.  A gradient
-        with a non-negligible imaginary part is rejected."""
+        with a nonzero imaginary part is rejected."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         # 1-element arrays, not 0-d: numpy scalar arithmetic can round differently
-        dv = np.real_if_close(_eval(self.f_x, *np.atleast_1d(x, t)))
-        if dv.dtype.kind == "c":
-            raise ValueError("complex potential gradient rejected")
+        dv = real_samples(_eval(self.f_x, *np.atleast_1d(x, t)), "potential gradient")
         return float(dv[0]) if x.ndim == t.ndim == 0 else dv
 
     def at(self, x: float, t: float) -> float:
-        return float(np.real_if_close(_tensor(self.f, x, t)[0, 0]))
+        return float(real_samples(_tensor(self.f, x, t)[0, 0], "potential"))

@@ -20,9 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import (
-    ComplexSignal, TimeGrid, spectral_derivative, unitary_dft, unitary_idft
-)
+from .numerics import TimeGrid, complex_samples, spectral_derivative, spectral_multiply
 from .operators import Field2D
 from .potentials import PotentialSpec
 
@@ -32,11 +30,13 @@ class Wavefunction:
     x: float
     grid: TimeGrid
     values: np.ndarray
-    constants: PhysicalConstants = NATURAL
 
-    # the samples-on-a-grid contract of ComplexSignal, with its check and norm
-    __post_init__ = ComplexSignal.__post_init__
-    norm = ComplexSignal.norm
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", complex_samples(self.values, (self.grid.n,)))
+
+    def norm(self) -> float:
+        """Discrete L2 norm with the grid measure dt."""
+        return float(np.sqrt(self.grid.dt * np.sum(np.abs(self.values) ** 2)))
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -57,13 +57,12 @@ class GaussianParams:
             raise ValueError("sigma must be positive")
 
 
-def evolve_free(psi: Wavefunction, dx: float) -> Wavefunction:
+def evolve_free(
+    psi: Wavefunction, dx: float, constants: PhysicalConstants = NATURAL
+) -> Wavefunction:
     """Advance the station by dx with the unitary spectral multiplier."""
-    beta = psi.constants.beta
-    sig = ComplexSignal(psi.grid, psi.values)
-    freq = unitary_dft(sig) * np.exp(-1j * beta * dx * psi.grid.omegas**2)
-    out = unitary_idft(freq, psi.grid)
-    return replace(psi, x=psi.x + dx, values=out.values)
+    kin = np.exp(-1j * constants.beta * dx * psi.grid.omegas**2)
+    return replace(psi, x=psi.x + dx, values=spectral_multiply(psi.values, kin))
 
 
 def _packet(
@@ -96,7 +95,7 @@ def gaussian_exact(
     t0 + (hbar w0/(m c^3)) x and adds the global phase exp(-i beta x w0^2).
     """
     values = _packet(params, x, grid.times, constants)
-    return Wavefunction(x=x, grid=grid, values=values, constants=constants)
+    return Wavefunction(x=x, grid=grid, values=values)
 
 
 def gaussian_field(

@@ -113,6 +113,9 @@ class TestExitCodes:
             ({"gaussian": {}, "gausian": {"sigma": 0.5}}, "unknown config block 'gausian'"),
             ({"rays": {"potential": "cubic"}}, "rays.potential must be one of"),
             ({"quantize": {"profile": 3}}, "quantize.profile must be one of"),
+            ({"commutator": {"sizes": []}}, "commutator.sizes must not be empty"),
+            ({"currents": {"sizes": []}}, "currents.sizes must not be empty"),
+            ({"gaussian": {"stations": []}}, "gaussian.stations must not be empty"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):
@@ -120,6 +123,20 @@ class TestExitCodes:
         sub = next(iter(payload))
         assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sub, payload",
+        [
+            ("gaussian", {"constants": {"c": 1e120}}),
+            ("rays", {"constants": {"c": 1e120}}),
+            ("gaussian", {"gaussian": {"sigma": 1e200}}),
+        ],
+        ids=["gaussian-c", "rays-c", "gaussian-sigma"],
+    )
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys, sub, payload):
+        cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, **payload})
+        assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_unknown_duality_target(self, tmp_path):
         cfg = _write_config(
@@ -181,6 +198,18 @@ class TestSubcommands:
         assert csv[0.0] != csv[1.0]
         t = [float(row.split(",")[1]) for row in csv[0.0].splitlines()[1:]]
         assert t == [0.25] * len(t)  # q0 = 0: no drift in t
+
+    @pytest.mark.parametrize(
+        "constants", [{"hbar": 1.3, "m": 0.8, "c": 1.1}, {"hbar": 0.5, "c": 2.0}], ids=["c1.1", "c2"]
+    )
+    def test_currents_with_nonunit_c(self, tmp_path, constants):
+        # the x grid spans c times the t grid, so dx = c dt holds for the inversion
+        cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "constants": constants})
+        out = tmp_path / "o"
+        assert cli.main(["currents", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "currents_residuals.csv").read_text().splitlines()[2:]
+        ratios = [float(row.split(",")[2]) for row in rows]
+        assert len(ratios) == 2 and min(ratios) > 12.0  # 4th-order stencils: 16 in the limit
 
     def test_quantize_levels_content(self, tmp_path):
         out = tmp_path / "o"

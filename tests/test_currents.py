@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from carrollsch import (
@@ -53,9 +54,11 @@ class TestSchrodingerDensityCurrent:
 
 
 class TestGaugeRemove:
-    def test_modulus_preserved_exactly(self):
+    @settings(max_examples=15, deadline=None)
+    @given(*(st.floats(-3.0, 3.0) for _ in range(3)), st.floats(0.1, 5.0))
+    def test_modulus_preserved_exactly(self, a0, a1, b0, w):
         f = _free_carroll_field(128)
-        v = PotentialSpec.time_profile(np.sin, np.cos)
+        v = PotentialSpec.separable(lambda x: a0 + a1 * x, lambda t: b0 + np.sin(w * t))
         g = gauge_reduce(f, v, f.t_grid.t_min)
         np.testing.assert_allclose(np.abs(g.values), np.abs(f.values), rtol=1e-14)
 
@@ -80,11 +83,22 @@ class TestCoordinateInversion:
         g = coordinate_inversion(f)
         np.testing.assert_array_equal(g.values, f.values.T)
 
-    def test_involution(self):
-        f = _free_carroll_field(64)
-        g = coordinate_inversion(coordinate_inversion(f))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.sampled_from([8, 32, 64]), st.floats(1.0, 20.0), st.floats(0.25, 4.0)
+    )
+    def test_involution(self, seed, n, half, c):
+        rng = np.random.default_rng(seed)
+        consts = PhysicalConstants(c=c)
+        tg = TimeGrid(-half, half, n)
+        xg = TimeGrid(-half * c, half * c, n)  # dx = c dt
+        f = Field2D(xg, tg, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        g = coordinate_inversion(coordinate_inversion(f, consts), consts)
         np.testing.assert_array_equal(g.values, f.values)
-        assert g.x_grid == f.x_grid and g.t_grid == f.t_grid
+        # the grids come back up to the roundoff of (a / c) * c
+        for back, orig in ((g.x_grid, f.x_grid), (g.t_grid, f.t_grid)):
+            assert back.n == orig.n
+            np.testing.assert_allclose([back.t_min, back.t_max], [orig.t_min, orig.t_max], rtol=1e-15)
 
     def test_rescales_axes(self):
         consts = PhysicalConstants(c=2.0)

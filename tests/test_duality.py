@@ -151,6 +151,14 @@ class TestHermitianBranch:
             h.tau, 1j * np.arctanh(dmap.sigma.astype(complex)), atol=1e-12
         )
 
+    def test_tau_at_splines_real_and_imaginary_parts_alike(self):
+        from scipy.interpolate import CubicSpline
+
+        h = hermitian_branch(inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 0.6)))
+        xs = np.linspace(*h.monotone_interval, 17)
+        parts = CubicSpline(h.x, h.tau.real)(xs) + 1j * CubicSpline(h.x, h.tau.imag)(xs)
+        assert np.array_equal([h.tau_at(x) for x in xs], parts)
+
     def test_reconstruction_is_real(self):
         dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 0.6))
         h = hermitian_branch(dmap)

@@ -137,10 +137,13 @@ class TestGaugeReduce:
         out = gauge_reduce(psi, PotentialSpec.zero(), 0.0)
         np.testing.assert_array_equal(out.values, psi.values)
 
-    def test_modulus_preserved(self):
+    @settings(max_examples=25, deadline=None)
+    @given(*(st.floats(-3.0, 3.0) for _ in range(3)), st.floats(0.1, 5.0))
+    def test_modulus_preserved(self, a0, a1, b0, w):
         g = TimeGrid(0.0, 2.0, 64)
         psi = Field2D(g, g, np.ones((64, 64), dtype=complex))
-        out = gauge_reduce(psi, PotentialSpec.time_profile(np.sin, np.cos), 0.0)
+        v = PotentialSpec.separable(lambda x: a0 + a1 * x, lambda t: b0 + np.sin(w * t))
+        out = gauge_reduce(psi, v, 0.0)
         np.testing.assert_allclose(np.abs(out.values), np.abs(psi.values), rtol=1e-14)
 
     def test_inverse_phase_roundtrip(self):
@@ -182,9 +185,12 @@ class TestEvolveInteracting:
         b = evolve_free(phi0, 1.0)
         assert np.max(np.abs(a.values - b.values)) <= 1e-12
 
-    def test_unitary_for_real_momentum(self):
+    @settings(max_examples=15, deadline=None)
+    @given(*(st.floats(-3.0, 3.0) for _ in range(3)), st.floats(0.1, 4.0))
+    def test_unitary_for_real_momentum(self, a, b, k, w):
         phi0 = self._phi0()
-        out = evolve_interacting(phi0, lambda x, t: 1.0 - np.cos(t), 0.0, 1.0, 128)
+        F = lambda x, t: a + b * np.cos(w * t + k * x)
+        out = evolve_interacting(phi0, F, 0.0, 1.0, 128)
         assert out.norm() == pytest.approx(phi0.norm(), abs=1e-8)
 
     def test_complex_momentum_rejected(self):

@@ -121,3 +121,9 @@ class TestPairedGradient:
             v.dvdx_at(0.5, 1.0)
         with pytest.raises(ValueError, match="complex"):
             v.dvdx_at(np.array([0.5, 0.6]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="complex potential rejected"):
+            v.at(0.5, 1.0)
+        # the split step's rule: any nonzero imaginary part, however small
+        tiny = PotentialSpec.space_time(lambda x, t: (1.0 + 1e-15j) * x * np.cos(t))
+        with pytest.raises(ValueError, match="complex potential gradient rejected"):
+            tiny.dvdx_at(0.5, 1.0)

@@ -56,6 +56,14 @@ class TestEvolveFree:
         exact = gaussian_exact(params, 3.0, grid)
         assert np.max(np.abs(evolved.values - exact.values)) < 1e-8
 
+    def test_constants_passed_like_every_kernel(self):
+        consts = PhysicalConstants(hbar=1.3, m=0.8, c=1.1)
+        params = GaussianParams(sigma=1.0, omega0=1.5)
+        grid = TimeGrid(-40.0, 60.0, 4096)
+        evolved = evolve_free(gaussian_exact(params, 0.0, grid, consts), 3.0, consts)
+        exact = gaussian_exact(params, 3.0, grid, consts)
+        assert np.max(np.abs(evolved.values - exact.values)) < 1e-8
+
     def test_carrier_case_matches_oracle(self):
         params = GaussianParams(sigma=1.0, omega0=2.0)
         grid = TimeGrid(-40.0, 60.0, 4096)
