@@ -15,6 +15,7 @@ habit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,14 +159,16 @@ def trace_ray(
     mc3 = constants.mc3
     h = (x_end - x0) / n_steps
     xs = x0 + h * np.arange(n_steps + 1)
+    x_stages = [u.tolist() for u in (xs, xs[:-1] + 0.5 * h, xs[:-1] + h)]
 
-    def rhs(x: float, s: np.ndarray) -> np.ndarray:
+    def rhs(k: int, stage: int, s: tuple) -> tuple:
+        x = x_stages[stage][k]
         dv = v_car.dvdx_at(x, s[0])
-        if not np.isfinite(dv):
+        if not math.isfinite(dv):
             raise ValueError(f"potential gradient non-finite at x = {x}")
-        return np.array([-s[1] / mc3, dv])
+        return (-s[1] / mc3, dv)
 
-    ts, qs = rk4(rhs, np.array([t0, q0], dtype=float), xs, h).T
+    ts, qs = map(np.array, zip(*rk4(rhs, (float(t0), float(q0)), n_steps, h)))
     return RaySolution(x=xs, t=ts, q=qs, p_x=qs**2 / (2 * mc3), initial=(x0, t0, q0))
 
 

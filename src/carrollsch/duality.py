@@ -128,16 +128,10 @@ def vsch_from_vcar(
 def _zero_free_patch(y2: np.ndarray, guard: int = 2) -> tuple[int, int]:
     """Largest index run on which y2 keeps one sign, trimmed by a guard band."""
     sgn = np.sign(y2)
-    breaks = [0]
-    for i in range(1, len(y2)):
-        if sgn[i] == 0 or (sgn[i - 1] != 0 and sgn[i] != sgn[i - 1]):
-            breaks.append(i)
-    breaks.append(len(y2))
-    best = (0, 0)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a > best[1] - best[0]:
-            best = (a, b)
-    a, b = best[0] + guard, best[1] - guard
+    cut = (sgn[1:] == 0) | ((sgn[:-1] != 0) & (sgn[1:] != sgn[:-1]))
+    breaks = np.concatenate(([0], np.flatnonzero(cut) + 1, [len(y2)]))
+    i = int(np.argmax(np.diff(breaks)))  # the first of the longest runs
+    a, b = int(breaks[i]) + guard, int(breaks[i + 1]) - guard
     if b - a < 16:
         raise BranchError("no usable zero-free patch of y2")
     return a, b

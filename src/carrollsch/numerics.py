@@ -2,15 +2,15 @@
 
 Uniform grids with a periodic (endpoint-excluded) convention; the one check
 of complex samples and the one rule for a real V; the spectral multiplier
-and derivative; the lazily loaded cubic spline; the fixed-step RK4 loop,
+and derivative; the lazily loaded cubic spline; the fixed-step RK4 loop on
+a tuple of components, whose callers sample their coefficients up front;
 finite-difference stencils along any axis, the Schwarzian of sampled
 functions and cumulative quadrature.  Everything here is a pure function of
 its inputs, and this module loads numpy only (scipy on the first spline).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,7 +105,6 @@ class FundamentalPair:
     y2: np.ndarray
     y1_prime: np.ndarray
     y2_prime: np.ndarray
-    q: np.ndarray = field(repr=False, default=None)
 
     @property
     def wronskian(self) -> np.ndarray:
@@ -120,53 +119,57 @@ def integrate_fundamental_pair(
 ) -> FundamentalPair:
     """Integrate y'' + q(x) y = 0 with fixed-step classical RK4.
 
-    Returns n + 1 samples on [x_lo, x_hi] inclusive.
+    Returns n + 1 samples on [x_lo, x_hi] inclusive.  q is called once on
+    each of three arrays: the nodes, the step midpoints and the step ends.
+    It may return a scalar; a complex or non-finite value raises ValueError
+    naming the first such x.
     """
     if not x_hi > x_lo:
         raise ValueError("x_hi must exceed x_lo")
     h = (x_hi - x_lo) / n
     xs = x_lo + h * np.arange(n + 1)
+    x_stages = (xs, xs[:-1] + 0.5 * h, xs[:-1] + h)
+    q_stages = [np.broadcast_to(q(u), u.shape) for u in x_stages]
+    bad = [
+        (u[i], v[i])
+        for u, v in zip(x_stages, q_stages)
+        for i in np.flatnonzero(np.iscomplexobj(v) | ~np.isfinite(v))[:1]
+    ]
+    if bad:
+        x, val = min(bad, key=lambda b: b[0])
+        raise ValueError(f"q must be real and finite, got {val} at x = {x}")
+    qs = [v.astype(float).tolist() for v in q_stages]
 
-    def qv(x: float) -> float:
-        val = q(np.asarray(x))
-        if np.iscomplexobj(val) or not math.isfinite(val):
-            raise ValueError(f"q must be real and finite, got {val} at x = {x}")
-        return float(val)
-
-    def rhs(x: float, s: np.ndarray) -> np.ndarray:
-        qx = qv(x)
-        return np.array([s[1], -qx * s[0], s[3], -qx * s[2]])
+    def rhs(k: int, stage: int, s: tuple) -> tuple:
+        qk = qs[stage][k]
+        return (s[1], -qk * s[0], s[3], -qk * s[2])
 
     # state: (y1, y1', y2, y2')
-    y = rk4(rhs, np.array([1.0, 0.0, 0.0, 1.0]), xs, h)
-    return FundamentalPair(
-        x=xs,
-        y1=y[:, 0],
-        y1_prime=y[:, 1],
-        y2=y[:, 2],
-        y2_prime=y[:, 3],
-        q=np.array([qv(x) for x in xs]),
-    )
+    y1, y1_prime, y2, y2_prime = map(np.array, zip(*rk4(rhs, (1.0, 0.0, 0.0, 1.0), n, h)))
+    return FundamentalPair(x=xs, y1=y1, y1_prime=y1_prime, y2=y2, y2_prime=y2_prime)
 
 
-def rk4(
-    rhs: Callable[[float, np.ndarray], np.ndarray], s0: np.ndarray, xs: np.ndarray, h: float
-) -> np.ndarray:
-    """Classical RK4 for s' = rhs(x, s), s(xs[0]) = s0: the state at every node of xs.
+def rk4(rhs: Callable[[int, int, tuple], tuple], s0: tuple, n: int, h: float) -> list[tuple]:
+    """Classical RK4 for s' = f(x, s) over n steps of size h: the n + 1 states.
 
-    `h` is passed, not read off `xs`: xs[1] - xs[0] need not equal it bit for bit.
+    A state is a tuple of components: floats, or arrays of one shape.
+    `rhs(k, stage, s)` is f in step k at x_k (stage 0), x_k + h/2 (stage 1,
+    for k2 and k3) or x_k + h (stage 2), so a caller samples its
+    coefficients at those points up front.  x_k + h need not equal x_{k+1}
+    bit for bit.
     """
-    s = np.asarray(s0)
-    out = np.empty((len(xs),) + s.shape, dtype=s.dtype)
-    out[0] = s
-    for k in range(len(xs) - 1):
-        x = xs[k]
-        k1 = rhs(x, s)
-        k2 = rhs(x + 0.5 * h, s + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h, s + 0.5 * h * k2)
-        k4 = rhs(x + h, s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = s
+    h2, h6 = 0.5 * h, h / 6.0
+    s = tuple(s0)
+    out = [s]
+    for k in range(n):
+        k1 = rhs(k, 0, s)
+        k2 = rhs(k, 1, tuple([u + h2 * d for u, d in zip(s, k1)]))
+        k3 = rhs(k, 1, tuple([u + h2 * d for u, d in zip(s, k2)]))
+        k4 = rhs(k, 2, tuple([u + h * d for u, d in zip(s, k3)]))
+        s = tuple(
+            [u + h6 * (((d1 + 2 * d2) + 2 * d3) + d4) for u, d1, d2, d3, d4 in zip(s, k1, k2, k3, k4)]
+        )
+        out.append(s)
     return out
 
 

@@ -16,7 +16,7 @@ from carrollsch import (
     schwarzian_residual,
     vsch_from_vcar,
 )
-from carrollsch.duality import _window_extrema
+from carrollsch.duality import _window_extrema, _zero_free_patch
 from carrollsch.numerics import deriv_uniform, schwarzian_samples
 
 TARGETS = [
@@ -178,3 +178,27 @@ class TestWindowExtrema:
         wmax, wmin = _window_extrema(a)
         assert np.array_equal(wmax, maximum_filter1d(a, size=9, mode="nearest"))
         assert np.array_equal(wmin, minimum_filter1d(a, size=9, mode="nearest"))
+
+
+@pytest.mark.parametrize(
+    "runs, patch",
+    [
+        # a zero starts a new run, and that run keeps the sign that follows
+        ([(1.0, 20), (0.0, 1), (-2.0, 30)], (22, 49)),
+        ([(1.0, 2), (0.0, 2), (3.0, 40)], (5, 42)),
+        # of equal runs the first wins
+        ([(1.0, 25), (-1.0, 25), (1.0, 25)], (2, 23)),
+        ([(1.0, 3), (-1.0, 25), (1.0, 25)], (5, 26)),
+        # 16 samples inside the guard bands is the shortest patch accepted
+        ([(-1.0, 20)], (2, 18)),
+        ([(1.0, 19), (-1.0, 19), (0.0, 5)], None),
+        ([(0.0, 40)], None),
+    ],
+)
+def test_zero_free_patch(runs, patch):
+    y2 = np.concatenate([np.full(k, v) for v, k in runs])
+    if patch is None:
+        with pytest.raises(BranchError):
+            _zero_free_patch(y2)
+    else:
+        assert _zero_free_patch(y2) == patch

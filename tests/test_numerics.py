@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carrollsch import PotentialSpec, trace_ray
 from carrollsch.numerics import (
     GridError,
     TimeGrid,
@@ -95,6 +96,85 @@ class TestFundamentalPair:
         # a complex q used to be truncated to its real part with a ComplexWarning
         with pytest.raises(ValueError, match="real"):
             integrate_fundamental_pair(lambda x: (1 + 0.5j) * np.ones_like(x), 0.0, 1.0, 32)
+
+    def test_fault_names_first_bad_value_and_x(self):
+        # q is sampled on nodes, midpoints and step ends; the report is the
+        # bad sample of smallest x, here the midpoint 0.5 + h/2 before the node 0.6
+        with pytest.raises(ValueError, match=r"got nan at x = 0\.55$"):
+            integrate_fundamental_pair(lambda x: np.where(x < 0.55, 1.0, np.nan), 0.0, 1.0, 10)
+        with pytest.raises(ValueError, match=r"got \(1\+0\.5j\) at x = 0\.0$"):
+            integrate_fundamental_pair(lambda x: (1 + 0.5j) * np.ones_like(x), 0.0, 1.0, 32)
+
+    def test_scalar_q_is_broadcast(self):
+        pair = integrate_fundamental_pair(lambda x: 1.0, 0.0, 2.0, 256)
+        ref = integrate_fundamental_pair(lambda x: np.ones_like(x), 0.0, 2.0, 256)
+        for name in ("y1", "y1_prime", "y2", "y2_prime"):
+            assert np.array_equal(getattr(pair, name), getattr(ref, name))
+
+
+def _array_rk4(rhs, s0, xs, h):
+    """RK4 on a numpy-array state with rhs(x, s) at each stage's x: the loop
+    that `numerics.rk4` replaced, kept as its bit-equality reference."""
+    s = np.asarray(s0, dtype=float)
+    out = [s]
+    for x in xs[:-1]:
+        k1 = rhs(x, s)
+        k2 = rhs(x + 0.5 * h, s + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h, s + 0.5 * h * k2)
+        k4 = rhs(x + h, s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(s)
+    return np.array(out)
+
+
+def _duality_q(v, e_sch):
+    # the q that inverse_tau integrates, with m = hbar = 1
+    return lambda x: -(2.0 * (v.v_x(x) - e_sch))
+
+
+class TestFloatStateRK4:
+    """The float-state RK4 and its up-front samples reproduce the array loop bit for bit.
+
+    The cosine and ray grids have a step that is not a dyadic fraction, so
+    x_k + h differs from x_{k+1} at some steps.
+    """
+
+    @pytest.mark.parametrize(
+        "q, x_lo, x_hi, n",
+        [
+            (_duality_q(PotentialSpec.space_profile(lambda x: 0.5 * x**2), 0.25), -1.5, 1.5, 8192),
+            (_duality_q(PotentialSpec.space_profile(lambda x: -1.0 / x), -0.5), 0.5, 3.0, 2048),
+            (lambda x: 1.3 + 0.7 * np.cos(2.1 * x), -1.0, 3.7, 2048),
+        ],
+        ids=["harmonic", "coulomb-like", "cosine"],
+    )
+    def test_pair_matches_array_loop(self, q, x_lo, x_hi, n):
+        def rhs(x, s):
+            qx = float(q(np.asarray(x)))
+            return np.array([s[1], -qx * s[0], s[3], -qx * s[2]])
+
+        pair = integrate_fundamental_pair(q, x_lo, x_hi, n)
+        h = (x_hi - x_lo) / n
+        ref = _array_rk4(rhs, [1.0, 0.0, 0.0, 1.0], pair.x, h)
+        for i, name in enumerate(("y1", "y1_prime", "y2", "y2_prime")):
+            assert np.array_equal(getattr(pair, name), ref[:, i]), name
+
+    @pytest.mark.parametrize(
+        "v, n_steps",
+        [
+            (PotentialSpec.space_profile(lambda x: x, lambda x: np.ones_like(x)), 256),
+            (PotentialSpec.space_profile(lambda x: 3.0 * x**2, lambda x: 6.0 * x), 4096),
+        ],
+        ids=["linear", "quadratic"],
+    )
+    def test_ray_matches_array_loop(self, v, n_steps):
+        def rhs(x, s):
+            return np.array([-s[1], v.dvdx_at(x, s[0])])
+
+        ray = trace_ray(v, 0.0, 0.25, 0.7, 1.3, n_steps)
+        ref = _array_rk4(rhs, [0.25, 0.7], ray.x, 1.3 / n_steps)
+        assert np.array_equal(ray.t, ref[:, 0])
+        assert np.array_equal(ray.q, ref[:, 1])
 
 
 class TestSchwarzian:
