@@ -19,12 +19,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out")
     parser.add_argument("--config", default=None)
-    parser.add_argument("--tolerance-profile", choices=["strict", "default"], default="default")
     args = parser.parse_args()
 
     worst = 0
     for sub in sorted(cli.COMMANDS):
-        argv = [sub, "--out", os.path.join(args.out, sub), "--tolerance-profile", args.tolerance_profile]
+        argv = [sub, "--out", os.path.join(args.out, sub)]
         if args.config:
             argv += ["--config", args.config]
         code = cli.main(argv)

@@ -42,7 +42,6 @@ class RaySolution:
     t: np.ndarray
     q: np.ndarray
     p_x: np.ndarray
-    initial: tuple[float, float, float]
 
     def __len__(self) -> int:
         return len(self.x)
@@ -169,7 +168,7 @@ def trace_ray(
         return (-s[1] / mc3, dv)
 
     ts, qs = map(np.array, zip(*rk4(rhs, (float(t0), float(q0)), n_steps, h)))
-    return RaySolution(x=xs, t=ts, q=qs, p_x=qs**2 / (2 * mc3), initial=(x0, t0, q0))
+    return RaySolution(x=xs, t=ts, q=qs, p_x=qs**2 / (2 * mc3))
 
 
 def picard_iterate(

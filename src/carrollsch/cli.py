@@ -1,14 +1,14 @@
 """Command-line front end: one subcommand per experiment family.
 
-JSON config in, CSV out.  Output is deterministic for a fixed config and
-seed; files are written atomically (temp + rename) with LF line endings and
+JSON config in, CSV out.  Output is deterministic for a fixed config; files
+are written atomically (temp + rename) with LF line endings and
 17-significant-digit floats so golden files diff cleanly.
 
-Exit codes: 0 success, 1 validation error (bad config / arguments),
-2 numerical failure (a declared tolerance was breached, or a kernel raised
-BranchError or an ArithmeticError such as an overflow).  `DEFAULTS` is the
-config schema: an unknown block or key, a value of the wrong type, or an
-empty list is a validation error.
+Exit codes: 0 success, 1 validation error (bad config or arguments),
+2 numerical failure (a gated value outside its interval in `TOLERANCES`, NaN
+included, or a kernel raised BranchError or an ArithmeticError such as an
+overflow).  `DEFAULTS` is the config schema: an unknown block or key, a value
+of the wrong type, or an empty list is a validation error.
 """
 from __future__ import annotations
 
@@ -29,27 +29,16 @@ from . import classical, currents, duality, interaction, operators, propagator
 
 SCHEMA = "carrollsch-config/1"
 
-#: per-profile tolerances used for exit-code gating
+#: gated quantity -> the closed interval (lo, hi) its every sample must lie in
 TOLERANCES = {
     "default": {
-        "gaussian_width_rel": 1e-6,
-        "gaussian_drift_rel": 1e-6,
-        "duality_tau_free": 1e-8,
-        "quantize_norm": 1e-10,
-        "rays_exact": 1e-8,
-        "currents_ratio": 3.5,
-        "dyson_slope_lo": 1.8,
-        "dyson_slope_hi": 2.2,
-    },
-    "strict": {
-        "gaussian_width_rel": 1e-7,
-        "gaussian_drift_rel": 1e-7,
-        "duality_tau_free": 1e-9,
-        "quantize_norm": 1e-11,
-        "rays_exact": 1e-9,
-        "currents_ratio": 3.8,
-        "dyson_slope_lo": 1.9,
-        "dyson_slope_hi": 2.1,
+        "gaussian_width_rel": (0.0, 1e-6),
+        "gaussian_drift_rel": (0.0, 1e-6),
+        "duality_tau_free": (0.0, 1e-8),
+        "quantize_norm": (0.0, 1e-10),
+        "rays_exact": (0.0, 1e-8),
+        "currents_ratio": (3.5, math.inf),
+        "dyson_slope": (1.8, 2.2),
     },
 }
 
@@ -72,13 +61,13 @@ _E_SCH = {
 
 #: The config schema, block -> key -> default.  The default's type is the
 #: key's type: float, int, or a list of either.  A tuple lists the allowed
-#: strings, the first being the default.  duality.E_sch is a float whose
-#: default depends on the target (`_E_SCH`), so its entry is None.
+#: strings, the first being the default.  An absent duality.E_sch takes its
+#: target's default from `_E_SCH`.
 DEFAULTS = {
     "constants": {"hbar": 1.0, "m": 1.0, "c": 1.0},
     "gaussian": {"sigma": 1.0, "omega0": 2.0, "t0": 0.0, "stations": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
                  "n": 2048},
-    "duality": {"target": tuple(_E_SCH), "E0": 1.0, "n": 2048, "E_sch": None, "v0": 2.0,
+    "duality": {"target": tuple(_E_SCH), "E0": 1.0, "n": 2048, "E_sch": 0.0, "v0": 2.0,
                 "omega": 1.0, "x0": 0.0, "k": 1.0, "sign": -1.0},
     "commutator": {"shift": 0.7, "sizes": [64, 128, 256]},
     "currents": {"sigma": 1.0, "sizes": [128, 256, 512]},
@@ -115,20 +104,23 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
 
 
 def load_config(path: str | None) -> dict:
-    """The config at `path`, every block checked against `DEFAULTS`."""
-    if path is None:
-        return {"schema": SCHEMA}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    if not isinstance(cfg, dict) or cfg.get("schema") != SCHEMA:
-        raise ConfigError(f"config schema must be {SCHEMA!r}")
+    """The config at `path` (None: no file), resolved: block -> key -> value.
+
+    Every block of `DEFAULTS` is present, checked and has its defaults filled in.
+    """
+    cfg = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(cfg, dict) or cfg.get("schema") != SCHEMA:
+            raise ConfigError(f"config schema must be {SCHEMA!r}")
     for name in cfg:
-        if name != "schema":
-            _resolve(cfg, name)
-    return cfg
+        if name != "schema" and name not in DEFAULTS:
+            raise ConfigError(f"unknown config block {name!r}")
+    return {name: _resolve(cfg, name) for name in DEFAULTS}
 
 
 def _cast(value, where: str, cast: type):
@@ -154,33 +146,39 @@ def _value(block: dict, key: str, default, where: str):
         if not value:
             raise ConfigError(f"{where} must not be empty")
         return [_cast(v, f"entry of {where}", type(default[0])) for v in value]
-    if value is None and key not in block:
-        return None  # duality.E_sch: the target's default
     return _cast(value, where, int if type(default) is int else float)
 
 
 def _resolve(cfg: dict, name: str) -> dict:
     """Block `name` of `cfg`, checked against `DEFAULTS`, with every default filled in."""
-    if name not in DEFAULTS:
-        raise ConfigError(f"unknown config block {name!r}")
     block = cfg.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"config block {name!r} must be a JSON object")
     for key in block:
         if key not in DEFAULTS[name]:
             raise ConfigError(f"unknown config key {name}.{key}")
-    return {key: _value(block, key, d, f"{name}.{key}") for key, d in DEFAULTS[name].items()}
+    resolved = {key: _value(block, key, d, f"{name}.{key}") for key, d in DEFAULTS[name].items()}
+    if name == "duality" and "E_sch" not in block:
+        resolved["E_sch"] = _E_SCH[resolved["target"]]
+    return resolved
+
+
+def _gate(tol: dict, key: str, value: float, where: str) -> None:
+    """Pass only if lo <= value <= hi for (lo, hi) = tol[key]; a NaN value fails."""
+    lo, hi = tol[key]
+    if not lo <= value <= hi:
+        raise ToleranceBreach(f"{key} = {value} outside [{lo}, {hi}] {where}")
 
 
 def _constants(cfg: dict) -> PhysicalConstants:
-    return PhysicalConstants(**_resolve(cfg, "constants"))
+    return PhysicalConstants(**cfg["constants"])
 
 
 # ---------------------------------------------------------------- gaussian
 
 
 def cmd_gaussian(cfg: dict, out: str, tol: dict) -> None:
-    b = _resolve(cfg, "gaussian")
+    b = cfg["gaussian"]
     sigma, omega0, t0, stations, n = b["sigma"], b["omega0"], b["t0"], b["stations"], b["n"]
     consts = _constants(cfg)
     if not sigma > 0:
@@ -227,40 +225,33 @@ def cmd_gaussian(cfg: dict, out: str, tol: dict) -> None:
     )
 
     for x, w_pred, std, c_pred, mean, _ in summary:
-        if abs(std / w_pred - 1.0) > tol["gaussian_width_rel"]:
-            raise ToleranceBreach(f"width mismatch at x={x}: {std} vs {w_pred}")
+        _gate(tol, "gaussian_width_rel", abs(std / w_pred - 1.0), f"at x={x}")
         scale = max(abs(c_pred), propagator.effective_width(sigma, x, consts))
-        if abs(mean - c_pred) > tol["gaussian_drift_rel"] * scale:
-            raise ToleranceBreach(f"drift mismatch at x={x}: {mean} vs {c_pred}")
+        _gate(tol, "gaussian_drift_rel", abs(mean - c_pred) / scale, f"at x={x}")
 
 
 # ----------------------------------------------------------------- duality
-
-
-def _e_sch(block: dict) -> float:
-    """E_sch of a resolved duality block: the configured value or its target's default."""
-    return _E_SCH[block["target"]] if block["E_sch"] is None else block["E_sch"]
 
 
 def _duality_target(block: dict):
     """(name, V_sch, E_sch, x range) of the static target of a resolved duality block."""
     name, x0 = block["target"], block["x0"]
     if name == "free":
-        return name, PotentialSpec.zero(), _e_sch(block), (0.0, 2.0)
+        return name, PotentialSpec.zero(), block["E_sch"], (0.0, 2.0)
     if name == "constant":
-        return name, PotentialSpec.constant(block["v0"]), _e_sch(block), (0.0, 0.6)
+        return name, PotentialSpec.constant(block["v0"]), block["E_sch"], (0.0, 0.6)
     if name == "harmonic":
         omega = block["omega"]
         v = PotentialSpec.space_profile(lambda x: 0.5 * omega**2 * (x - x0) ** 2)
-        return name, v, _e_sch(block), (x0 - 1.5, x0 + 1.5)
+        return name, v, block["E_sch"], (x0 - 1.5, x0 + 1.5)
     # coulomb-like
     k, sign = block["k"], block["sign"]
     v = PotentialSpec.space_profile(lambda x: sign * k / (x - x0))
-    return name, v, _e_sch(block), (x0 + 0.5, x0 + 3.0)
+    return name, v, block["E_sch"], (x0 + 0.5, x0 + 3.0)
 
 
 def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
-    block = _resolve(cfg, "duality")
+    block = cfg["duality"]
     consts = _constants(cfg)
     E0, n = block["E0"], block["n"]
 
@@ -269,7 +260,7 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
         tg = TimeGrid(-1.0, 1.0, n)
         v_car = PotentialSpec.time_profile(lambda t: -0.5j * consts.hbar * 2 * t / (1 + t**2))
         delta = duality.forward_delta(v_car, 1.0, 0.0, tg, consts)
-        xs, vs = duality.vsch_from_vcar(v_car, delta, tg, _e_sch(block), E0, consts)
+        xs, vs = duality.vsch_from_vcar(v_car, delta, tg, block["E_sch"], E0, consts)
         write_csv(
             os.path.join(out, "duality_forward.csv"),
             ["t", "delta_re", "delta_im", "x=Re(delta)", "V_sch_re", "V_sch_im"],
@@ -309,15 +300,14 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
     if name == "free" and E_sch == 0:
         # sigma = 1/x, so tau(1) = (hbar/E0) arctan(1)
         tau1, expected = float(np.real(dmap.tau_at(1.0))), consts.hbar / E0 * np.pi / 4
-        if abs(tau1 - expected) > tol["duality_tau_free"]:
-            raise ToleranceBreach(f"free-case tau(1) = {tau1}, expected {expected}")
+        _gate(tol, "duality_tau_free", abs(tau1 - expected), f"for tau(1) = {tau1}, expected {expected}")
 
 
 # -------------------------------------------------------------- commutator
 
 
 def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
-    b = _resolve(cfg, "commutator")
+    b = cfg["commutator"]
     consts = _constants(cfg)
     shift, sizes = b["shift"], b["sizes"]
 
@@ -351,7 +341,7 @@ def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
 
 
 def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
-    b = _resolve(cfg, "currents")
+    b = cfg["currents"]
     consts = _constants(cfg)
     sigma, sizes = b["sigma"], b["sizes"]
 
@@ -371,16 +361,15 @@ def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
         ["n", "residual=max|dt'rho+dx'J|", "ratio=residual(n/2)/residual(n)"],
         rows,
     )
-    ratios = [r for _, _, r in rows[1:]]
-    if ratios and min(ratios) < tol["currents_ratio"]:
-        raise ToleranceBreach(f"continuity refinement ratio {min(ratios)} below bound")
+    for n, _, ratio in rows[1:]:
+        _gate(tol, "currents_ratio", ratio, f"for continuity refinement at n={n}")
 
 
 # -------------------------------------------------------------------- rays
 
 
 def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
-    b = _resolve(cfg, "rays")
+    b = cfg["rays"]
     consts = _constants(cfg)
     kind, x_end, n_steps, q0, t0 = b["potential"], b["x_end"], b["n_steps"], b["q0"], b["t0"]
 
@@ -424,16 +413,15 @@ def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
         ],
         rows,
     )
-    err = max(abs(row[1] - row[4]) for row in rows)
-    if err > tol["rays_exact"]:
-        raise ToleranceBreach(f"ray error {err} above tolerance against exact quadrature")
+    for x, t, _, _, t_ex, _ in rows:
+        _gate(tol, "rays_exact", abs(t - t_ex), f"against exact quadrature at x={x}")
 
 
 # ---------------------------------------------------------------- quantize
 
 
 def cmd_quantize(cfg: dict, out: str, tol: dict) -> None:
-    b = _resolve(cfg, "quantize")
+    b = cfg["quantize"]
     consts = _constants(cfg)
     T, n_max, p0 = b["T"], b["n_max"], b["p0"]
     v = PotentialSpec.time_profile(np.sin, np.cos)
@@ -458,17 +446,16 @@ def cmd_quantize(cfg: dict, out: str, tol: dict) -> None:
         ["n", "t", "rho=(2/T)*sin^2(n*pi*t/T)"],
         mode_rows,
     )
-    for mode in spec.modes:
+    for i, mode in enumerate(spec.modes):
         total = mode.grid.dt * float(np.sum(np.abs(mode.values) ** 2))
-        if abs(total - 1.0) > tol["quantize_norm"]:
-            raise ToleranceBreach(f"mode norm {total} deviates from 1")
+        _gate(tol, "quantize_norm", abs(total - 1.0), f"for the norm {total} of mode {i + 1}")
 
 
 # ------------------------------------------------------------------- dyson
 
 
 def cmd_dyson(cfg: dict, out: str, tol: dict) -> None:
-    b = _resolve(cfg, "dyson")
+    b = cfg["dyson"]
     consts = _constants(cfg)
     eps_list, x_end, n_steps = b["eps"], b["x_end"], b["n_steps"]
     if len(set(eps_list)) < 2 or min(eps_list) <= 0:
@@ -492,8 +479,7 @@ def cmd_dyson(cfg: dict, out: str, tol: dict) -> None:
         ["eps", "err=||phi_dyson-phi_full||", "slope=dlog(err)/dlog(eps)"],
         rows,
     )
-    if not (tol["dyson_slope_lo"] <= slope <= tol["dyson_slope_hi"]):
-        raise ToleranceBreach(f"Dyson error slope {slope} outside expected window")
+    _gate(tol, "dyson_slope", slope, "for the Dyson error against eps")
 
 
 # -------------------------------------------------------------------- main
@@ -510,27 +496,29 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports bad arguments as a ConfigError (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="carrollsch",
         description="Experiments for the space-evolution wave dictionary.",
     )
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument(
-        "--tolerance-profile", choices=["strict", "default"], default="default"
-    )
-    args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        tol = TOLERANCES[args.tolerance_profile]
-        COMMANDS[args.subcommand](cfg, args.out, tol)
+        args = parser.parse_args(argv)
+        COMMANDS[args.subcommand](load_config(args.config), args.out, TOLERANCES["default"])
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ToleranceBreach as exc:

@@ -66,6 +66,9 @@ def continuity_equivalence(
     samples with rho, J from schrodinger_density_current.  Converges to zero
     under refinement when psi_car solves the Carroll equation.
     """
+    n = min(psi_car.x_grid.n, psi_car.t_grid.n)
+    if n <= 2 * margin:
+        raise ValueError(f"grid has no interior for the continuity residual: n = {n} <= 2*margin")
     f = psi_car
     if v_car is not None:
         f = gauge_reduce(f, v_car, psi_car.t_grid.t_min if t0 is None else t0, constants)

@@ -53,13 +53,16 @@ class DualityMap:
     delta_t: Optional[np.ndarray]
     delta: Optional[np.ndarray]
     branch: str  # "standard" | "hermitian"
-    monotone_interval: tuple[float, float]
     pair: FundamentalPair = field(repr=False, default=None)
     constants: PhysicalConstants = NATURAL
 
     @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
+
+    @property
+    def monotone_interval(self) -> tuple[float, float]:
+        return float(self.x[0]), float(self.x[-1])
 
     def tau_at(self, x: float) -> complex:
         lo, hi = self.monotone_interval
@@ -180,7 +183,6 @@ def inverse_tau(
         delta_t=delta_t,
         delta=delta,
         branch="standard",
-        monotone_interval=(float(xs[0]), float(xs[-1])),
         pair=pair,
         constants=constants,
     )

@@ -25,9 +25,21 @@ def _write_config(tmp_path, payload: dict) -> str:
     return str(p)
 
 
+def _run_python(args: list) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter that imports this checkout's carrollsch."""
+    src = os.path.dirname(os.path.dirname(carrollsch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 class TestConfigHandling:
-    def test_missing_config_defaults(self):
-        assert cli.load_config(None) == {"schema": cli.SCHEMA}
+    def test_missing_config_defaults(self, tmp_path):
+        cfg = cli.load_config(None)
+        assert list(cfg) == list(cli.DEFAULTS)
+        for name, block in cli.DEFAULTS.items():
+            assert cfg[name] == {k: d[0] if isinstance(d, tuple) else d for k, d in block.items()}, name
+        path = _write_config(tmp_path, {"schema": cli.SCHEMA, "duality": {"target": "harmonic"}})
+        assert cli.load_config(path)["duality"]["E_sch"] == 0.25
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = _write_config(tmp_path, {"schema": "other/9"})
@@ -45,9 +57,7 @@ class TestConfigHandling:
         cli.load_config(path)
 
     def test_default_json_matches_the_table(self):
-        cfg = cli.load_config(os.path.join(CONFIG_DIR, "default.json"))
-        for name in cli.DEFAULTS:
-            assert cli._resolve(cfg, name) == cli._resolve({}, name), name
+        assert cli.load_config(os.path.join(CONFIG_DIR, "default.json")) == cli.load_config(None)
 
     def test_unreadable_config_exit_code(self, tmp_path):
         code = cli.main(["gaussian", "--config", str(tmp_path / "missing.json")])
@@ -58,9 +68,20 @@ class TestConfigHandling:
         p.write_text("{not json")
         assert cli.main(["gaussian", "--config", str(p)]) == 1
 
-    def test_unknown_subcommand_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["frobnicate"])
+    def test_unknown_subcommand_rejected(self, capsys):
+        assert cli.main(["frobnicate"]) == 1
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["quantize", "--bogus"], ["quantize", "--tolerance-profile", "strict"]])
+    def test_unknown_flag_rejected(self, capsys, argv):
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
 
 class TestExitCodes:
@@ -116,6 +137,8 @@ class TestExitCodes:
             ({"commutator": {"sizes": []}}, "commutator.sizes must not be empty"),
             ({"currents": {"sizes": []}}, "currents.sizes must not be empty"),
             ({"gaussian": {"stations": []}}, "gaussian.stations must not be empty"),
+            ({"duality": {"target": "harmonic", "E_sch": None}}, "duality.E_sch must be a number"),
+            ({"currents": {"sizes": [16]}}, "grid has no interior"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):
@@ -137,6 +160,28 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, **payload})
         assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_nan_gated_value_is_tolerance_breach(self, tmp_path):
+        # t and its exact value both overflow to -inf, so the ray error is NaN;
+        # a fresh process, because the overflow warning is an error in the suite
+        payload = {"schema": cli.SCHEMA, "rays": {"potential": "time-only", "q0": 1e308, "x_end": 1e10}}
+        cfg = _write_config(tmp_path, payload)
+        proc = _run_python(["-m", "carrollsch.cli", "rays", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert proc.returncode == 2, proc.stderr
+        assert "tolerance breach: rays_exact = nan" in proc.stderr
+
+    def test_gate_intervals(self):
+        tol = cli.TOLERANCES["default"]
+        assert list(cli.TOLERANCES) == ["default"]
+        for key, (lo, hi) in tol.items():
+            cli._gate(tol, key, lo, "")  # a value on a bound passes
+            cli._gate(tol, key, hi, "")
+            for bad in (float("nan"), np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+                if not np.isinf(bad):  # no float lies beyond an infinite bound
+                    with pytest.raises(cli.ToleranceBreach, match=key):
+                        cli._gate(tol, key, bad, "")
+        with pytest.raises(cli.ToleranceBreach, match=r"currents_ratio = 3.4 outside \[3.5, inf\]"):
+            cli._gate(tol, "currents_ratio", 3.4, "")
 
     def test_unknown_duality_target(self, tmp_path):
         cfg = _write_config(
@@ -239,12 +284,6 @@ class TestCsvFormat:
             assert cli.main(["rays", "--out", str(tmp_path / tag)]) == 0
         assert filecmp.cmp(tmp_path / "a" / "rays.csv", tmp_path / "b" / "rays.csv", shallow=False)
 
-    def test_strict_profile_accepted(self, tmp_path):
-        code = cli.main(
-            ["quantize", "--out", str(tmp_path / "o"), "--tolerance-profile", "strict"]
-        )
-        assert code == 0
-
 
 def test_scipy_loaded_only_where_needed(tmp_path):
     """The package import and the five scipy-free subcommands load no scipy module."""
@@ -263,7 +302,5 @@ def test_scipy_loaded_only_where_needed(tmp_path):
             assert not scipy_modules(), (sub, scipy_modules())
         """
     )
-    src = os.path.dirname(os.path.dirname(carrollsch.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = _run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr

@@ -138,3 +138,10 @@ class TestContinuityEquivalence:
         r_free = continuity_equivalence(f)
         r_gauge = continuity_equivalence(dressed, v_car=v, t0=t[0])
         assert r_gauge == pytest.approx(r_free, rel=1e-10)
+
+    def test_grid_without_interior_rejected(self):
+        # the residual skips `margin` samples at each edge: 2 * 8 leaves none of 16
+        f = _static_gaussian_field(16)
+        with pytest.raises(ValueError, match="no interior"):
+            continuity_equivalence(f)
+        assert np.isfinite(continuity_equivalence(f, margin=7))
