@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 
-import numpy as np
-
 from carrollsch import (
     inverse_tau,
     inversion_identity_residual,
@@ -34,15 +32,15 @@ def main() -> None:
         block = _resolve({"duality": {"target": target}}, "duality")
         name, v, e_sch, x_range = _duality_target(block)
         dmap = inverse_tau(v, e_sch, args.E0, x_range, n=args.n)
-        row = [
+        row = (
             name,
             dmap.monotone_interval[0],
             dmap.monotone_interval[1],
             schwarzian_residual(dmap),
             roundtrip_residual(dmap, v),
-        ]
-        row.append(inversion_identity_residual(dmap) if dmap.delta is not None else np.nan)
-        rows.append(tuple(row))
+            inversion_identity_residual(dmap),
+        )
+        rows.append(row)
         print(f"{name:12s} schwarzian {row[3]:.3e}  roundtrip {row[4]:.3e}  inversion {row[5]:.3e}")
 
     os.makedirs(args.out, exist_ok=True)

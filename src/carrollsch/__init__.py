@@ -26,13 +26,11 @@ from .operators import (
     apply_H,
     commutator_residual,
     gaussian_probes,
-    strong_shared_check,
 )
 from .duality import (
     BranchError,
     DualityMap,
     forward_delta,
-    hermitian_branch,
     inverse_tau,
     inversion_identity_residual,
     roundtrip_residual,
@@ -44,7 +42,6 @@ from .propagator import (
     Wavefunction,
     carroll_density_current,
     carrier_center,
-    continuity_residual,
     effective_width,
     evolve_free,
     gaussian_exact,
@@ -58,16 +55,9 @@ from .currents import (
 )
 from .classical import (
     RaySolution,
-    SeparableAction,
     TwoMomentum,
-    carroll_dispersion,
     carroll_relation_residual,
-    energy_from_velocity,
-    group_velocity,
-    momentum_from_velocity,
     picard_iterate,
-    schrodinger_relation_residual,
-    separable_action,
     trace_ray,
     ultra_boost,
     ultra_boost_inverse,

@@ -2,7 +2,8 @@
 
 The ultra-boost is the analytic continuation of a Lorentz boost past |beta|=1
 on the branch gamma = i/sqrt(beta^2 - 1); it exchanges energy and momentum up
-to factors of -i c and maps the Schrodinger dispersion onto the Carroll one.
+to factors of -i c and maps the Schrodinger dispersion onto the Carroll one,
+c p0 = E0^2/(2 m c^2), which `carroll_relation_residual` states.
 
 Rays follow the characteristic system in the x-gauge (lambda = -x/c, so
 dot x = -c identically):
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import cumulative_trapezoid, rk4
+from .numerics import cumulative_integral, rk4
 from .potentials import PotentialSpec
 
 
@@ -43,14 +44,6 @@ class RaySolution:
     q: np.ndarray
     p_x: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def constraint_residual(self, constants: PhysicalConstants = NATURAL) -> float:
-        """max |-c p_x + q^2/(2 m c^2)| along the ray (zero by construction)."""
-        m, c = constants.m, constants.c
-        return float(np.max(np.abs(-c * self.p_x + self.q**2 / (2 * m * c**2))))
-
 
 def ultra_boost(p: TwoMomentum, constants: PhysicalConstants = NATURAL) -> TwoMomentum:
     """E' = -i c P, P' = -i E / c; preserves (E/c)^2 - P^2 exactly."""
@@ -64,79 +57,10 @@ def ultra_boost_inverse(p: TwoMomentum, constants: PhysicalConstants = NATURAL) 
     return TwoMomentum(E=1j * c * p.P, P=1j * p.E / c)
 
 
-def schrodinger_relation_residual(p: TwoMomentum, constants: PhysicalConstants = NATURAL) -> complex:
-    """E - P^2/(2m); zero on the nonrelativistic mass shell."""
-    return p.E - p.P**2 / (2 * constants.m)
-
-
 def carroll_relation_residual(p: TwoMomentum, constants: PhysicalConstants = NATURAL) -> complex:
     """E^2/(2 m c^3) - i P; zero exactly when the ultra-boosted pair sits on
     the nonrelativistic mass shell (the mass redefinition m -> i m picture)."""
     return p.E**2 / (2 * constants.mc3) - 1j * p.P
-
-
-def carroll_dispersion(p0: float, sign: int = +1, constants: PhysicalConstants = NATURAL) -> float:
-    """E0 = +-sqrt(2 m c^3 p0), the energy label with c p0 = E0^2/(2 m c^2)."""
-    if p0 < 0:
-        raise ValueError("p0 must be nonnegative")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    m, c = constants.m, constants.c
-    return sign * float(np.sqrt(2 * m * c**3 * p0))
-
-
-@dataclass(frozen=True)
-class SeparableAction:
-    """S(x, t) = -p0 x +- sqrt(2 m c^3 p0) t + C0.
-
-    Satisfies (d_t S)^2/(2 m c^3) + d_x S = 0 identically.  dS/dp0 marks the
-    initial position beta of the classical trajectory.
-    """
-
-    p0: float
-    sign: int
-    C0: float
-    constants: PhysicalConstants = NATURAL
-
-    def __call__(self, x, t):
-        E0 = carroll_dispersion(self.p0, self.sign, self.constants)
-        return -self.p0 * np.asarray(x) + E0 * np.asarray(t) + self.C0
-
-    def hj_residual(self, x, t) -> float:
-        """(d_t S)^2/(2 m c^3) + d_x S, evaluated analytically."""
-        E0 = carroll_dispersion(self.p0, self.sign, self.constants)
-        return float(abs(E0**2 / (2 * self.constants.mc3) - self.p0))
-
-
-def separable_action(
-    p0: float, sign: int = +1, C0: float = 0.0, constants: PhysicalConstants = NATURAL
-) -> SeparableAction:
-    if p0 < 0:
-        raise ValueError("p0 must be nonnegative")
-    return SeparableAction(float(p0), int(sign), float(C0), constants)
-
-
-def group_velocity(p0: float, sign: int = +1, constants: PhysicalConstants = NATURAL) -> float:
-    """v = +-sqrt(m c^3 / (2 p0)); diverges as p0 -> 0."""
-    if p0 <= 0:
-        raise ValueError("p0 must be positive")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return sign * float(np.sqrt(constants.mc3 / (2 * p0)))
-
-
-def momentum_from_velocity(v: float, constants: PhysicalConstants = NATURAL) -> float:
-    """|p| = m c^3 / (2 v^2): the inverse momentum-velocity law."""
-    if v == 0:
-        raise ValueError("velocity must be nonzero")
-    return float(constants.mc3 / (2 * v**2))
-
-
-def energy_from_velocity(v: float, constants: PhysicalConstants = NATURAL) -> float:
-    """E = m c^3 / v (sign carried by the velocity)."""
-    if v == 0:
-        raise ValueError("velocity must be nonzero")
-    return float(constants.mc3 / v)
 
 
 def trace_ray(
@@ -194,7 +118,7 @@ def picard_iterate(
     iterates = [t0 - q0 * (xs - x0) / mc3]
     for _ in range(n_iter):
         dv = v_car.dvdx_at(xs, iterates[-1])
-        q = q0 + cumulative_trapezoid(dv, xs)
-        t_new = t0 - cumulative_trapezoid(q, xs) / mc3
+        q = q0 + cumulative_integral(dv, xs, x0)
+        t_new = t0 - cumulative_integral(q, xs, x0) / mc3
         iterates.append(t_new)
     return xs, iterates

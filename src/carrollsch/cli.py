@@ -299,7 +299,7 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
 
     if name == "free" and E_sch == 0:
         # sigma = 1/x, so tau(1) = (hbar/E0) arctan(1)
-        tau1, expected = float(np.real(dmap.tau_at(1.0))), consts.hbar / E0 * np.pi / 4
+        tau1, expected = dmap.tau_at(1.0), consts.hbar / E0 * np.pi / 4
         _gate(tol, "duality_tau_free", abs(tau1 - expected), f"for tau(1) = {tau1}, expected {expected}")
 
 

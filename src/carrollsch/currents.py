@@ -13,7 +13,7 @@ import numpy as np
 from .constants import PhysicalConstants, NATURAL
 from .interaction import gauge_reduce
 from .numerics import GridError, TimeGrid, deriv_uniform
-from .operators import MARGIN, Field2D
+from .operators import MARGIN, Field2D, interior
 from .potentials import PotentialSpec
 
 
@@ -66,14 +66,10 @@ def continuity_equivalence(
     samples with rho, J from schrodinger_density_current.  Converges to zero
     under refinement when psi_car solves the Carroll equation.
     """
-    n = min(psi_car.x_grid.n, psi_car.t_grid.n)
-    if n <= 2 * margin:
-        raise ValueError(f"grid has no interior for the continuity residual: n = {n} <= 2*margin")
     f = psi_car
     if v_car is not None:
         f = gauge_reduce(f, v_car, psi_car.t_grid.t_min if t0 is None else t0, constants)
     f = coordinate_inversion(f, constants)
     rho, j = schrodinger_density_current(f, constants)
     res = deriv_uniform(rho, f.t_grid.dt, 1, axis=1) + deriv_uniform(j, f.x_grid.dt, 1, axis=0)
-    core = res[margin:-margin, margin:-margin]
-    return float(np.max(np.abs(core)))
+    return float(np.max(np.abs(interior(res, margin))))

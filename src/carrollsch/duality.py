@@ -20,8 +20,7 @@ integrated with Q = -q to realize {sigma, x} = -2q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .numerics import (
     integrate_fundamental_pair,
     schwarzian_samples,
 )
+from .operators import interior
 from .potentials import PotentialSpec
 
 
@@ -50,9 +50,8 @@ class DualityMap:
     sigma: np.ndarray
     tau: np.ndarray
     q: np.ndarray
-    delta_t: Optional[np.ndarray]
-    delta: Optional[np.ndarray]
-    branch: str  # "standard" | "hermitian"
+    delta_t: np.ndarray
+    delta: np.ndarray
     pair: FundamentalPair = field(repr=False, default=None)
     constants: PhysicalConstants = NATURAL
 
@@ -64,29 +63,11 @@ class DualityMap:
     def monotone_interval(self) -> tuple[float, float]:
         return float(self.x[0]), float(self.x[-1])
 
-    def tau_at(self, x: float) -> complex:
+    def tau_at(self, x: float) -> float:
         lo, hi = self.monotone_interval
         if not (lo <= x <= hi):
             raise ValueError(f"x = {x} outside monotone interval [{lo}, {hi}]")
-        value = cubic_spline(self.x, self.tau)(x)
-        return complex(value) if np.iscomplexobj(self.tau) else float(value)
-
-    def delta_at(self, t: float) -> float:
-        if self.delta is None:
-            raise ValueError("map carries no sampled delta")
-        return float(cubic_spline(self.delta_t, self.delta)(t))
-
-    def reconstruct_v_car(self) -> np.ndarray:
-        """V_car at t = tau(x) from the inverse-function quotient.
-
-        delta-dot-dot/delta-dot at t = tau(x) equals -tau''/tau'^2, so
-        V_car = (i hbar / 2) tau'' / tau'^2, evaluated by finite differences
-        on the tau samples.
-        """
-        hbar = self.constants.hbar
-        tp = deriv_uniform(self.tau, self.dx, 1)
-        tpp = deriv_uniform(self.tau, self.dx, 2)
-        return 0.5j * hbar * tpp / tp**2
+        return float(cubic_spline(self.x, self.tau)(x))
 
 
 def forward_delta(
@@ -182,7 +163,6 @@ def inverse_tau(
         q=q_fn(xs),
         delta_t=delta_t,
         delta=delta,
-        branch="standard",
         pair=pair,
         constants=constants,
     )
@@ -220,25 +200,9 @@ def schwarzian_residual(dmap: DualityMap, margin: int = 4, target_step: float = 
     r_hi = np.abs(S_hi + 2 * q)
     wmax, wmin = _window_extrema(np.abs(sig))
     r = np.where(wmax <= 1.0, r_lo, np.where(wmin >= 1.0, r_hi, np.minimum(r_lo, r_hi)))
-    core = r[margin:-margin]
+    core = interior(r, margin)
     core = core[np.isfinite(core)]
     return float(np.max(core))
-
-
-def hermitian_branch(dmap: DualityMap) -> DualityMap:
-    """Constant rescaling sigma -> i sigma selecting a real-valued V_car.
-
-    tau_H = i (hbar/E0) artanh(sigma); requires |sigma| != 1 on the patch.
-    The Schwarzian is invariant under the rescaling, so the reconstruction
-    of V_sch is untouched.
-    """
-    absr = np.abs(dmap.sigma) - 1.0
-    if np.any(absr == 0) or np.any(np.sign(absr[:-1]) != np.sign(absr[1:])):
-        raise BranchError("|sigma| crosses 1 inside the interval")
-    hbar, E0 = dmap.constants.hbar, dmap.E0
-    sigma_h = 1j * dmap.sigma
-    tau_h = 1j * (hbar / E0) * np.arctanh(dmap.sigma.astype(complex))
-    return replace(dmap, sigma=sigma_h, tau=tau_h, delta_t=None, delta=None, branch="hermitian")
 
 
 def roundtrip_residual(
@@ -261,9 +225,8 @@ def roundtrip_residual(
     S_tau = schwarzian_samples(tau, h)
     v_rec = dmap.E_sch - (hbar**2 / (4 * m)) * S_tau - (dmap.E0**2 / (2 * m)) * tau_p**2
     v_tgt = v_sch.v_x(dmap.x[::stride])
-    core = slice(margin, -margin)
     scale = max(float(np.max(np.abs(v_tgt - dmap.E_sch))), dmap.E0**2 / (2 * m))
-    return float(np.max(np.abs(v_rec[core] - v_tgt[core])) / scale)
+    return float(np.max(np.abs(interior(v_rec, margin) - interior(v_tgt, margin))) / scale)
 
 
 def inversion_identity_residual(
@@ -276,8 +239,6 @@ def inversion_identity_residual(
     since the finite-difference Schwarzian of a steep delta is dominated by
     truncation there rather than by the identity under test.
     """
-    if dmap.delta is None:
-        raise ValueError("map carries no sampled delta")
     if target_step is None:
         # the optimal step balancing truncation against roundoff depends on
         # how steep delta is; since the identity holds at every step, evaluate
@@ -297,7 +258,7 @@ def inversion_identity_residual(
     S_tau = schwarzian_samples(dmap.tau[::sx], dmap.dx * sx)
     # pull -{tau,x} to the t grid: x = delta(t)
     xs = dmap.x[::sx]
-    spl = cubic_spline(xs[margin:-margin], -S_tau[margin:-margin])
+    spl = cubic_spline(interior(xs, margin), -interior(S_tau, margin))
     ok = np.abs(ddot) <= 3.0 * np.min(np.abs(ddot))
     ok[:margin] = ok[-margin:] = False
     ok &= (delta >= xs[margin]) & (delta <= xs[-margin - 1])

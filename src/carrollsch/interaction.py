@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
 from .numerics import (
-    TimeGrid, cumulative_integral, cumulative_trapezoid, real_samples, spectral_multiply,
+    TimeGrid, cumulative_integral, real_samples, spectral_multiply,
     cubic_spline as CubicSpline,  # the name perfbench/tracer.py patches to count spline builds
 )
 from .operators import Field2D
@@ -99,7 +99,7 @@ def quantized_modes(
     grid = TimeGrid(0.0, T, n_samples)
     t = grid.times
     levels = np.arange(1, n_max + 1) * np.pi * hbar / T
-    phase = np.exp(1j / hbar * cumulative_trapezoid(v_time.v_t(t), t))
+    phase = np.exp(1j / hbar * cumulative_integral(v_time.v_t(t), grid, 0.0))
     amp = np.sqrt(2.0 / T)
     modes = [
         Wavefunction(0.0, grid, amp * np.sin(n * np.pi * t / T) * phase)

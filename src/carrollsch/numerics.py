@@ -5,7 +5,7 @@ of complex samples and the one rule for a real V; the spectral multiplier
 and derivative; the lazily loaded cubic spline; the fixed-step RK4 loop on
 a tuple of components, whose callers sample their coefficients up front;
 finite-difference stencils along any axis, the Schwarzian of sampled
-functions and cumulative quadrature.  Everything here is a pure function of
+functions and the anchored cumulative integral.  Everything here is a pure function of
 its inputs, and this module loads numpy only (scipy on the first spline).
 """
 from __future__ import annotations
@@ -213,26 +213,15 @@ def schwarzian_samples(values: np.ndarray, dx: float) -> np.ndarray:
     return f3 / f1 - 1.5 * (f2 / f1) ** 2
 
 
-def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Composite-trapezoid running integral along `axis`, starting at 0.
-
-    Same operations in the same order as scipy's
-    `cumulative_trapezoid(y, x, axis=axis, initial=0)`, so the result is
-    bit-identical to it.
-    """
-    y = np.moveaxis(np.asarray(y), axis, -1)
-    res = np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
-    res = np.concatenate((np.zeros_like(res[..., :1]), res), axis=-1)
-    return np.moveaxis(res, -1, axis)
-
-
 def cumulative_integral(
     values: np.ndarray, grid: TimeGrid | np.ndarray, anchor: float, axis: int = -1
 ) -> np.ndarray:
     """Composite-trapezoid antiderivative along `axis`, vanishing at the anchor.
 
-    The anchor must be a grid point; the integral is taken over `grid` and
-    the values at the anchor index are subtracted.
+    The anchor must be a grid point; `grid` may be a TimeGrid or any
+    increasing abscissae.  The running sum takes the operations, in their
+    order, of scipy.integrate's running trapezoid with initial=0, so with the
+    anchor at the first sample the result is bit-identical to scipy's.
     """
     ts = grid.times if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
     if not (ts[0] - 1e-12 <= anchor <= ts[-1] + 1e-12):
@@ -240,5 +229,7 @@ def cumulative_integral(
     idx = int(np.argmin(np.abs(ts - anchor)))
     if abs(ts[idx] - anchor) > 1e-9 * max(1.0, abs(anchor)):
         raise GridError(f"anchor {anchor} is not a grid point")
-    F = cumulative_trapezoid(values, ts, axis=axis)
-    return F - np.take(F, [idx], axis=axis)
+    y = np.moveaxis(np.asarray(values), axis, -1)
+    F = np.cumsum(np.diff(ts) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    F = np.concatenate((np.zeros_like(F[..., :1]), F), axis=-1)
+    return np.moveaxis(F - F[..., idx : idx + 1], -1, axis)

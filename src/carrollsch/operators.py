@@ -11,8 +11,9 @@ then V_sch - i hbar d/dt = (E~ - V_car) + C, and the discrete H and F commute
 exactly.  Their interior commutator residual is roundoff, which grows with n,
 not truncation error.
 
-Boundary rings polluted by the stencils are excluded from all norms; the
-`margin` constant below is wide enough for the doubly-applied operators.
+Boundary rings polluted by the stencils are excluded from all norms by
+`interior`, the package's one interior slice; the `MARGIN` constant below is
+wide enough for the doubly-applied operators.
 """
 from __future__ import annotations
 
@@ -38,8 +39,15 @@ class Field2D:
         shape = (self.x_grid.n, self.t_grid.n)
         object.__setattr__(self, "values", complex_samples(self.values, shape))
 
-    def interior(self, margin: int = MARGIN) -> np.ndarray:
-        return self.values[margin:-margin, margin:-margin]
+
+def interior(values: np.ndarray, margin: int) -> np.ndarray:
+    """`values` without `margin` samples at either end of every axis.
+
+    margin = 0 keeps every sample; a margin that leaves no sample raises.
+    """
+    if any(n <= 2 * margin for n in values.shape):
+        raise ValueError(f"grid has no interior: shape {values.shape} with margin {margin}")
+    return values[tuple(slice(margin, n - margin) for n in values.shape)]
 
 
 def apply_H(
@@ -98,8 +106,7 @@ def gaussian_probes(x_grid: TimeGrid, t_grid: TimeGrid) -> list[Field2D]:
 
 
 def _interior_norm(values: np.ndarray, dx: float, dt: float, margin: int = MARGIN) -> float:
-    core = values[margin:-margin, margin:-margin]
-    return float(np.sqrt(dx * dt * np.sum(np.abs(core) ** 2)))
+    return float(np.sqrt(dx * dt * np.sum(np.abs(interior(values, margin)) ** 2)))
 
 
 def commutator_residual(
@@ -121,19 +128,3 @@ def commutator_residual(
         )
         worst = max(worst, r)
     return worst
-
-
-def strong_shared_check(
-    E_k: float, C: float, k: float, constants: PhysicalConstants = NATURAL
-) -> tuple[bool, float]:
-    """Whether the separated plane-wave solution is shared by both dynamics.
-
-    With V_car = -V_sch + C a separated Schrodinger solution phi_k = e^{ikx}
-    also solves the Carroll equation iff  -hbar c k = (E_k + C)^2 / (2 m c^2).
-    """
-    hbar, m, c = constants.hbar, constants.m, constants.c
-    lhs = -hbar * c * k
-    rhs = (E_k + C) ** 2 / (2 * m * c**2)
-    residual = abs(lhs - rhs)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return residual <= 1e-10 * scale, residual

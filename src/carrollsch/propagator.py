@@ -153,26 +153,3 @@ def carroll_density_current(
     V = v_car.v_t(psi.grid.times)
     rho = -hbar / mc3 * im + psi.density() * V / mc3
     return np.real(rho), np.real(j_t)
-
-
-def continuity_residual(
-    psi_a: Wavefunction,
-    psi_b: Wavefunction,
-    v_car: PotentialSpec,
-    constants: PhysicalConstants = NATURAL,
-) -> float:
-    """Max-norm residual of d_x |psi|^2 + d_t [j_t - V |psi|^2 / (m c^3)].
-
-    Centered at the midpoint between the two stations: 2nd order in the
-    station separation, spectral in t.
-    """
-    dx = psi_b.x - psi_a.x
-    if dx == 0:
-        raise ValueError("stations coincide")
-    # the total current j_t - V |psi|^2 / (m c^3) is -rho_car
-    rho_a = carroll_density_current(psi_a, v_car, constants)[0]
-    rho_b = carroll_density_current(psi_b, v_car, constants)[0]
-    drho_dx = (psi_b.density() - psi_a.density()) / dx
-    j_mid = -0.5 * (rho_a + rho_b)
-    dj_dt = np.real(spectral_derivative(j_mid, psi_a.grid))
-    return float(np.max(np.abs(drho_dx + dj_dt)))

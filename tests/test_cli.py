@@ -139,6 +139,7 @@ class TestExitCodes:
             ({"gaussian": {"stations": []}}, "gaussian.stations must not be empty"),
             ({"duality": {"target": "harmonic", "E_sch": None}}, "duality.E_sch must be a number"),
             ({"currents": {"sizes": [16]}}, "grid has no interior"),
+            ({"commutator": {"sizes": [16, 32]}}, "grid has no interior"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):

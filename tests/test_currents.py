@@ -145,3 +145,10 @@ class TestContinuityEquivalence:
         with pytest.raises(ValueError, match="no interior"):
             continuity_equivalence(f)
         assert np.isfinite(continuity_equivalence(f, margin=7))
+
+    def test_zero_margin_covers_the_whole_grid(self):
+        f = _free_carroll_field(64)
+        g = coordinate_inversion(f)
+        rho, j = schrodinger_density_current(g)
+        res = deriv_uniform(rho, g.t_grid.dt, 1, axis=1) + deriv_uniform(j, g.x_grid.dt, 1, axis=0)
+        assert continuity_equivalence(f, margin=0) == float(np.max(np.abs(res)))

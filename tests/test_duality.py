@@ -9,7 +9,6 @@ from carrollsch import (
     PotentialSpec,
     TimeGrid,
     forward_delta,
-    hermitian_branch,
     inverse_tau,
     inversion_identity_residual,
     roundtrip_residual,
@@ -77,17 +76,18 @@ class TestVschFromVcar:
 class TestInverseTau:
     def test_free_tau_closed_form(self):
         dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 2.0))
-        assert float(np.real(dmap.tau_at(1.0))) == pytest.approx(np.pi / 4, abs=1e-8)
+        assert dmap.tau_at(1.0) == pytest.approx(np.pi / 4, abs=1e-8)
         # with the canonical initial data the ratio is 1/x, so tau = arctan(1/x)
         np.testing.assert_allclose(np.real(dmap.tau), np.arctan(1.0 / dmap.x), atol=1e-8)
 
     def test_delta_inverts_tau(self):
+        from scipy.interpolate import CubicSpline
+
         dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 2.0))
         # delta(tau(x)) = x on the sampled interval
         mid = dmap.x[len(dmap.x) // 2]
-        assert dmap.delta_at(float(np.real(dmap.tau_at(mid)))) == pytest.approx(
-            mid, abs=1e-8
-        )
+        delta = CubicSpline(dmap.delta_t, dmap.delta)
+        assert float(delta(dmap.tau_at(mid))) == pytest.approx(mid, abs=1e-8)
 
     def test_tau_outside_interval_rejected(self):
         dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 2.0))
@@ -132,41 +132,6 @@ class TestResiduals:
         lhs = s_sig[keep]
         rhs = s_tau[keep] + 2.0 * tau_p[keep] ** 2
         assert np.max(np.abs(lhs - rhs)) <= 1e-5
-
-
-class TestHermitianBranch:
-    def test_crossing_rejected(self):
-        # the free-case ratio passes through magnitude one inside (0, 2)
-        dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 2.0))
-        with pytest.raises(BranchError):
-            hermitian_branch(dmap)
-
-    def test_rescaled_map(self):
-        dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 0.6))
-        h = hermitian_branch(dmap)
-        assert h.branch == "hermitian"
-        np.testing.assert_array_equal(h.q, dmap.q)
-        np.testing.assert_allclose(h.sigma, 1j * dmap.sigma, atol=0)
-        np.testing.assert_allclose(
-            h.tau, 1j * np.arctanh(dmap.sigma.astype(complex)), atol=1e-12
-        )
-
-    def test_tau_at_splines_real_and_imaginary_parts_alike(self):
-        from scipy.interpolate import CubicSpline
-
-        h = hermitian_branch(inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 0.6)))
-        xs = np.linspace(*h.monotone_interval, 17)
-        parts = CubicSpline(h.x, h.tau.real)(xs) + 1j * CubicSpline(h.x, h.tau.imag)(xs)
-        assert np.array_equal([h.tau_at(x) for x in xs], parts)
-
-    def test_reconstruction_is_real(self):
-        dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 0.6))
-        h = hermitian_branch(dmap)
-        v_car = h.reconstruct_v_car()
-        interior = v_car[8:-8]
-        assert np.max(np.abs(np.imag(interior))) <= 1e-6 * max(
-            1.0, np.max(np.abs(interior))
-        )
 
 
 class TestWindowExtrema:

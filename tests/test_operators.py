@@ -12,8 +12,8 @@ from carrollsch import (
     apply_H,
     commutator_residual,
     gaussian_probes,
-    strong_shared_check,
 )
+from carrollsch.operators import MARGIN, interior
 
 
 def _plane_wave(xg: TimeGrid, tg: TimeGrid, k: float, omega: float) -> Field2D:
@@ -35,9 +35,21 @@ class TestField2D:
             Field2D(g, g, v)
 
     def test_interior_trims_margin(self):
-        g = TimeGrid(0.0, 1.0, 32)
-        f = Field2D(g, g, np.ones((32, 32)))
-        assert f.interior(4).shape == (24, 24)
+        values = np.arange(32 * 16.0).reshape(32, 16)
+        f = Field2D(TimeGrid(0.0, 1.0, 32), TimeGrid(0.0, 1.0, 16), values)
+        assert np.array_equal(interior(f.values, 4), f.values[4:28, 4:12])
+
+
+class TestInterior:
+
+    def test_zero_margin_keeps_every_sample(self):
+        values = np.ones((16, 32))
+        assert np.array_equal(interior(values, 0), values)
+
+    @pytest.mark.parametrize("shape", [(16, 32), (32, 16), (16,)])
+    def test_no_interior_rejected(self, shape):
+        with pytest.raises(ValueError, match="grid has no interior"):
+            interior(np.ones(shape), 8)
 
 
 class TestApplyH:
@@ -47,14 +59,14 @@ class TestApplyH:
         k = 1.3
         psi = _plane_wave(g, g, k, 0.5 * k**2)
         res = apply_H(psi, PotentialSpec.zero())
-        assert np.max(np.abs(res.interior())) < 1e-6
+        assert np.max(np.abs(interior(res.values, MARGIN))) < 1e-6
 
     def test_constant_potential_shifts_energy(self):
         g = TimeGrid(-4.0, 4.0, 128)
         k, v0 = 1.3, 0.4
         psi = _plane_wave(g, g, k, 0.5 * k**2 + v0)
         res = apply_H(psi, PotentialSpec.constant(v0))
-        assert np.max(np.abs(res.interior())) < 5e-6
+        assert np.max(np.abs(interior(res.values, MARGIN))) < 5e-6
 
     def test_coarse_grid_rejected(self):
         g = TimeGrid(0.0, 1.0, 8)
@@ -70,7 +82,7 @@ class TestApplyF:
         omega = 1.0
         psi = _plane_wave(g, g, -0.5 * omega**2, omega)
         res = apply_F(psi, PotentialSpec.zero())
-        assert np.max(np.abs(res.interior())) < 1e-6
+        assert np.max(np.abs(interior(res.values, MARGIN))) < 1e-6
 
     def test_coarse_grid_rejected(self):
         g = TimeGrid(0.0, 1.0, 8)
@@ -116,18 +128,3 @@ class TestGaussianProbes:
         b = gaussian_probes(g, g)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.values, pb.values)
-
-
-class TestStrongSharedCheck:
-    def test_matched_wavenumber(self):
-        # k chosen so -hbar c k equals (E_k + C)^2 / (2 m c^2)
-        e_k, c_shift = 1.0, 0.5
-        k = -((e_k + c_shift) ** 2) / 2.0
-        ok, residual = strong_shared_check(e_k, c_shift, k)
-        assert ok
-        assert residual < 1e-12
-
-    def test_mismatched_wavenumber(self):
-        ok, residual = strong_shared_check(1.0, 0.5, 1.0)
-        assert not ok
-        assert residual > 0.1

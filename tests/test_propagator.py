@@ -13,14 +13,12 @@ from carrollsch import (
     Wavefunction,
     carrier_center,
     carroll_density_current,
-    continuity_residual,
     effective_width,
     evolve_free,
     gaussian_exact,
     gaussian_field,
     measured_moments,
 )
-from carrollsch.numerics import spectral_derivative
 
 
 def _random_packet(seed: int, grid: TimeGrid) -> Wavefunction:
@@ -142,39 +140,3 @@ class TestDensityCurrent:
         rho1, j1 = carroll_density_current(psi, PotentialSpec.constant(v0))
         np.testing.assert_array_equal(j0, j1)
         np.testing.assert_allclose(rho1 - rho0, v0 * psi.density(), atol=1e-12)
-
-    def test_continuity_residual_second_order(self):
-        params = GaussianParams(sigma=1.0, omega0=1.0)
-        grid = TimeGrid(-40.0, 40.0, 2048)
-        res = []
-        for dx in (0.1, 0.05):
-            a = gaussian_exact(params, 1.0, grid)
-            b = gaussian_exact(params, 1.0 + dx, grid)
-            res.append(continuity_residual(a, b, PotentialSpec.zero()))
-        assert res[0] / res[1] == pytest.approx(4.0, rel=0.2)
-
-    def test_continuity_residual_is_total_current_form(self):
-        # d_x |psi|^2 + d_t [j_t - V |psi|^2 / mc^3], written out with j_t
-        params = GaussianParams(sigma=1.0, omega0=1.0)
-        grid = TimeGrid(-40.0, 40.0, 2048)
-        for v in (PotentialSpec.zero(), PotentialSpec.time_profile(lambda t: 0.3 * np.cos(t))):
-            for dx in (0.1, 0.05):
-                a = gaussian_exact(params, 1.0, grid)
-                b = gaussian_exact(params, 1.0 + dx, grid)
-                V = v.v_t(grid.times)
-
-                def total(psi, hbar=1.0, mc3=1.0):
-                    im = np.imag(np.conj(psi.values) * psi.dt_values())
-                    return hbar / mc3 * im - V * psi.density() / mc3
-
-                j_mid = 0.5 * (total(a) + total(b))
-                dj = np.real(spectral_derivative(j_mid, grid))
-                drho_dx = (b.density() - a.density()) / (b.x - a.x)
-                expected = float(np.max(np.abs(drho_dx + dj)))
-                assert continuity_residual(a, b, v) == expected
-
-    def test_coincident_stations_rejected(self):
-        grid = TimeGrid(-10.0, 10.0, 256)
-        psi = gaussian_exact(GaussianParams(sigma=1.0), 0.0, grid)
-        with pytest.raises(ValueError):
-            continuity_residual(psi, psi, PotentialSpec.zero())
