@@ -12,8 +12,8 @@ import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
 from .interaction import gauge_reduce
-from .numerics import GridError, TimeGrid, deriv_uniform
-from .operators import MARGIN, Field2D, interior
+from .numerics import GridError, TimeGrid, deriv_uniform, interior
+from .operators import MARGIN, Field2D
 from .potentials import PotentialSpec
 
 

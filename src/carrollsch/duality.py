@@ -32,9 +32,9 @@ from .numerics import (
     cumulative_integral,
     deriv_uniform,
     integrate_fundamental_pair,
+    interior,
     schwarzian_samples,
 )
-from .operators import interior
 from .potentials import PotentialSpec
 
 
@@ -257,11 +257,12 @@ def inversion_identity_residual(
     sx = max(1, min(int(round(target_step / dmap.dx)), len(dmap.tau) // (2 * margin + 32)))
     S_tau = schwarzian_samples(dmap.tau[::sx], dmap.dx * sx)
     # pull -{tau,x} to the t grid: x = delta(t)
-    xs = dmap.x[::sx]
-    spl = cubic_spline(interior(xs, margin), -interior(S_tau, margin))
+    xs = interior(dmap.x[::sx], margin)
+    spl = cubic_spline(xs, -interior(S_tau, margin))
     ok = np.abs(ddot) <= 3.0 * np.min(np.abs(ddot))
-    ok[:margin] = ok[-margin:] = False
-    ok &= (delta >= xs[margin]) & (delta <= xs[-margin - 1])
+    ok[:margin] = False
+    ok[len(ok) - margin :] = False
+    ok &= (delta >= xs[0]) & (delta <= xs[-1])
     if not np.any(ok):
         raise ValueError("no well-conditioned samples for the identity check")
     return float(np.max(np.abs(S_delta[ok] - spl(delta[ok]))))

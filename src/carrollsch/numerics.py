@@ -5,8 +5,9 @@ of complex samples and the one rule for a real V; the spectral multiplier
 and derivative; the lazily loaded cubic spline; the fixed-step RK4 loop on
 a tuple of components, whose callers sample their coefficients up front;
 finite-difference stencils along any axis, the Schwarzian of sampled
-functions and the anchored cumulative integral.  Everything here is a pure function of
-its inputs, and this module loads numpy only (scipy on the first spline).
+functions, the anchored cumulative integral and the interior slice.
+Everything here is a pure function of its inputs, and this module loads
+numpy only (scipy on the first spline).
 """
 from __future__ import annotations
 
@@ -219,13 +220,15 @@ def cumulative_integral(
     """Composite-trapezoid antiderivative along `axis`, vanishing at the anchor.
 
     The anchor must be a grid point; `grid` may be a TimeGrid or any
-    increasing abscissae.  The running sum takes the operations, in their
-    order, of scipy.integrate's running trapezoid with initial=0, so with the
-    anchor at the first sample the result is bit-identical to scipy's.
+    monotone abscissae, increasing or decreasing.  The running sum takes the
+    operations, in their order, of scipy.integrate's running trapezoid with
+    initial=0, so with the anchor at the first sample the result is
+    bit-identical to scipy's.
     """
     ts = grid.times if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
-    if not (ts[0] - 1e-12 <= anchor <= ts[-1] + 1e-12):
-        raise GridError(f"anchor {anchor} outside grid [{ts[0]}, {ts[-1]}]")
+    lo, hi = sorted((ts[0], ts[-1]))
+    if not (lo - 1e-12 <= anchor <= hi + 1e-12):
+        raise GridError(f"anchor {anchor} outside grid [{lo}, {hi}]")
     idx = int(np.argmin(np.abs(ts - anchor)))
     if abs(ts[idx] - anchor) > 1e-9 * max(1.0, abs(anchor)):
         raise GridError(f"anchor {anchor} is not a grid point")
@@ -233,3 +236,13 @@ def cumulative_integral(
     F = np.cumsum(np.diff(ts) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
     F = np.concatenate((np.zeros_like(F[..., :1]), F), axis=-1)
     return np.moveaxis(F - F[..., idx : idx + 1], -1, axis)
+
+
+def interior(values: np.ndarray, margin: int) -> np.ndarray:
+    """`values` without `margin` samples at either end of every axis.
+
+    margin = 0 keeps every sample; a margin that leaves no sample raises.
+    """
+    if any(n <= 2 * margin for n in values.shape):
+        raise ValueError(f"grid has no interior: shape {values.shape} with margin {margin}")
+    return values[tuple(slice(margin, n - margin) for n in values.shape)]

@@ -12,8 +12,8 @@ exactly.  Their interior commutator residual is roundoff, which grows with n,
 not truncation error.
 
 Boundary rings polluted by the stencils are excluded from all norms by
-`interior`, the package's one interior slice; the `MARGIN` constant below is
-wide enough for the doubly-applied operators.
+`numerics.interior`; the `MARGIN` constant below is wide enough for the
+doubly-applied operators.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import TimeGrid, complex_samples, deriv_uniform
+from .numerics import TimeGrid, complex_samples, deriv_uniform, interior
 from .potentials import PotentialSpec
 
 #: boundary ring (per side, per axis) excluded from operator norms
@@ -38,16 +38,6 @@ class Field2D:
     def __post_init__(self) -> None:
         shape = (self.x_grid.n, self.t_grid.n)
         object.__setattr__(self, "values", complex_samples(self.values, shape))
-
-
-def interior(values: np.ndarray, margin: int) -> np.ndarray:
-    """`values` without `margin` samples at either end of every axis.
-
-    margin = 0 keeps every sample; a margin that leaves no sample raises.
-    """
-    if any(n <= 2 * margin for n in values.shape):
-        raise ValueError(f"grid has no interior: shape {values.shape} with margin {margin}")
-    return values[tuple(slice(margin, n - margin) for n in values.shape)]
 
 
 def apply_H(

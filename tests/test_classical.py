@@ -109,6 +109,17 @@ class TestPicard:
         ref = -(0.3 * xs + 1.0 - np.cos(xs))
         np.testing.assert_allclose(its[1], ref, atol=1e-4)
 
+    def test_reversed_direction_matches_running_trapezoid(self):
+        # x_end < x0 integrates right to left, as scipy's running trapezoid does
+        from scipy.integrate import cumulative_trapezoid
+
+        v = PotentialSpec.separable(lambda x: 0.2 * x, np.sin, da=lambda x: 0.2 * np.ones_like(x))
+        xs, its = picard_iterate(v, 0.0, 0.5, 0.3, -1.0, 2, n_samples=256)
+        assert xs[0] == 0.0 and xs[-1] == -1.0
+        for prev, new in zip(its, its[1:]):
+            q = 0.3 + cumulative_trapezoid(v.dvdx_at(xs, prev), xs, initial=0.0)
+            assert np.array_equal(new, 0.5 - cumulative_trapezoid(q, xs, initial=0.0))
+
     def test_separable_coupling_quadratic_convergence(self):
         # after one sweep the error is second order in the coupling strength
         errs = []

@@ -115,6 +115,17 @@ class TestResiduals:
         dmap = inverse_tau(v, e_sch, 1.0, x_range)
         assert inversion_identity_residual(dmap) <= 1e-5
 
+    def test_zero_margin_keeps_the_edges(self):
+        # margin = 0 adds the one-sided edge stencils; nothing is trimmed away
+        _, v, e_sch, x_range, _ = TARGETS[2]
+        dmap = inverse_tau(v, e_sch, 1.0, x_range)
+        for r in (
+            schwarzian_residual(dmap, 0),
+            roundtrip_residual(dmap, v, 0),
+            inversion_identity_residual(dmap, 0),
+        ):
+            assert np.isfinite(r) and r < 1e-2
+
     def test_chain_rule_between_sigma_and_tau(self):
         # sigma = tan(E0 tau / hbar), so
         # {sigma, x} = {tau, x} + 2 (E0/hbar)^2 tau'^2

@@ -12,6 +12,7 @@ from carrollsch.numerics import (
     cumulative_integral,
     deriv_uniform,
     integrate_fundamental_pair,
+    interior,
     schwarzian_samples,
 )
 from carrollsch.operators import Field2D
@@ -284,3 +285,25 @@ class TestCumulativeTrapezoid:
         x = np.linspace(-1.0, 1.0, 100)
         y = rng.normal(size=(7, 100))
         assert np.array_equal(cumulative_integral(y, x, x[0], axis=1), self._scipy(y, x, axis=1))
+
+    def test_decreasing_1d(self):
+        x = np.linspace(0.5, -1.5, 129)
+        y = np.cos(2 * x)
+        assert np.array_equal(cumulative_integral(y, x, x[0]), self._scipy(y, x))
+        with pytest.raises(GridError, match=r"outside grid \[-1.5, 0.5\]"):
+            cumulative_integral(y, x, anchor=1.0)
+
+
+class TestInterior:
+    def test_trims_a_1d_array(self):
+        values = np.arange(32.0)
+        assert np.array_equal(interior(values, 4), values[4:28])
+
+    def test_zero_margin_keeps_every_sample(self):
+        values = np.ones((16, 32))
+        assert np.array_equal(interior(values, 0), values)
+
+    @pytest.mark.parametrize("shape", [(16, 32), (32, 16), (16,)])
+    def test_no_interior_rejected(self, shape):
+        with pytest.raises(ValueError, match="grid has no interior"):
+            interior(np.ones(shape), 8)

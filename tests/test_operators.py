@@ -13,7 +13,8 @@ from carrollsch import (
     commutator_residual,
     gaussian_probes,
 )
-from carrollsch.operators import MARGIN, interior
+from carrollsch.numerics import interior
+from carrollsch.operators import MARGIN
 
 
 def _plane_wave(xg: TimeGrid, tg: TimeGrid, k: float, omega: float) -> Field2D:
@@ -38,18 +39,6 @@ class TestField2D:
         values = np.arange(32 * 16.0).reshape(32, 16)
         f = Field2D(TimeGrid(0.0, 1.0, 32), TimeGrid(0.0, 1.0, 16), values)
         assert np.array_equal(interior(f.values, 4), f.values[4:28, 4:12])
-
-
-class TestInterior:
-
-    def test_zero_margin_keeps_every_sample(self):
-        values = np.ones((16, 32))
-        assert np.array_equal(interior(values, 0), values)
-
-    @pytest.mark.parametrize("shape", [(16, 32), (32, 16), (16,)])
-    def test_no_interior_rejected(self, shape):
-        with pytest.raises(ValueError, match="grid has no interior"):
-            interior(np.ones(shape), 8)
 
 
 class TestApplyH:
