@@ -2,15 +2,18 @@
 
 Uniform grids with a periodic (endpoint-excluded) convention; the one check
 of complex samples and the one rule for a real V; the spectral multiplier
-and derivative; the lazily loaded cubic spline; the fixed-step RK4 loop on
-a tuple of components, whose callers sample their coefficients up front;
-finite-difference stencils along any axis, the Schwarzian of sampled
-functions, the anchored cumulative integral and the interior slice.
-Everything here is a pure function of its inputs, and this module loads
-numpy only (scipy on the first spline).
+and derivative; the kinetic multiplier exp(-i beta h w^2), built once per
+(grid, beta, h) and returned read-only, with one entry kept; the lazily
+loaded cubic spline; the fixed-step RK4 loop on a tuple of components, whose
+callers sample their coefficients up front; finite-difference stencils along
+any axis, the Schwarzian of sampled functions, the anchored cumulative
+integral and the interior slice.  Everything here is a pure function of its
+inputs (the one cache returns an array equal to a fresh build), and this
+module loads numpy only (scipy on the first spline).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,6 +82,18 @@ def real_samples(values: np.ndarray, what: str) -> np.ndarray:
 def spectral_multiply(values: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The Fourier multiplier m applied along the last axis: ifft(m fft(values))."""
     return np.fft.ifft(m * np.fft.fft(values))
+
+
+@functools.lru_cache(maxsize=1)
+def kinetic_multiplier(grid: TimeGrid, beta: float, h: float) -> np.ndarray:
+    """The free x-step exp(-i beta h w^2) on the grid's frequencies, read-only.
+
+    One entry is kept: the steps of one evolution share (grid, beta, h), so a
+    loop of them builds the multiplier once and holds one extra array.
+    """
+    m = np.exp(-1j * beta * h * grid.omegas**2)
+    m.flags.writeable = False
+    return m
 
 
 def spectral_derivative(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -223,7 +238,8 @@ def cumulative_integral(
     monotone abscissae, increasing or decreasing.  The running sum takes the
     operations, in their order, of scipy.integrate's running trapezoid with
     initial=0, so with the anchor at the first sample the result is
-    bit-identical to scipy's.
+    bit-identical to scipy's.  The running trapezoid is 2nd order in the
+    spacing, below the 4th order of the stencils; every caller inherits it.
     """
     ts = grid.times if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
     lo, hi = sorted((ts[0], ts[-1]))

@@ -2,7 +2,9 @@
 
 A Wavefunction is a complex profile in t at a fixed spatial station x.  Free
 x-evolution is the spectral multiplier exp(-i beta dx w^2) with
-beta = hbar/(2 m c^3), which is exactly unitary on the discrete grid.  The
+beta = hbar/(2 m c^3), which is exactly unitary on the discrete grid.  It
+comes from `numerics.kinetic_multiplier`, built once per (grid, beta, dx),
+read-only, with one entry kept, so a loop of equal steps builds it once.  The
 closed-form dispersing Gaussian packet provides an independent oracle for the
 spectral path, including the carrier-drift case.
 
@@ -20,7 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import TimeGrid, complex_samples, spectral_derivative, spectral_multiply
+from .numerics import (
+    TimeGrid, complex_samples, kinetic_multiplier, spectral_derivative, spectral_multiply,
+)
 from .operators import Field2D
 from .potentials import PotentialSpec
 
@@ -61,7 +65,7 @@ def evolve_free(
     psi: Wavefunction, dx: float, constants: PhysicalConstants = NATURAL
 ) -> Wavefunction:
     """Advance the station by dx with the unitary spectral multiplier."""
-    kin = np.exp(-1j * constants.beta * dx * psi.grid.omegas**2)
+    kin = kinetic_multiplier(psi.grid, constants.beta, dx)
     return replace(psi, x=psi.x + dx, values=spectral_multiply(psi.values, kin))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carrollsch import PotentialSpec, trace_ray
+from carrollsch import PhysicalConstants, PotentialSpec, trace_ray
 from carrollsch.numerics import (
     GridError,
     TimeGrid,
@@ -13,6 +13,7 @@ from carrollsch.numerics import (
     deriv_uniform,
     integrate_fundamental_pair,
     interior,
+    kinetic_multiplier,
     schwarzian_samples,
 )
 from carrollsch.operators import Field2D
@@ -61,6 +62,34 @@ class TestUnitaryDFT:
         for make in bad:
             with pytest.raises(ValueError):
                 make()
+
+
+class TestKineticMultiplier:
+    @pytest.mark.parametrize(
+        "grid, constants, h",
+        [
+            (TimeGrid(-8.0, 8.0, 128), PhysicalConstants(), 0.1),
+            (TimeGrid(-40.0, 60.0, 4096), PhysicalConstants(hbar=1.3, m=0.8, c=1.1), 3.0),
+            (TimeGrid(0.0, 1.0, 8), PhysicalConstants(hbar=1.3, m=0.8, c=1.1), -0.37),
+            (TimeGrid(-256.0, 256.0, 2**16), PhysicalConstants(), 0.0),
+        ],
+    )
+    def test_equals_the_inline_expression(self, grid, constants, h):
+        beta = constants.beta
+        m = kinetic_multiplier(grid, beta, h)
+        assert np.array_equal(m, np.exp(-1j * beta * h * grid.omegas**2))
+
+    def test_read_only(self):
+        m = kinetic_multiplier(TimeGrid(-8.0, 8.0, 128), 0.5, 0.1)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0] = 0.0
+        with pytest.raises(ValueError):
+            m *= 2.0
+
+    def test_repeated_key_reuses_the_array(self):
+        first = kinetic_multiplier(TimeGrid(-8.0, 8.0, 128), 0.5, 0.1)
+        assert kinetic_multiplier(TimeGrid(-8.0, 8.0, 128), 0.5, 0.1) is first
 
 
 class TestFundamentalPair:

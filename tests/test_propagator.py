@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carrollsch import (
+    NATURAL,
     GaussianParams,
     PhysicalConstants,
     PotentialSpec,
@@ -61,6 +62,29 @@ class TestEvolveFree:
         evolved = evolve_free(gaussian_exact(params, 0.0, grid, consts), 3.0, consts)
         exact = gaussian_exact(params, 3.0, grid, consts)
         assert np.max(np.abs(evolved.values - exact.values)) < 1e-8
+
+    def test_chained_steps_equal_the_inline_multiplier(self):
+        params = GaussianParams(sigma=0.9, t0=0.4, omega0=1.7)
+        grid = TimeGrid(-256.0, 256.0, 2**16)
+        psi = gaussian_exact(params, 0.0, grid)
+        kin = np.exp(-1j * NATURAL.beta * 0.1 * grid.omegas**2)
+        ref_values = psi.values
+        for _ in range(64):
+            psi = evolve_free(psi, 0.1)
+            ref_values = np.fft.ifft(kin * np.fft.fft(ref_values))
+        assert np.array_equal(psi.values, ref_values)
+
+    def test_output_does_not_depend_on_call_history(self):
+        psi = _random_packet(7, TimeGrid(-8.0, 8.0, 256))
+        before = evolve_free(psi, 0.7).values.tobytes()
+        evolve_free(psi, -1.1)
+        assert evolve_free(psi, 0.7).values.tobytes() == before
+        negative_zero = evolve_free(psi, -0.0).values.tobytes()
+        positive_zero = evolve_free(psi, 0.0).values.tobytes()
+        assert positive_zero == negative_zero
+        evolve_free(psi, 0.7)
+        assert evolve_free(psi, 0.0).values.tobytes() == positive_zero
+        assert evolve_free(psi, -0.0).values.tobytes() == negative_zero
 
     def test_carrier_case_matches_oracle(self):
         params = GaussianParams(sigma=1.0, omega0=2.0)
