@@ -30,10 +30,10 @@ def main() -> None:
     for target in ("free", "constant", "harmonic", "coulomb-like"):
         # the CLI's target table, with its default parameters
         block = _resolve({"duality": {"target": target}}, "duality")
-        name, v, e_sch, x_range = _duality_target(block)
-        dmap = inverse_tau(v, e_sch, args.E0, x_range, n=args.n)
+        v, x_range = _duality_target(block)
+        dmap = inverse_tau(v, block["E_sch"], args.E0, x_range, n=args.n)
         row = (
-            name,
+            target,
             dmap.monotone_interval[0],
             dmap.monotone_interval[1],
             schwarzian_residual(dmap),
@@ -41,7 +41,7 @@ def main() -> None:
             inversion_identity_residual(dmap),
         )
         rows.append(row)
-        print(f"{name:12s} schwarzian {row[3]:.3e}  roundtrip {row[4]:.3e}  inversion {row[5]:.3e}")
+        print(f"{target:12s} schwarzian {row[3]:.3e}  roundtrip {row[4]:.3e}  inversion {row[5]:.3e}")
 
     os.makedirs(args.out, exist_ok=True)
     write_csv(

@@ -234,20 +234,19 @@ def cmd_gaussian(cfg: dict, out: str, tol: dict) -> None:
 
 
 def _duality_target(block: dict):
-    """(name, V_sch, E_sch, x range) of the static target of a resolved duality block."""
+    """(V_sch, x range) of the static target of a resolved duality block."""
     name, x0 = block["target"], block["x0"]
     if name == "free":
-        return name, PotentialSpec.zero(), block["E_sch"], (0.0, 2.0)
+        return PotentialSpec.zero(), (0.0, 2.0)
     if name == "constant":
-        return name, PotentialSpec.constant(block["v0"]), block["E_sch"], (0.0, 0.6)
+        return PotentialSpec.constant(block["v0"]), (0.0, 0.6)
     if name == "harmonic":
         omega = block["omega"]
         v = PotentialSpec.space_profile(lambda x: 0.5 * omega**2 * (x - x0) ** 2)
-        return name, v, block["E_sch"], (x0 - 1.5, x0 + 1.5)
+        return v, (x0 - 1.5, x0 + 1.5)
     # coulomb-like
     k, sign = block["k"], block["sign"]
-    v = PotentialSpec.space_profile(lambda x: sign * k / (x - x0))
-    return name, v, block["E_sch"], (x0 + 0.5, x0 + 3.0)
+    return PotentialSpec.space_profile(lambda x: sign * k / (x - x0)), (x0 + 0.5, x0 + 3.0)
 
 
 def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
@@ -260,18 +259,19 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
         tg = TimeGrid(-1.0, 1.0, n)
         v_car = PotentialSpec.time_profile(lambda t: -0.5j * consts.hbar * 2 * t / (1 + t**2))
         delta = duality.forward_delta(v_car, 1.0, 0.0, tg, consts)
-        xs, vs = duality.vsch_from_vcar(v_car, delta, tg, block["E_sch"], E0, consts)
+        vs = duality.vsch_from_vcar(v_car, delta, tg, block["E_sch"], E0, consts)
         write_csv(
             os.path.join(out, "duality_forward.csv"),
             ["t", "delta_re", "delta_im", "x=Re(delta)", "V_sch_re", "V_sch_im"],
             [
-                (t, d.real, d.imag, x.real, v.real, v.imag)
-                for t, d, x, v in zip(tg.times, delta, xs, vs)
+                (t, d.real, d.imag, d.real, v.real, v.imag)
+                for t, d, v in zip(tg.times, delta, vs)
             ],
         )
         return
 
-    name, v_sch, E_sch, x_range = _duality_target(block)
+    name, E_sch = block["target"], block["E_sch"]
+    v_sch, x_range = _duality_target(block)
     dmap = duality.inverse_tau(v_sch, E_sch, E0, x_range, consts, n=n)
     rt = duality.roundtrip_residual(dmap, v_sch)
     sw = duality.schwarzian_residual(dmap)
@@ -428,8 +428,8 @@ def cmd_quantize(cfg: dict, out: str, tol: dict) -> None:
     if b["profile"] == "zero":
         v = PotentialSpec.zero()
 
-    spec = interaction.quantized_modes(T, n_max, p0, v, consts)
     oracle = interaction.dirichlet_eigenvalue_oracle(T, 2000, n_max) * consts.hbar
+    spec = interaction.quantized_modes(T, n_max, p0, v, consts)
     write_csv(
         os.path.join(out, "quantize_levels.csv"),
         ["n", "E_n=n*pi*hbar/T", "E_n_fd_oracle"],

@@ -92,11 +92,11 @@ def vsch_from_vcar(
     E_sch: float,
     E0: float,
     constants: PhysicalConstants = NATURAL,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Dual static potential sampled along x = delta(t).
 
     V_sch = E_sch + [i hbar dV_car/dt + V_car^2 - E0^2] / (2 m delta-dot^2).
-    Returns (x_samples, v_sch_samples) parametrized by the t grid.
+    Returns the V_sch samples parametrized by the t grid, at x = delta.
     """
     hbar, m = constants.hbar, constants.m
     t = t_grid.times
@@ -105,8 +105,7 @@ def vsch_from_vcar(
     ddelta = deriv_uniform(delta, t_grid.dt, 1)
     if np.min(np.abs(ddelta)) < 1e-12:
         raise BranchError("delta-dot vanishes; map degenerate")
-    v = E_sch + (1j * hbar * dV + V**2 - E0**2) / (2 * m * ddelta**2)
-    return delta, v
+    return E_sch + (1j * hbar * dV + V**2 - E0**2) / (2 * m * ddelta**2)
 
 
 def _zero_free_patch(y2: np.ndarray, guard: int = 2) -> tuple[int, int]:

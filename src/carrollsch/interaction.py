@@ -309,14 +309,15 @@ def dyson_sweep(
 def dirichlet_eigenvalue_oracle(T: float, n_points: int, n_levels: int) -> np.ndarray:
     """Finite-difference Dirichlet eigenvalues of -phi'' = (E/hbar)^2 phi on [0,T].
 
-    Standard tridiagonal second-difference matrix; returns the lowest
-    n_levels values of sqrt(lambda), which approach n pi / T with O(dt^2)
-    error.  Used as an independent check of the closed-form spectrum.
+    The lowest n_levels sqrt(lambda_k) of the second-difference matrix
+    tridiag(-1, 2, -1) / dt^2 of size n_points, dt = T / (n_points + 1), in closed
+    form, exact for this matrix: sin(k pi j dt / T) vanishes at j = 0 and
+    n_points + 1, so it is the eigenvector of lambda_k = (2/dt)^2 sin^2(k pi dt / 2T).
+    An independent check of the continuum spectrum: approaches k pi / T at O(dt^2).
     """
-    from scipy.linalg import eigh_tridiagonal
-
+    if T <= 0:
+        raise ValueError(f"window length T must be positive, got {T}")
+    if not 1 <= n_levels <= n_points:
+        raise ValueError(f"n_levels must lie in 1..n_points = {n_points}, got {n_levels}")
     dt = T / (n_points + 1)
-    d = np.full(n_points, 2.0 / dt**2)
-    e = np.full(n_points - 1, -1.0 / dt**2)
-    w = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, n_levels - 1))
-    return np.sqrt(w)
+    return 2.0 / dt * np.sin(np.arange(1, n_levels + 1) * np.pi / (2 * (n_points + 1)))

@@ -140,6 +140,7 @@ class TestExitCodes:
             ({"duality": {"target": "harmonic", "E_sch": None}}, "duality.E_sch must be a number"),
             ({"currents": {"sizes": [16]}}, "grid has no interior"),
             ({"commutator": {"sizes": [16, 32]}}, "grid has no interior"),
+            ({"quantize": {"n_max": 2001}}, "n_levels must lie in 1..n_points = 2000, got 2001"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):
@@ -287,7 +288,7 @@ class TestCsvFormat:
 
 
 def test_scipy_loaded_only_where_needed(tmp_path):
-    """The package import and the five scipy-free subcommands load no scipy module."""
+    """The package import and the six scipy-free subcommands load no scipy module."""
     code = textwrap.dedent(
         f"""
         import sys
@@ -298,7 +299,7 @@ def test_scipy_loaded_only_where_needed(tmp_path):
             return [m for m in sys.modules if m.split(".")[0] == "scipy"]
 
         assert not scipy_modules(), scipy_modules()
-        for sub in ("gaussian", "commutator", "currents", "rays", "dyson"):
+        for sub in ("gaussian", "commutator", "currents", "rays", "dyson", "quantize"):
             assert cli.main([sub, "--out", {str(tmp_path)!r} + "/" + sub]) == 0, sub
             assert not scipy_modules(), (sub, scipy_modules())
         """

@@ -60,7 +60,7 @@ class TestVschFromVcar:
         v_car = PotentialSpec.time_profile(lambda s: -0.5j * 2 * s / (1 + s**2))
         delta = forward_delta(v_car, complex(1 + t[0] ** 2), 0.0, tg)
         e_sch, e0 = 0.3, 1.0
-        xs, vs = vsch_from_vcar(v_car, delta, tg, e_sch, e0)
+        vs = vsch_from_vcar(v_car, delta, tg, e_sch, e0)
         w = 2 * t / v
         wdot = (2 * v - 2 * t * 2 * t) / v**2
         ref = e_sch + (0.5 * wdot - 0.25 * w**2 - e0**2) / (2 * v**2)

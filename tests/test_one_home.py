@@ -2,10 +2,12 @@
 
 The kinetic multiplier exp(-i beta h w^2) is built by `numerics` alone; a
 second copy of the expression elsewhere in the package would bypass its
-cache and could drift from it.
+cache and could drift from it.  scipy is imported by `numerics` alone, so
+its import cost is paid only where a spline is built.
 """
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -16,3 +18,19 @@ def test_squared_frequencies_only_in_numerics():
     squared = re.compile(r"omegas\s*\*\*\s*2\b")
     homes = sorted(p.name for p in PACKAGE.glob("*.py") if squared.search(p.read_text()))
     assert homes == ["numerics.py"], f"omegas**2 outside numerics.py: {homes}"
+
+
+def _imported_roots(path: Path) -> set[str]:
+    """Top-level package of every import statement in path (docstrings do not count)."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_scipy_imported_only_in_numerics():
+    homes = sorted(p.name for p in PACKAGE.glob("*.py") if "scipy" in _imported_roots(p))
+    assert homes == ["numerics.py"], f"scipy imported outside numerics.py: {homes}"
