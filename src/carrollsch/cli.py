@@ -1,8 +1,11 @@
 """Command-line front end: one subcommand per experiment family.
 
-JSON config in, CSV out.  Output is deterministic for a fixed config; files
-are written atomically (temp + rename) with LF line endings and
-17-significant-digit floats so golden files diff cleanly.
+JSON config in, CSV out.  Each `cmd_<sub>` body computes from its config
+block and the constants and returns its tables and gated values; one runner,
+`_command`, writes every table and then checks every gate.  Output is
+deterministic for a fixed config; files are written atomically (temp +
+rename) with LF line endings and 17-significant-digit floats so golden files
+diff cleanly.
 
 Exit codes: 0 success, 1 validation error (bad config or arguments),
 2 numerical failure (a gated value outside its interval in `TOLERANCES`, NaN
@@ -13,6 +16,7 @@ of the wrong type, or an empty list is a validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -170,17 +174,33 @@ def _gate(tol: dict, key: str, value: float, where: str) -> None:
         raise ToleranceBreach(f"{key} = {value} outside [{lo}, {hi}] {where}")
 
 
-def _constants(cfg: dict) -> PhysicalConstants:
-    return PhysicalConstants(**cfg["constants"])
+def _command(body):
+    """The `COMMANDS` entry `(cfg, out, tol)` that runs `body` and writes and gates its results.
+
+    `body(block, constants)` reads `cfg[<sub>]`, `<sub>` being its name after
+    `cmd_`, and returns `(tables, gates)`: file name -> (header, rows), and a
+    list of (key, value, where).  Every table is written to `out` before the
+    first gate is checked, so a breach still leaves every CSV behind.
+    """
+    sub = body.__name__[len("cmd_"):]
+
+    @functools.wraps(body)
+    def command(cfg: dict, out: str, tol: dict) -> None:
+        tables, gates = body(cfg[sub], PhysicalConstants(**cfg["constants"]))
+        for name, (header, rows) in tables.items():
+            write_csv(os.path.join(out, name), header, rows)
+        for key, value, where in gates:
+            _gate(tol, key, value, where)
+
+    return command
 
 
 # ---------------------------------------------------------------- gaussian
 
 
-def cmd_gaussian(cfg: dict, out: str, tol: dict) -> None:
-    b = cfg["gaussian"]
+@_command
+def cmd_gaussian(b: dict, consts: PhysicalConstants):
     sigma, omega0, t0, stations, n = b["sigma"], b["omega0"], b["t0"], b["stations"], b["n"]
-    consts = _constants(cfg)
     if not sigma > 0:
         raise ConfigError("gaussian.sigma must be positive")
 
@@ -192,13 +212,17 @@ def cmd_gaussian(cfg: dict, out: str, tol: dict) -> None:
 
     summary = []
     field_rows = []
+    gates = []
     for x in stations:
         psi = propagator.gaussian_exact(params, x, grid, consts)
         norm, mean, std = propagator.measured_moments(psi)
         w_pred = propagator.effective_width(sigma, x, consts)
         c_pred = propagator.carrier_center(t0, consts.hbar * omega0, x, consts)
         # the density is exp(-t^2/sigma_eff^2), so sigma_eff = sqrt(2) * std
-        summary.append((x, w_pred, np.sqrt(2.0) * std, c_pred, mean, norm))
+        width = np.sqrt(2.0) * std
+        summary.append((x, w_pred, width, c_pred, mean, norm))
+        gates.append(("gaussian_width_rel", abs(width / w_pred - 1.0), f"at x={x}"))
+        gates.append(("gaussian_drift_rel", abs(mean - c_pred) / max(abs(c_pred), w_pred), f"at x={x}"))
         rho, j = propagator.carroll_density_current(psi, vzero, consts)
         stride = max(1, n // 64)
         for i in range(0, n, stride):
@@ -206,28 +230,19 @@ def cmd_gaussian(cfg: dict, out: str, tol: dict) -> None:
                 (x, grid.times[i], psi.values[i].real, psi.values[i].imag, rho[i], j[i])
             )
 
-    write_csv(
-        os.path.join(out, "gaussian_summary.csv"),
-        [
-            "x",
-            "sigma_eff_predicted=sqrt(sigma^2+(hbar*x/(m*c^3*sigma))^2)",
-            "sigma_eff_measured=sqrt(2)*std(|psi|^2)",
-            "t_c_predicted=t0+E0*x/(m*c^3)",
-            "t_c_measured=centroid(|psi|^2)",
-            "norm=L2(psi)",
-        ],
-        summary,
-    )
-    write_csv(
-        os.path.join(out, "gaussian_field.csv"),
-        ["x", "t", "re=Re(psi)", "im=Im(psi)", "rho=-(hbar/mc^3)*Im(psi* dt psi)", "j_t=(hbar/mc^3)*Im(psi* dt psi)"],
-        field_rows,
-    )
-
-    for x, w_pred, std, c_pred, mean, _ in summary:
-        _gate(tol, "gaussian_width_rel", abs(std / w_pred - 1.0), f"at x={x}")
-        scale = max(abs(c_pred), propagator.effective_width(sigma, x, consts))
-        _gate(tol, "gaussian_drift_rel", abs(mean - c_pred) / scale, f"at x={x}")
+    return {
+        "gaussian_summary.csv": (
+            ["x", "sigma_eff_predicted=sqrt(sigma^2+(hbar*x/(m*c^3*sigma))^2)",
+             "sigma_eff_measured=sqrt(2)*std(|psi|^2)", "t_c_predicted=t0+E0*x/(m*c^3)",
+             "t_c_measured=centroid(|psi|^2)", "norm=L2(psi)"],
+            summary,
+        ),
+        "gaussian_field.csv": (
+            ["x", "t", "re=Re(psi)", "im=Im(psi)", "rho=-(hbar/mc^3)*Im(psi* dt psi)",
+             "j_t=(hbar/mc^3)*Im(psi* dt psi)"],
+            field_rows,
+        ),
+    }, gates
 
 
 # ----------------------------------------------------------------- duality
@@ -249,9 +264,8 @@ def _duality_target(block: dict):
     return PotentialSpec.space_profile(lambda x: sign * k / (x - x0)), (x0 + 0.5, x0 + 3.0)
 
 
-def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
-    block = cfg["duality"]
-    consts = _constants(cfg)
+@_command
+def cmd_duality(block: dict, consts: PhysicalConstants):
     E0, n = block["E0"], block["n"]
 
     if block["target"] == "velocity-profile":
@@ -260,15 +274,9 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
         v_car = PotentialSpec.time_profile(lambda t: -0.5j * consts.hbar * 2 * t / (1 + t**2))
         delta = duality.forward_delta(v_car, 1.0, 0.0, tg, consts)
         vs = duality.vsch_from_vcar(v_car, delta, tg, block["E_sch"], E0, consts)
-        write_csv(
-            os.path.join(out, "duality_forward.csv"),
-            ["t", "delta_re", "delta_im", "x=Re(delta)", "V_sch_re", "V_sch_im"],
-            [
-                (t, d.real, d.imag, d.real, v.real, v.imag)
-                for t, d, v in zip(tg.times, delta, vs)
-            ],
-        )
-        return
+        rows = [(t, d.real, d.imag, d.real, v.real, v.imag) for t, d, v in zip(tg.times, delta, vs)]
+        header = ["t", "delta_re", "delta_im", "x=Re(delta)", "V_sch_re", "V_sch_im"]
+        return {"duality_forward.csv": (header, rows)}, []
 
     name, E_sch = block["target"], block["E_sch"]
     v_sch, x_range = _duality_target(block)
@@ -276,39 +284,34 @@ def cmd_duality(cfg: dict, out: str, tol: dict) -> None:
     rt = duality.roundtrip_residual(dmap, v_sch)
     sw = duality.schwarzian_residual(dmap)
 
-    write_csv(
-        os.path.join(out, "duality_map.csv"),
-        ["x", "tau", "sigma=y1/y2", "V_sch_target", "q=(2m/hbar^2)(V_sch-E_sch)"],
-        [
-            (x, t, s, v, q)
-            for x, t, s, v, q in zip(
-                dmap.x, np.real(dmap.tau), np.real(dmap.sigma), v_sch.v_x(dmap.x), dmap.q
-            )
-        ],
-    )
-    write_csv(
-        os.path.join(out, "duality_delta.csv"),
-        ["t", "delta=tau^{-1}(t)"],
-        list(zip(dmap.delta_t, dmap.delta)),
-    )
-    write_csv(
-        os.path.join(out, "duality_residuals.csv"),
-        ["target", "roundtrip_residual", "schwarzian_residual=max|{sigma,x}+2q|"],
-        [(name, rt, sw)],
-    )
-
+    gates = []
     if name == "free" and E_sch == 0:
         # sigma = 1/x, so tau(1) = (hbar/E0) arctan(1)
         tau1, expected = dmap.tau_at(1.0), consts.hbar / E0 * np.pi / 4
-        _gate(tol, "duality_tau_free", abs(tau1 - expected), f"for tau(1) = {tau1}, expected {expected}")
+        gates.append(("duality_tau_free", abs(tau1 - expected), f"for tau(1) = {tau1}, expected {expected}"))
+    return {
+        "duality_map.csv": (
+            ["x", "tau", "sigma=y1/y2", "V_sch_target", "q=(2m/hbar^2)(V_sch-E_sch)"],
+            [
+                (x, t, s, v, q)
+                for x, t, s, v, q in zip(
+                    dmap.x, np.real(dmap.tau), np.real(dmap.sigma), v_sch.v_x(dmap.x), dmap.q
+                )
+            ],
+        ),
+        "duality_delta.csv": (["t", "delta=tau^{-1}(t)"], list(zip(dmap.delta_t, dmap.delta))),
+        "duality_residuals.csv": (
+            ["target", "roundtrip_residual", "schwarzian_residual=max|{sigma,x}+2q|"],
+            [(name, rt, sw)],
+        ),
+    }, gates
 
 
 # -------------------------------------------------------------- commutator
 
 
-def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
-    b = cfg["commutator"]
-    consts = _constants(cfg)
+@_command
+def cmd_commutator(b: dict, consts: PhysicalConstants):
     shift, sizes = b["shift"], b["sizes"]
 
     v_t = PotentialSpec.time_profile(np.sin, np.cos)
@@ -330,19 +333,14 @@ def cmd_commutator(cfg: dict, out: str, tol: dict) -> None:
         for label, vs, vc in cases
         for n in sizes
     ]
-    write_csv(
-        os.path.join(out, "commutator_residuals.csv"),
-        ["case", "n", "residual=max||(HF-FH)psi||/||psi||"],
-        rows,
-    )
+    return {"commutator_residuals.csv": (["case", "n", "residual=max||(HF-FH)psi||/||psi||"], rows)}, []
 
 
 # ---------------------------------------------------------------- currents
 
 
-def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
-    b = cfg["currents"]
-    consts = _constants(cfg)
+@_command
+def cmd_currents(b: dict, consts: PhysicalConstants):
     sigma, sizes = b["sigma"], b["sizes"]
 
     params = propagator.GaussianParams(sigma=sigma, t0=0.0, omega0=0.0)
@@ -356,21 +354,16 @@ def cmd_currents(cfg: dict, out: str, tol: dict) -> None:
         ratio = prev / res if prev is not None else float("nan")
         rows.append((n, res, ratio))
         prev = res
-    write_csv(
-        os.path.join(out, "currents_residuals.csv"),
-        ["n", "residual=max|dt'rho+dx'J|", "ratio=residual(n/2)/residual(n)"],
-        rows,
-    )
-    for n, _, ratio in rows[1:]:
-        _gate(tol, "currents_ratio", ratio, f"for continuity refinement at n={n}")
+    gates = [("currents_ratio", ratio, f"for continuity refinement at n={n}") for n, _, ratio in rows[1:]]
+    header = ["n", "residual=max|dt'rho+dx'J|", "ratio=residual(n/2)/residual(n)"]
+    return {"currents_residuals.csv": (header, rows)}, gates
 
 
 # -------------------------------------------------------------------- rays
 
 
-def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
-    b = cfg["rays"]
-    consts = _constants(cfg)
+@_command
+def cmd_rays(b: dict, consts: PhysicalConstants):
     kind, x_end, n_steps, q0, t0 = b["potential"], b["x_end"], b["n_steps"], b["q0"], b["t0"]
 
     if kind == "time-only":
@@ -394,69 +387,56 @@ def cmd_rays(cfg: dict, out: str, tol: dict) -> None:
             return t0 - q0 * x / consts.mc3 - kappa * x**3 / (6 * consts.mc3)
 
     ray = classical.trace_ray(v, 0.0, t0, q0, x_end, n_steps, consts)
-    xs, picard = classical.picard_iterate(
-        v, 0.0, t0, q0, x_end, 2, n_samples=n_steps, constants=consts
-    )
+    _, picard = classical.picard_iterate(v, 0.0, t0, q0, x_end, 2, n_samples=n_steps, constants=consts)
     rows = [
         (x, t, q, p, t_exact(x), pi)
         for x, t, q, p, pi in zip(ray.x, ray.t, ray.q, ray.p_x, picard[1])
     ]
-    write_csv(
-        os.path.join(out, "rays.csv"),
-        [
-            "x",
-            "t (dt/dx=-q/mc^3)",
-            "q=p_t+V_car",
-            "p_x=q^2/(2mc^3)",
-            "t_exact_if_available",
-            "picard_1",
-        ],
-        rows,
-    )
-    for x, t, _, _, t_ex, _ in rows:
-        _gate(tol, "rays_exact", abs(t - t_ex), f"against exact quadrature at x={x}")
+    header = ["x", "t (dt/dx=-q/mc^3)", "q=p_t+V_car", "p_x=q^2/(2mc^3)", "t_exact_if_available", "picard_1"]
+    gates = [("rays_exact", abs(t - t_ex), f"against exact quadrature at x={x}")
+             for x, t, _, _, t_ex, _ in rows]
+    return {"rays.csv": (header, rows)}, gates
 
 
 # ---------------------------------------------------------------- quantize
 
 
-def cmd_quantize(cfg: dict, out: str, tol: dict) -> None:
-    b = cfg["quantize"]
-    consts = _constants(cfg)
+@_command
+def cmd_quantize(b: dict, consts: PhysicalConstants):
     T, n_max, p0 = b["T"], b["n_max"], b["p0"]
-    v = PotentialSpec.time_profile(np.sin, np.cos)
-    if b["profile"] == "zero":
-        v = PotentialSpec.zero()
+    if not T > 0:
+        raise ConfigError(f"quantize.T must be positive, got {T}")
+    v = PotentialSpec.zero() if b["profile"] == "zero" else PotentialSpec.time_profile(np.sin, np.cos)
 
-    oracle = interaction.dirichlet_eigenvalue_oracle(T, 2000, n_max) * consts.hbar
+    n_oracle = 2000  # the fixed size of the finite-difference oracle
+    try:
+        oracle = interaction.dirichlet_eigenvalue_oracle(T, n_oracle, n_max) * consts.hbar
+    except ValueError as exc:
+        raise ConfigError(f"quantize.n_max must lie in 1..{n_oracle}, the oracle's size: {exc}") from exc
     spec = interaction.quantized_modes(T, n_max, p0, v, consts)
-    write_csv(
-        os.path.join(out, "quantize_levels.csv"),
-        ["n", "E_n=n*pi*hbar/T", "E_n_fd_oracle"],
-        [(i + 1, e, o) for i, (e, o) in enumerate(zip(spec.levels, oracle))],
-    )
     mode_rows = []
+    gates = []
     for i, mode in enumerate(spec.modes):
         rho = np.abs(mode.values) ** 2
         stride = max(1, mode.grid.n // 128)
         for k in range(0, mode.grid.n, stride):
             mode_rows.append((i + 1, mode.grid.times[k], rho[k]))
-    write_csv(
-        os.path.join(out, "quantize_modes.csv"),
-        ["n", "t", "rho=(2/T)*sin^2(n*pi*t/T)"],
-        mode_rows,
-    )
-    for i, mode in enumerate(spec.modes):
-        total = mode.grid.dt * float(np.sum(np.abs(mode.values) ** 2))
-        _gate(tol, "quantize_norm", abs(total - 1.0), f"for the norm {total} of mode {i + 1}")
+        total = mode.grid.dt * float(np.sum(rho))
+        gates.append(("quantize_norm", abs(total - 1.0), f"for the norm {total} of mode {i + 1}"))
+    return {
+        "quantize_levels.csv": (
+            ["n", "E_n=n*pi*hbar/T", "E_n_fd_oracle"],
+            [(i + 1, e, o) for i, (e, o) in enumerate(zip(spec.levels, oracle))],
+        ),
+        "quantize_modes.csv": (["n", "t", "rho=(2/T)*sin^2(n*pi*t/T)"], mode_rows),
+    }, gates
 
 
 # ------------------------------------------------------------------- dyson
 
 
-def cmd_dyson(cfg: dict, out: str, tol: dict) -> None:
-    b = cfg["dyson"]
-    consts = _constants(cfg)
+@_command
+def cmd_dyson(b: dict, consts: PhysicalConstants):
     eps_list, x_end, n_steps = b["eps"], b["x_end"], b["n_steps"]
     if len(set(eps_list)) < 2 or min(eps_list) <= 0:
         raise ConfigError("dyson.eps needs at least two distinct positive values to fit a slope")
@@ -474,12 +454,9 @@ def cmd_dyson(cfg: dict, out: str, tol: dict) -> None:
 
     slope, _ = np.polyfit(np.log(eps_list), np.log(errs), 1)
     rows = [(e, err, slope) for e, err in zip(eps_list, errs)]
-    write_csv(
-        os.path.join(out, "dyson_scaling.csv"),
-        ["eps", "err=||phi_dyson-phi_full||", "slope=dlog(err)/dlog(eps)"],
-        rows,
-    )
-    _gate(tol, "dyson_slope", slope, "for the Dyson error against eps")
+    return {
+        "dyson_scaling.csv": (["eps", "err=||phi_dyson-phi_full||", "slope=dlog(err)/dlog(eps)"], rows)
+    }, [("dyson_slope", slope, "for the Dyson error against eps")]
 
 
 # -------------------------------------------------------------------- main

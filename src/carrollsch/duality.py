@@ -177,6 +177,11 @@ def _window_extrema(a: np.ndarray, size: int = 9) -> tuple[np.ndarray, np.ndarra
     return windows.max(axis=1), windows.min(axis=1)
 
 
+def _stride(target_step: float, step: float, n: int, min_samples: int) -> int:
+    """The sample stride nearest target_step / step, at most n // min_samples and at least 1."""
+    return max(1, min(int(round(target_step / step)), n // min_samples))
+
+
 def schwarzian_residual(dmap: DualityMap, margin: int = 4, target_step: float = 2e-3) -> float:
     """max |{sigma, x} + 2q| over interior samples, by finite differences.
 
@@ -186,8 +191,7 @@ def schwarzian_residual(dmap: DualityMap, margin: int = 4, target_step: float = 
     Mobius-equivalent ratio 1/sigma = y2/y1 is differentiated instead
     (same Schwarzian, bounded samples near zeros of y2).
     """
-    n = len(dmap.sigma)
-    stride = max(1, min(int(round(target_step / dmap.dx)), n // (2 * margin + 32)))
+    stride = _stride(target_step, dmap.dx, len(dmap.sigma), 2 * margin + 32)
     sig = dmap.sigma[::stride]
     q = dmap.q[::stride]
     h = dmap.dx * stride
@@ -217,7 +221,7 @@ def roundtrip_residual(
     ({delta,t}/delta-dot^2)|_{t=tau} = -{tau,x} and (1/delta-dot^2)| = tau'^2.
     """
     hbar, m = dmap.constants.hbar, dmap.constants.m
-    stride = max(1, min(int(round(5e-3 / dmap.dx)), len(dmap.tau) // 64))
+    stride = _stride(5e-3, dmap.dx, len(dmap.tau), 64)
     tau = dmap.tau[::stride]
     h = dmap.dx * stride
     tau_p = deriv_uniform(tau, h, 1)
@@ -248,12 +252,12 @@ def inversion_identity_residual(
             for den in (150, 250, 500, 1000)
         )
     dt = float(dmap.delta_t[1] - dmap.delta_t[0])
-    st = max(1, min(int(round(target_step / dt)), len(dmap.delta) // (2 * margin + 32)))
+    st = _stride(target_step, dt, len(dmap.delta), 2 * margin + 32)
     delta = dmap.delta[::st]
     ddot = deriv_uniform(delta, dt * st, 1)
     S_delta = schwarzian_samples(delta, dt * st) / ddot**2
 
-    sx = max(1, min(int(round(target_step / dmap.dx)), len(dmap.tau) // (2 * margin + 32)))
+    sx = _stride(target_step, dmap.dx, len(dmap.tau), 2 * margin + 32)
     S_tau = schwarzian_samples(dmap.tau[::sx], dmap.dx * sx)
     # pull -{tau,x} to the t grid: x = delta(t)
     xs = interior(dmap.x[::sx], margin)

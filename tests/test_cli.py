@@ -97,6 +97,16 @@ class TestExitCodes:
         )
         assert cli.main(["gaussian", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_tolerance_breach_leaves_every_csv(self, tmp_path):
+        # every table is written before the first gate is checked
+        cfg = _write_config(
+            tmp_path,
+            {"schema": cli.SCHEMA, "gaussian": {"n": 16, "stations": [0.0, 5.0]}},
+        )
+        out = tmp_path / "o"
+        assert cli.main(["gaussian", "--config", cfg, "--out", str(out)]) == 2
+        assert sorted(os.listdir(out)) == ["gaussian_field.csv", "gaussian_summary.csv"]
+
     def test_bad_parameter(self, tmp_path):
         cfg = _write_config(
             tmp_path, {"schema": cli.SCHEMA, "gaussian": {"sigma": -1.0}}
@@ -141,6 +151,9 @@ class TestExitCodes:
             ({"currents": {"sizes": [16]}}, "grid has no interior"),
             ({"commutator": {"sizes": [16, 32]}}, "grid has no interior"),
             ({"quantize": {"n_max": 2001}}, "n_levels must lie in 1..n_points = 2000, got 2001"),
+            ({"quantize": {"n_max": 2001}}, "quantize.n_max must lie in 1..2000"),
+            ({"quantize": {"n_max": 0}}, "quantize.n_max must lie in 1..2000"),
+            ({"quantize": {"T": 0.0}}, "quantize.T must be positive, got 0.0"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):
@@ -264,6 +277,16 @@ class TestSubcommands:
         lines = (out / "quantize_levels.csv").read_text().splitlines()
         levels = [float(row.split(",")[1]) for row in lines[1:]]
         np.testing.assert_allclose(levels, [1.0, 2.0, 3.0], atol=1e-15)
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("sub", sorted(cli.COMMANDS))
+    def test_entry_is_the_module_function(self, sub):
+        # the perfbench tracer names its cli.cmd_s.<sub> spans from __module__ and __name__
+        entry = cli.COMMANDS[sub]
+        assert entry is getattr(cli, f"cmd_{sub}")
+        assert entry.__name__ == f"cmd_{sub}"
+        assert entry.__module__ == "carrollsch.cli"
 
 
 class TestCsvFormat:

@@ -3,7 +3,8 @@
 The kinetic multiplier exp(-i beta h w^2) is built by `numerics` alone; a
 second copy of the expression elsewhere in the package would bypass its
 cache and could drift from it.  scipy is imported by `numerics` alone, so
-its import cost is paid only where a spline is built.
+its import cost is paid only where a spline is built.  In `cli`, one runner
+writes the CSVs and checks the gates, so no command can bypass it.
 """
 from __future__ import annotations
 
@@ -34,3 +35,19 @@ def _imported_roots(path: Path) -> set[str]:
 def test_scipy_imported_only_in_numerics():
     homes = sorted(p.name for p in PACKAGE.glob("*.py") if "scipy" in _imported_roots(p))
     assert homes == ["numerics.py"], f"scipy imported outside numerics.py: {homes}"
+
+
+def test_cli_writes_and_gates_in_one_runner():
+    """write_csv( and _gate( are called from one top-level function of cli.py, the runner."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    for callee in ("write_csv", "_gate"):
+        callers = sorted(
+            fn.name
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+            and any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == callee
+                for node in ast.walk(fn)
+            )
+        )
+        assert callers == ["_command"], f"{callee} called from {callers}"
