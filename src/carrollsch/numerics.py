@@ -4,12 +4,13 @@ Uniform grids with a periodic (endpoint-excluded) convention; the one check
 of complex samples and the one rule for a real V; the spectral multiplier
 and derivative; the kinetic multiplier exp(-i beta h w^2), built once per
 (grid, beta, h) and returned read-only, with one entry kept; the lazily
-loaded cubic spline; the fixed-step RK4 loop on a tuple of components, whose
-callers sample their coefficients up front; finite-difference stencils along
-any axis, the Schwarzian of sampled functions, the anchored cumulative
-integral and the interior slice.  Everything here is a pure function of its
-inputs (the one cache returns an array equal to a fresh build), and this
-module loads numpy only (scipy on the first spline).
+loaded cubic spline; the fixed-step RK4 loop on a tuple of components, its
+stage abscissae and the checked up-front sample of a coefficient on them,
+whose first bad value is reported in stepping order; finite-difference
+stencils along any axis, the Schwarzian of sampled functions, the anchored
+cumulative integral and the interior slice.  Everything here is a pure
+function of its inputs (the one cache returns an array equal to a fresh
+build), and this module loads numpy only (scipy on the first spline).
 """
 from __future__ import annotations
 
@@ -143,18 +144,8 @@ def integrate_fundamental_pair(
     if not x_hi > x_lo:
         raise ValueError("x_hi must exceed x_lo")
     h = (x_hi - x_lo) / n
-    xs = x_lo + h * np.arange(n + 1)
-    x_stages = (xs, xs[:-1] + 0.5 * h, xs[:-1] + h)
-    q_stages = [np.broadcast_to(q(u), u.shape) for u in x_stages]
-    bad = [
-        (u[i], v[i])
-        for u, v in zip(x_stages, q_stages)
-        for i in np.flatnonzero(np.iscomplexobj(v) | ~np.isfinite(v))[:1]
-    ]
-    if bad:
-        x, val = min(bad, key=lambda b: b[0])
-        raise ValueError(f"q must be real and finite, got {val} at x = {x}")
-    qs = [v.astype(float).tolist() for v in q_stages]
+    x_stages = rk4_abscissae(x_lo, h, n)
+    qs = rk4_samples(q, x_stages, "q must be real and finite, got {v} at x = {x}")
 
     def rhs(k: int, stage: int, s: tuple) -> tuple:
         qk = qs[stage][k]
@@ -162,7 +153,7 @@ def integrate_fundamental_pair(
 
     # state: (y1, y1', y2, y2')
     y1, y1_prime, y2, y2_prime = map(np.array, zip(*rk4(rhs, (1.0, 0.0, 0.0, 1.0), n, h)))
-    return FundamentalPair(x=xs, y1=y1, y1_prime=y1_prime, y2=y2, y2_prime=y2_prime)
+    return FundamentalPair(x=x_stages[0], y1=y1, y1_prime=y1_prime, y2=y2, y2_prime=y2_prime)
 
 
 def rk4(rhs: Callable[[int, int, tuple], tuple], s0: tuple, n: int, h: float) -> list[tuple]:
@@ -171,8 +162,8 @@ def rk4(rhs: Callable[[int, int, tuple], tuple], s0: tuple, n: int, h: float) ->
     A state is a tuple of components: floats, or arrays of one shape.
     `rhs(k, stage, s)` is f in step k at x_k (stage 0), x_k + h/2 (stage 1,
     for k2 and k3) or x_k + h (stage 2), so a caller samples its
-    coefficients at those points up front.  x_k + h need not equal x_{k+1}
-    bit for bit.
+    coefficients at those points up front (`rk4_abscissae`, `rk4_samples`).
+    x_k + h need not equal x_{k+1} bit for bit.
     """
     h2, h6 = 0.5 * h, h / 6.0
     s = tuple(s0)
@@ -187,6 +178,37 @@ def rk4(rhs: Callable[[int, int, tuple], tuple], s0: tuple, n: int, h: float) ->
         )
         out.append(s)
     return out
+
+
+def rk4_abscissae(x0: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The abscissae of `rk4`'s stages over n steps of size h from x0: the
+    n + 1 nodes x_k (stage 0), the midpoints x_k + h/2 (stage 1) and the
+    step ends x_k + h (stage 2).  h may be negative."""
+    xs = x0 + h * np.arange(n + 1)
+    return xs, xs[:-1] + 0.5 * h, xs[:-1] + h
+
+
+def rk4_samples(
+    f: Callable[[np.ndarray], np.ndarray], x_stages: tuple[np.ndarray, ...], fault: str
+) -> list[list[float]]:
+    """f on each stage array, as float lists that `rhs` reads by [stage][k].
+
+    f is called once per array and may return a scalar.  A complex or
+    non-finite sample raises ValueError(fault.format(x=..., v=...)) for the
+    first one in stepping order, (k, stage) ascending: the bad x that `rk4`
+    would reach first, the smallest of an upward run, the largest of a
+    downward one.
+    """
+    samples = [np.broadcast_to(f(u), u.shape) for u in x_stages]
+    bad = [
+        (i, stage)
+        for stage, v in enumerate(samples)
+        for i in np.flatnonzero(np.iscomplexobj(v) | ~np.isfinite(v))[:1]
+    ]
+    if bad:
+        i, stage = min(bad)
+        raise ValueError(fault.format(x=x_stages[stage][i], v=samples[stage][i]))
+    return [v.astype(float).tolist() for v in samples]
 
 
 def deriv_uniform(values: np.ndarray, dx: float, order: int = 1, axis: int = 0) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Tests for ultra-boost kinematics, ray tracing and Picard iteration."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,11 @@ from carrollsch import (
 )
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def _two_poles(x):
+    """A gradient that is infinite at x = -0.2421875 and at x = 0.25."""
+    return 1.0 / ((x + 0.2421875) * (x - 0.25))
 
 
 class TestUltraBoost:
@@ -91,8 +98,26 @@ class TestTraceRay:
 
     def test_nonfinite_gradient_rejected(self):
         v = PotentialSpec.space_profile(lambda x: 1.0 / x, lambda x: -1.0 / x**2)
-        with np.errstate(divide="ignore"), pytest.raises(ValueError):
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite at x = 0.0"):
             trace_ray(v, -0.5, 0.0, 0.0, 0.5, 64)
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            PotentialSpec.space_profile(lambda x: x, _two_poles),
+            PotentialSpec.separable(lambda x: x, np.cos, da=_two_poles),
+        ],
+        ids=["up-front", "per-stage"],
+    )
+    @pytest.mark.parametrize(
+        "x0, x_end, first", [(-0.5, 0.5, -0.2421875), (0.5, -0.5, 0.25)], ids=["upward", "downward"]
+    )
+    def test_nonfinite_gradient_names_the_first_x_reached(self, v, x0, x_end, first):
+        # h = +-1/64: -0.2421875 is the midpoint of step 16 of the upward ray,
+        # reached before the node 0.25; the downward ray reaches 0.25 first
+        fault = rf"at x = {re.escape(str(first))}$"
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match=fault):
+            trace_ray(v, x0, 0.0, 0.0, x_end, 64)
 
 
 class TestPicard:

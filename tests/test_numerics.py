@@ -189,19 +189,32 @@ class TestFloatStateRK4:
             assert np.array_equal(getattr(pair, name), ref[:, i]), name
 
     @pytest.mark.parametrize(
-        "v, n_steps",
+        "v, x0, x_end, n_steps",
         [
-            (PotentialSpec.space_profile(lambda x: x, lambda x: np.ones_like(x)), 256),
-            (PotentialSpec.space_profile(lambda x: 3.0 * x**2, lambda x: 6.0 * x), 4096),
+            (PotentialSpec.space_profile(lambda x: x, lambda x: np.ones_like(x)), 0.0, 1.3, 256),
+            (PotentialSpec.space_profile(lambda x: 3.0 * x**2, lambda x: 6.0 * x), 0.0, 1.3, 4096),
+            (PotentialSpec.space_profile(lambda x: 1.5 * x**2), 0.0, 1.3, 1024),
+            (PotentialSpec.space_profile(np.sin, np.cos), 0.0, 1.3, 1024),
+            (PotentialSpec.space_profile(lambda x: 3.0 * x**2, lambda x: 6.0 * x), 0.4, -1.3, 1000),
+            (
+                PotentialSpec.separable(lambda x: 0.2 * x, np.sin, da=lambda x: np.full_like(x, 0.2)),
+                0.0,
+                1.3,
+                1024,
+            ),
+            (PotentialSpec.time_profile(np.cos, lambda t: -np.sin(t)), 0.0, 1.3, 1024),
         ],
-        ids=["linear", "quadratic"],
+        ids=["linear", "quadratic", "fd-quadratic", "sine", "downward", "separable", "time-only"],
     )
-    def test_ray_matches_array_loop(self, v, n_steps):
+    def test_ray_matches_array_loop(self, v, x0, x_end, n_steps):
+        """V of x alone is sampled up front, V(x, t) per stage; both equal the
+        loop that evaluates the gradient at each stage's (x, t)."""
+
         def rhs(x, s):
             return np.array([-s[1], v.dvdx_at(x, s[0])])
 
-        ray = trace_ray(v, 0.0, 0.25, 0.7, 1.3, n_steps)
-        ref = _array_rk4(rhs, [0.25, 0.7], ray.x, 1.3 / n_steps)
+        ray = trace_ray(v, x0, 0.25, 0.7, x_end, n_steps)
+        ref = _array_rk4(rhs, [0.25, 0.7], ray.x, (x_end - x0) / n_steps)
         assert np.array_equal(ray.t, ref[:, 0])
         assert np.array_equal(ray.q, ref[:, 1])
 

@@ -2,7 +2,9 @@
 
 The kinetic multiplier exp(-i beta h w^2) is built by `numerics` alone; a
 second copy of the expression elsewhere in the package would bypass its
-cache and could drift from it.  scipy is imported by `numerics` alone, so
+cache and could drift from it.  The RK4 stage abscissae (nodes, midpoints
+x_k + h/2, step ends) are built by `numerics` alone, so every caller samples
+its coefficients at the points `rk4` steps through.  scipy is imported by `numerics` alone, so
 its import cost is paid only where a spline is built.  In `cli`, one runner
 writes the CSVs and checks the gates, so no command can bypass it.
 """
@@ -19,6 +21,12 @@ def test_squared_frequencies_only_in_numerics():
     squared = re.compile(r"omegas\s*\*\*\s*2\b")
     homes = sorted(p.name for p in PACKAGE.glob("*.py") if squared.search(p.read_text()))
     assert homes == ["numerics.py"], f"omegas**2 outside numerics.py: {homes}"
+
+
+def test_rk4_midpoints_only_in_numerics():
+    midpoint = re.compile(r"\+\s*0\.5\s*\*\s*h\b")
+    homes = sorted(p.name for p in PACKAGE.glob("*.py") if midpoint.search(p.read_text()))
+    assert homes == ["numerics.py"], f"RK4 midpoints (+ 0.5 * h) built outside numerics.py: {homes}"
 
 
 def _imported_roots(path: Path) -> set[str]:
