@@ -4,9 +4,12 @@ Uniform grids with a periodic (endpoint-excluded) convention; the one check
 of complex samples and the one rule for a real V; the spectral multiplier
 and derivative; the kinetic multiplier exp(-i beta h w^2), built once per
 (grid, beta, h) and returned read-only, with one entry kept; the lazily
-loaded cubic spline; the fixed-step RK4 loop on a tuple of components, its
-stage abscissae and the checked up-front sample of a coefficient on them,
-whose first bad value is reported in stepping order; finite-difference
+loaded cubic spline; the RK4 stage abscissae and the checked up-front sample
+of a coefficient on them, whose first bad value is reported in stepping
+order; the fundamental pair of y'' + q y = 0, its RK4 step written out over
+floats; RK4 on dt/dx = -q/d, dq/dx = g(x) as two running sums; the
+fixed-step RK4 loop on a tuple of components, left to systems whose
+coefficients read the state (rays in a V(x, t)); finite-difference
 stencils along any axis, the Schwarzian of sampled functions, the anchored
 cumulative integral and the interior slice.  Everything here is a pure
 function of its inputs (the one cache returns an array equal to a fresh
@@ -139,21 +142,43 @@ def integrate_fundamental_pair(
     Returns n + 1 samples on [x_lo, x_hi] inclusive.  q is called once on
     each of three arrays: the nodes, the step midpoints and the step ends.
     It may return a scalar; a complex or non-finite value raises ValueError
-    naming the first such x.
+    naming the first such x.  The steps are those of `rk4` on the state
+    (y1, y1', y2, y2'), operation for operation, in one loop over floats.
     """
     if not x_hi > x_lo:
         raise ValueError("x_hi must exceed x_lo")
     h = (x_hi - x_lo) / n
     x_stages = rk4_abscissae(x_lo, h, n)
     qs = rk4_samples(q, x_stages, "q must be real and finite, got {v} at x = {x}")
-
-    def rhs(k: int, stage: int, s: tuple) -> tuple:
-        qk = qs[stage][k]
-        return (s[1], -qk * s[0], s[3], -qk * s[2])
-
-    # state: (y1, y1', y2, y2')
-    y1, y1_prime, y2, y2_prime = map(np.array, zip(*rk4(rhs, (1.0, 0.0, 0.0, 1.0), n, h)))
-    return FundamentalPair(x=x_stages[0], y1=y1, y1_prime=y1_prime, y2=y2, y2_prime=y2_prime)
+    q0s, q1s, q2s = (v.tolist() for v in qs)
+    # (u, du, v, dv) = (y1, y1', y2, y2'); stage j has the state
+    # (u_j, du_j, v_j, dv_j) and the slopes (du_j, f_j, dv_j, g_j), with
+    # f_j = -q u_j and g_j = -q v_j
+    h2, h6 = 0.5 * h, h / 6.0
+    u, du, v, dv = 1.0, 0.0, 0.0, 1.0
+    y1, y1_prime, y2, y2_prime = [u], [du], [v], [dv]
+    for qa, qb, qc in zip(q0s, q1s, q2s):
+        f1, g1 = -qa * u, -qa * v
+        u2, du2, v2, dv2 = u + h2 * du, du + h2 * f1, v + h2 * dv, dv + h2 * g1
+        f2, g2 = -qb * u2, -qb * v2
+        u3, du3, v3, dv3 = u + h2 * du2, du + h2 * f2, v + h2 * dv2, dv + h2 * g2
+        f3, g3 = -qb * u3, -qb * v3
+        u4, du4, v4, dv4 = u + h * du3, du + h * f3, v + h * dv3, dv + h * g3
+        f4, g4 = -qc * u4, -qc * v4
+        u, du, v, dv = (
+            u + h6 * (((du + 2 * du2) + 2 * du3) + du4),
+            du + h6 * (((f1 + 2 * f2) + 2 * f3) + f4),
+            v + h6 * (((dv + 2 * dv2) + 2 * dv3) + dv4),
+            dv + h6 * (((g1 + 2 * g2) + 2 * g3) + g4),
+        )
+        y1.append(u)
+        y1_prime.append(du)
+        y2.append(v)
+        y2_prime.append(dv)
+    return FundamentalPair(
+        x=x_stages[0], y1=np.array(y1), y2=np.array(y2),
+        y1_prime=np.array(y1_prime), y2_prime=np.array(y2_prime),
+    )
 
 
 def rk4(rhs: Callable[[int, int, tuple], tuple], s0: tuple, n: int, h: float) -> list[tuple]:
@@ -161,9 +186,10 @@ def rk4(rhs: Callable[[int, int, tuple], tuple], s0: tuple, n: int, h: float) ->
 
     A state is a tuple of components: floats, or arrays of one shape.
     `rhs(k, stage, s)` is f in step k at x_k (stage 0), x_k + h/2 (stage 1,
-    for k2 and k3) or x_k + h (stage 2), so a caller samples its
-    coefficients at those points up front (`rk4_abscissae`, `rk4_samples`).
-    x_k + h need not equal x_{k+1} bit for bit.
+    for k2 and k3) or x_k + h (stage 2), the points of `rk4_abscissae`.
+    x_k + h need not equal x_{k+1} bit for bit.  Its one caller is a ray in
+    a V(x, t), whose gradient reads the state; the fundamental pair and
+    `rk4_sums` take the same steps without this loop.
     """
     h2, h6 = 0.5 * h, h / 6.0
     s = tuple(s0)
@@ -180,6 +206,26 @@ def rk4(rhs: Callable[[int, int, tuple], tuple], s0: tuple, n: int, h: float) ->
     return out
 
 
+def rk4_sums(
+    g: tuple[np.ndarray, np.ndarray, np.ndarray], t0: float, q0: float, h: float, d: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`rk4`'s states for dt/dx = -q / d, dq/dx = g(x): the n + 1 values of t and of q.
+
+    g holds the samples on `rk4_abscissae`'s stages, as `rk4_samples` returns
+    them: the n nodes that start a step, the midpoints and the step ends.
+    dq/dx reads no state, so q is one running sum of its RK4 increments, and
+    t a second one of the stage slopes -q_j / d, evaluated as arrays.
+    `np.cumsum` adds in stepping order, so both equal `rk4`'s bit for bit.
+    """
+    g0, g1, g2 = g
+    h2, h6 = 0.5 * h, h / 6.0
+    q = np.cumsum(np.concatenate(([float(q0)], h6 * (((g0 + 2 * g1) + 2 * g1) + g2))))
+    qk = q[:-1]
+    k1, k2 = -qk / d, -(qk + h2 * g0) / d
+    k3, k4 = -(qk + h2 * g1) / d, -(qk + h * g1) / d
+    t = np.cumsum(np.concatenate(([float(t0)], h6 * (((k1 + 2 * k2) + 2 * k3) + k4))))
+    return t, q
+
 def rk4_abscissae(x0: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The abscissae of `rk4`'s stages over n steps of size h from x0: the
     n + 1 nodes x_k (stage 0), the midpoints x_k + h/2 (stage 1) and the
@@ -190,8 +236,8 @@ def rk4_abscissae(x0: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray, 
 
 def rk4_samples(
     f: Callable[[np.ndarray], np.ndarray], x_stages: tuple[np.ndarray, ...], fault: str
-) -> list[list[float]]:
-    """f on each stage array, as float lists that `rhs` reads by [stage][k].
+) -> list[np.ndarray]:
+    """f on each stage array, as float arrays indexed [stage][k].
 
     f is called once per array and may return a scalar.  A complex or
     non-finite sample raises ValueError(fault.format(x=..., v=...)) for the
@@ -208,7 +254,7 @@ def rk4_samples(
     if bad:
         i, stage = min(bad)
         raise ValueError(fault.format(x=x_stages[stage][i], v=samples[stage][i]))
-    return [v.astype(float).tolist() for v in samples]
+    return [v.astype(float) for v in samples]
 
 
 def deriv_uniform(values: np.ndarray, dx: float, order: int = 1, axis: int = 0) -> np.ndarray:

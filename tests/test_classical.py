@@ -86,6 +86,57 @@ class TestTraceRay:
         np.testing.assert_allclose(ray.t, -ray.x**2 / 2.0, atol=1e-10)
         np.testing.assert_allclose(ray.q, ray.x, atol=1e-10)
 
+    consts = PhysicalConstants(hbar=1.3, m=0.8, c=1.1)  # mc^3 = 1.0648
+
+    @pytest.mark.parametrize("x0, x_end", [(0.3, 1.7), (0.3, -1.1)], ids=["upward", "downward"])
+    def test_time_only_ray_is_the_free_line(self, x0, x_end):
+        # d_x V = 0, so q stays q0 exactly and t = t0 - q0 (x - x0) / mc^3
+        v = PotentialSpec.time_profile(np.cos, lambda t: -np.sin(t))
+        ray = trace_ray(v, x0, 0.25, -0.6, x_end, 300, self.consts)
+        assert np.all(ray.q == -0.6)
+        np.testing.assert_allclose(ray.t, 0.25 + 0.6 * (ray.x - x0) / self.consts.mc3, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.0, 0.8), (1.5, 0.0), (1.5, 0.8)], ids=["linear", "quadratic", "quadratic-tilted"]
+    )
+    @pytest.mark.parametrize("x0, x_end", [(0.3, 1.7), (0.3, -1.1)], ids=["upward", "downward"])
+    def test_polynomial_ray_closed_form(self, a, b, x0, x_end):
+        # V = a x^2 + b x: q = q0 + V(x) - V(x0), and t, the exact cubic, is
+        # t0 - [(q0 - V(x0)) (x - x0) + a (x^3 - x0^3) / 3 + b (x^2 - x0^2) / 2] / mc^3;
+        # RK4 integrates both polynomials exactly, so only roundoff remains
+        v = PotentialSpec.space_profile(lambda x: a * x**2 + b * x, lambda x: 2 * a * x + b)
+        t0, q0 = 0.25, -0.6
+        ray = trace_ray(v, x0, t0, q0, x_end, 300, self.consts)
+        x, vx0 = ray.x, a * x0**2 + b * x0
+        q = q0 + (a * x**2 + b * x) - vx0
+        t = t0 - ((q0 - vx0) * (x - x0) + a * (x**3 - x0**3) / 3 + b * (x**2 - x0**2) / 2) / self.consts.mc3
+        np.testing.assert_allclose(ray.q, q, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ray.t, t, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "v, per_stage",
+        [
+            (PotentialSpec.space_profile(lambda x: 3.0 * x**2, lambda x: 6.0 * x), False),
+            (PotentialSpec.space_profile(np.sin), False),
+            (PotentialSpec.time_profile(np.cos, lambda t: -np.sin(t)), False),
+            (PotentialSpec.constant(2.0), False),
+            (PotentialSpec.separable(lambda x: 0.2 * x, np.sin, da=lambda x: np.full_like(x, 0.2)), True),
+        ],
+        ids=["quadratic", "sine-fd", "time-only", "constant", "separable"],
+    )
+    def test_only_a_gradient_that_reads_t_steps_through_rk4(self, v, per_stage, monkeypatch):
+        from carrollsch import classical
+
+        calls, rk4 = [], classical.rk4
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])  # n
+            return rk4(*args, **kwargs)
+
+        monkeypatch.setattr(classical, "rk4", counted)
+        trace_ray(v, 0.0, 0.25, 0.7, 1.3, 64)
+        assert calls == ([64] if per_stage else [])
+
     def test_constraint_identically_zero(self):
         v = PotentialSpec.space_profile(np.sin, np.cos)
         ray = trace_ray(v, 0.0, 0.3, 0.5, 2.0, 128)

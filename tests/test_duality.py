@@ -6,6 +6,7 @@ import pytest
 
 from carrollsch import (
     BranchError,
+    PhysicalConstants,
     PotentialSpec,
     TimeGrid,
     forward_delta,
@@ -15,6 +16,7 @@ from carrollsch import (
     schwarzian_residual,
     vsch_from_vcar,
 )
+from carrollsch import cli
 from carrollsch.duality import _window_extrema, _zero_free_patch
 from carrollsch.numerics import deriv_uniform, schwarzian_samples
 
@@ -178,3 +180,24 @@ def test_zero_free_patch(runs, patch):
             _zero_free_patch(y2)
     else:
         assert _zero_free_patch(y2) == patch
+
+
+class TestVelocityProfileTarget:
+    """The CLI's `velocity-profile` target against its exact delta(t)."""
+
+    @pytest.mark.parametrize(
+        "consts", [PhysicalConstants(), PhysicalConstants(hbar=1.3, m=0.8, c=1.1)], ids=["natural", "scaled"]
+    )
+    def test_delta_converges_at_the_trapezoid_order(self, consts):
+        # V_car = -i hbar t/(1 + t^2) gives delta-dot = (1 + t^2)/2 on [-1, 1],
+        # so delta = (t + t^3/3 + 4/3)/2; the anchored integral is 2nd order
+        errs = []
+        for n in (512, 1024, 2048, 4096):
+            block = cli._resolve({"duality": {"target": "velocity-profile", "n": n}}, "duality")
+            tables, gates = cli.cmd_duality.__wrapped__(block, consts)
+            header, rows = tables["duality_forward.csv"]
+            assert header[:3] == ["t", "delta_re", "delta_im"] and gates == []
+            t, d_re, d_im = np.array([row[:3] for row in rows]).T
+            errs.append(np.max(np.abs(d_re + 1j * d_im - (t + t**3 / 3 + 4 / 3) / 2)))
+        ratios = np.array(errs[:-1]) / np.array(errs[1:])
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios

@@ -14,6 +14,8 @@ from carrollsch.numerics import (
     integrate_fundamental_pair,
     interior,
     kinetic_multiplier,
+    rk4,
+    rk4_sums,
     schwarzian_samples,
 )
 from carrollsch.operators import Field2D
@@ -203,8 +205,12 @@ class TestFloatStateRK4:
                 1024,
             ),
             (PotentialSpec.time_profile(np.cos, lambda t: -np.sin(t)), 0.0, 1.3, 1024),
+            (PotentialSpec.time_profile(np.cos, lambda t: -np.sin(t)), 0.4, -1.3, 1000),
         ],
-        ids=["linear", "quadratic", "fd-quadratic", "sine", "downward", "separable", "time-only"],
+        ids=[
+            "linear", "quadratic", "fd-quadratic", "sine", "downward", "separable", "time-only",
+            "time-only-downward",
+        ],
     )
     def test_ray_matches_array_loop(self, v, x0, x_end, n_steps):
         """V of x alone is sampled up front, V(x, t) per stage; both equal the
@@ -217,6 +223,19 @@ class TestFloatStateRK4:
         ref = _array_rk4(rhs, [0.25, 0.7], ray.x, (x_end - x0) / n_steps)
         assert np.array_equal(ray.t, ref[:, 0])
         assert np.array_equal(ray.q, ref[:, 1])
+
+    @pytest.mark.parametrize("h, d", [(0.013, 1.0648), (-0.0017, 0.3)], ids=["upward", "downward"])
+    def test_sums_match_float_loop(self, h, d):
+        """The running sums equal `rk4` on rhs (-q / d, g[stage][k]) for any samples g."""
+        g = tuple(np.random.default_rng(16).normal(size=(3, 777)))
+
+        def rhs(k, stage, s):
+            return (-s[1] / d, float(g[stage][k]))
+
+        t, q = rk4_sums(g, 0.25, -0.6, h, d)
+        ref_t, ref_q = map(np.array, zip(*rk4(rhs, (0.25, -0.6), 777, h)))
+        assert np.array_equal(t, ref_t)
+        assert np.array_equal(q, ref_q)
 
 
 class TestSchwarzian:

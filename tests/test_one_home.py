@@ -4,9 +4,11 @@ The kinetic multiplier exp(-i beta h w^2) is built by `numerics` alone; a
 second copy of the expression elsewhere in the package would bypass its
 cache and could drift from it.  The RK4 stage abscissae (nodes, midpoints
 x_k + h/2, step ends) are built by `numerics` alone, so every caller samples
-its coefficients at the points `rk4` steps through.  scipy is imported by `numerics` alone, so
-its import cost is paid only where a spline is built.  In `cli`, one runner
-writes the CSVs and checks the gates, so no command can bypass it.
+its coefficients at the points `rk4` steps through, and the RK4 weight h/6
+is written there alone, so every RK4 step has one home.  scipy is imported
+by `numerics` alone, so its import cost is paid only where a spline is
+built.  In `cli`, one runner writes the CSVs and checks the gates, so no
+command can bypass it.
 """
 from __future__ import annotations
 
@@ -27,6 +29,12 @@ def test_rk4_midpoints_only_in_numerics():
     midpoint = re.compile(r"\+\s*0\.5\s*\*\s*h\b")
     homes = sorted(p.name for p in PACKAGE.glob("*.py") if midpoint.search(p.read_text()))
     assert homes == ["numerics.py"], f"RK4 midpoints (+ 0.5 * h) built outside numerics.py: {homes}"
+
+
+def test_rk4_weights_only_in_numerics():
+    weight = re.compile(r"\bh\s*/\s*6\b")
+    homes = sorted(p.name for p in PACKAGE.glob("*.py") if weight.search(p.read_text()))
+    assert homes == ["numerics.py"], f"RK4 weight (h / 6) written outside numerics.py: {homes}"
 
 
 def _imported_roots(path: Path) -> set[str]:
