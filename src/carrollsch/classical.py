@@ -10,12 +10,13 @@ dot x = -c identically):
 
     dt/dx = -q / (m c^3),      dq/dx = d_x V_car(x, t(x)),
 
-with q = p_t + V_car and p_x = q^2/(2 m c^3) by construction.  `trace_ray`
-takes classical RK4 steps.  For a V of x alone (`in_t` False) or of t alone
-(`f_t` given, so d_x V = 0) the gradient does not read t: it is sampled once
-on each stage array, up front, and `numerics.rk4_sums` takes the steps as
-two running sums, bit-identical to `numerics.rk4`.  A V(x, t) is evaluated
-at every stage, on that stage's t, inside `numerics.rk4`.  Sign convention:
+with q = p_t + V_car and p_x = q^2/(2 m c^3) by construction: the system
+a' = -b/d, b' = slope of `numerics.rk4`, with (a, b) = (t, q), d = m c^3 and
+the slope d_x V(x, t).  `trace_ray` takes its classical RK4 steps there.
+For a V of x alone (`in_t` False) or of t alone (`f_t` given, so d_x V = 0)
+the gradient does not read t: it is sampled once on each stage array, up
+front, and `numerics.rk4_sums`, the loop's array twin, takes the steps as
+two running sums, bit-identical to it.  Sign convention:
 p_x = -d_x S throughout, opposite to the usual Schrodinger habit.
 """
 from __future__ import annotations
@@ -79,40 +80,34 @@ def trace_ray(
     """RK4 integration of the characteristic system from x0 to x_end.
 
     q0 is the combined momentum p_t(x0) + V_car(x0, t0); p_x = q^2/(2 m c^3)
-    is recorded at every sample.  The gradient of a V of x alone or of t
-    alone does not read t, so it is sampled up front, one call per stage
-    array; then dq/dx reads no state, and `numerics.rk4_sums` takes the
-    steps as two running sums, in the order `numerics.rk4` adds them.  A
-    V(x, t) is evaluated at each stage's (x, t) in `numerics.rk4`.  Either
-    way a non-finite gradient raises ValueError naming the first such x the
-    integration reaches.
+    is recorded at every sample.  A V(x, t) steps through `numerics.rk4`
+    with d = m c^3 and the slope d_x V at each stage's (x, t).  The gradient
+    of a V of x alone or of t alone does not read t, so it is sampled up
+    front, one call per stage array, and `numerics.rk4_sums` takes the same
+    steps as two running sums.  Either way a non-finite gradient raises
+    ValueError naming the first such x the integration reaches.
     """
     if n_steps < 16:
         raise ValueError("n_steps must be at least 16")
     mc3 = constants.mc3
     h = (x_end - x0) / n_steps
-    x_stages = rk4_abscissae(x0, h, n_steps)
-    xs = x_stages[0]
+    xs, mids, ends = rk4_abscissae(x0, h, n_steps)
+    stages = (xs[:-1], mids, ends)  # the last node starts no step
     fault = "potential gradient non-finite at x = {x}"
 
-    if not v_car.in_t or v_car.f_t is not None:
-        # the gradient does not read t (for a V of t alone it is 0), so it is
-        # sampled up front; the last node starts no step, so it is not sampled
-        dvs = rk4_samples(lambda u: v_car.dvdx_at(u, t0), (xs[:-1], *x_stages[1:]), fault)
-        t, q = rk4_sums(dvs, t0, q0, h, mc3)
-        return RaySolution(x=xs, t=t, q=q, p_x=q**2 / (2 * mc3))
-
-    x_lists = [u.tolist() for u in x_stages]
-
-    def rhs(k: int, stage: int, s: tuple) -> tuple:
-        x = x_lists[stage][k]
-        dv = v_car.dvdx_at(x, s[0])
+    def slope(x: float, t: float) -> float:
+        dv = v_car.dvdx_at(x, t)
         if not math.isfinite(dv):
             raise ValueError(fault.format(x=x))
-        return (-s[1] / mc3, dv)
+        return dv
 
-    ts, qs = map(np.array, zip(*rk4(rhs, (float(t0), float(q0)), n_steps, h)))
-    return RaySolution(x=xs, t=ts, q=qs, p_x=qs**2 / (2 * mc3))
+    if not v_car.in_t or v_car.f_t is not None:
+        # the gradient does not read t (for a V of t alone it is 0): sampled up front
+        dvs = rk4_samples(lambda u: v_car.dvdx_at(u, t0), stages, fault)
+        t, q = rk4_sums(dvs, t0, q0, h, mc3)
+    else:
+        t, q = rk4(slope, [u.tolist() for u in stages], float(t0), float(q0), h, mc3)
+    return RaySolution(x=xs, t=t, q=q, p_x=q**2 / (2 * mc3))
 
 
 def picard_iterate(

@@ -77,7 +77,7 @@ DEFAULTS = {
     "currents": {"sigma": 1.0, "sizes": [128, 256, 512]},
     "rays": {"potential": ("linear", "time-only", "quadratic"), "x_end": 1.0, "n_steps": 256,
              "q0": 0.0, "t0": 0.0, "alpha": 1.0, "kappa": 6.0},
-    "quantize": {"T": math.pi, "n_max": 3, "p0": 1.0, "profile": ("sin", "zero")},
+    "quantize": {"T": math.pi, "n_max": 3, "profile": ("sin", "zero")},
     "dyson": {"eps": [0.005, 0.01, 0.02, 0.05], "x_end": 1.0, "n_steps": 256},
 }
 
@@ -403,7 +403,7 @@ def cmd_rays(b: dict, consts: PhysicalConstants):
 
 @_command
 def cmd_quantize(b: dict, consts: PhysicalConstants):
-    T, n_max, p0 = b["T"], b["n_max"], b["p0"]
+    T, n_max = b["T"], b["n_max"]
     if not T > 0:
         raise ConfigError(f"quantize.T must be positive, got {T}")
     v = PotentialSpec.zero() if b["profile"] == "zero" else PotentialSpec.time_profile(np.sin, np.cos)
@@ -413,7 +413,7 @@ def cmd_quantize(b: dict, consts: PhysicalConstants):
         oracle = interaction.dirichlet_eigenvalue_oracle(T, n_oracle, n_max) * consts.hbar
     except ValueError as exc:
         raise ConfigError(f"quantize.n_max must lie in 1..{n_oracle}, the oracle's size: {exc}") from exc
-    spec = interaction.quantized_modes(T, n_max, p0, v, consts)
+    spec = interaction.quantized_modes(T, n_max, None, v, consts)
     mode_rows = []
     gates = []
     for i, mode in enumerate(spec.modes):

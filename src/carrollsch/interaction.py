@@ -39,7 +39,6 @@ class SpectrumResult:
     T: float
     levels: np.ndarray
     modes: list[Wavefunction]
-    p0: float
 
     def density(self, n: int) -> np.ndarray:
         """(2/T) sin^2(n pi t / T): exactly potential-independent.
@@ -81,7 +80,7 @@ class InteractionMomentum:
 def quantized_modes(
     T: float,
     n_max: int,
-    p0: float,
+    p0: float | None,
     v_time: PotentialSpec,
     constants: PhysicalConstants = NATURAL,
     n_samples: int = 1024,
@@ -90,6 +89,7 @@ def quantized_modes(
 
     Mode n carries the unit-modulus gauge phase exp[(i/hbar) int_0^t V];
     its density (2/T) sin^2(n pi t/T) is therefore independent of v_time.
+    p0 is unused: no level or mode depends on it.
     """
     if T <= 0:
         raise ValueError("window length T must be positive")
@@ -105,7 +105,7 @@ def quantized_modes(
         Wavefunction(0.0, grid, amp * np.sin(n * np.pi * t / T) * phase)
         for n in range(1, n_max + 1)
     ]
-    return SpectrumResult(T=float(T), levels=levels, modes=modes, p0=float(p0))
+    return SpectrumResult(T=float(T), levels=levels, modes=modes)
 
 
 def interaction_momentum(

@@ -6,10 +6,9 @@ and derivative; the kinetic multiplier exp(-i beta h w^2), built once per
 (grid, beta, h) and returned read-only, with one entry kept; the lazily
 loaded cubic spline; the RK4 stage abscissae and the checked up-front sample
 of a coefficient on them, whose first bad value is reported in stepping
-order; the fundamental pair of y'' + q y = 0, its RK4 step written out over
-floats; RK4 on dt/dx = -q/d, dq/dx = g(x) as two running sums; the
-fixed-step RK4 loop on a tuple of components, left to systems whose
-coefficients read the state (rays in a V(x, t)); finite-difference
+order; the one scalar RK4 loop, for a' = -b/d, b' = slope(c, a), and its
+array twin for a slope that reads no state, as two running sums; the
+fundamental pair of y'' + q y = 0, two chains of that loop; finite-difference
 stencils along any axis, the Schwarzian of sampled functions, the anchored
 cumulative integral and the interior slice.  Everything here is a pure
 function of its inputs (the one cache returns an array equal to a fresh
@@ -18,6 +17,7 @@ build), and this module loads numpy only (scipy on the first spline).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -137,85 +137,68 @@ def integrate_fundamental_pair(
     x_hi: float,
     n: int,
 ) -> FundamentalPair:
-    """Integrate y'' + q(x) y = 0 with fixed-step classical RK4.
+    """Integrate y'' + q(x) y = 0 with n fixed steps of classical RK4.
 
-    Returns n + 1 samples on [x_lo, x_hi] inclusive.  q is called once on
-    each of three arrays: the nodes, the step midpoints and the step ends.
-    It may return a scalar; a complex or non-finite value raises ValueError
-    naming the first such x.  The steps are those of `rk4` on the state
-    (y1, y1', y2, y2'), operation for operation, in one loop over floats.
+    Returns n + 1 samples on [x_lo, x_hi] inclusive; n < 1 raises ValueError.
+    q is called once on each of three arrays: the nodes, the step midpoints
+    and the step ends.  It may return a scalar; a complex or non-finite value
+    raises ValueError naming the first such x.  y1 and y2 are two `rk4`
+    chains on (y, y') with d = -1 and slope -q y: -y' / -1 is y' bit for bit.
     """
+    if n < 1:
+        raise ValueError(f"need at least one step, got n = {n}")
     if not x_hi > x_lo:
         raise ValueError("x_hi must exceed x_lo")
     h = (x_hi - x_lo) / n
     x_stages = rk4_abscissae(x_lo, h, n)
     qs = rk4_samples(q, x_stages, "q must be real and finite, got {v} at x = {x}")
-    q0s, q1s, q2s = (v.tolist() for v in qs)
-    # (u, du, v, dv) = (y1, y1', y2, y2'); stage j has the state
-    # (u_j, du_j, v_j, dv_j) and the slopes (du_j, f_j, dv_j, g_j), with
-    # f_j = -q u_j and g_j = -q v_j
-    h2, h6 = 0.5 * h, h / 6.0
-    u, du, v, dv = 1.0, 0.0, 0.0, 1.0
-    y1, y1_prime, y2, y2_prime = [u], [du], [v], [dv]
-    for qa, qb, qc in zip(q0s, q1s, q2s):
-        f1, g1 = -qa * u, -qa * v
-        u2, du2, v2, dv2 = u + h2 * du, du + h2 * f1, v + h2 * dv, dv + h2 * g1
-        f2, g2 = -qb * u2, -qb * v2
-        u3, du3, v3, dv3 = u + h2 * du2, du + h2 * f2, v + h2 * dv2, dv + h2 * g2
-        f3, g3 = -qb * u3, -qb * v3
-        u4, du4, v4, dv4 = u + h * du3, du + h * f3, v + h * dv3, dv + h * g3
-        f4, g4 = -qc * u4, -qc * v4
-        u, du, v, dv = (
-            u + h6 * (((du + 2 * du2) + 2 * du3) + du4),
-            du + h6 * (((f1 + 2 * f2) + 2 * f3) + f4),
-            v + h6 * (((dv + 2 * dv2) + 2 * dv3) + dv4),
-            dv + h6 * (((g1 + 2 * g2) + 2 * g3) + g4),
-        )
-        y1.append(u)
-        y1_prime.append(du)
-        y2.append(v)
-        y2_prime.append(dv)
-    return FundamentalPair(
-        x=x_stages[0], y1=np.array(y1), y2=np.array(y2),
-        y1_prime=np.array(y1_prime), y2_prime=np.array(y2_prime),
-    )
+    c = [(-v).tolist() for v in qs]
+    y1, y1_prime = rk4(operator.mul, c, 1.0, 0.0, h, -1.0)
+    y2, y2_prime = rk4(operator.mul, c, 0.0, 1.0, h, -1.0)
+    return FundamentalPair(x=x_stages[0], y1=y1, y2=y2, y1_prime=y1_prime, y2_prime=y2_prime)
 
 
-def rk4(rhs: Callable[[int, int, tuple], tuple], s0: tuple, n: int, h: float) -> list[tuple]:
-    """Classical RK4 for s' = f(x, s) over n steps of size h: the n + 1 states.
+def rk4(
+    slope: Callable[[float, float], float], c: list[list[float]], a: float, b: float, h: float, d: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for a' = -b / d, b' = slope(c, a): the n + 1 values of a and of b.
 
-    A state is a tuple of components: floats, or arrays of one shape.
-    `rhs(k, stage, s)` is f in step k at x_k (stage 0), x_k + h/2 (stage 1,
-    for k2 and k3) or x_k + h (stage 2), the points of `rk4_abscissae`.
-    x_k + h need not equal x_{k+1} bit for bit.  Its one caller is a ray in
-    a V(x, t), whose gradient reads the state; the fundamental pair and
-    `rk4_sums` take the same steps without this loop.
+    c holds a coefficient per stage and step, indexed [stage][k] as
+    `rk4_samples` returns them: at the node x_k (stage 0, for k1), the
+    midpoint x_k + h/2 (stage 1, for k2 and k3) and the step end x_k + h
+    (stage 2, for k4); the shortest list sets n, so c[0] may hold the last
+    node, which starts no step.  This is the one scalar RK4 loop: the
+    fundamental pair (d = -1, slope -q y) and a ray in a V(x, t) (d = m c^3,
+    slope d_x V(x, t)) both step through it.
     """
     h2, h6 = 0.5 * h, h / 6.0
-    s = tuple(s0)
-    out = [s]
-    for k in range(n):
-        k1 = rhs(k, 0, s)
-        k2 = rhs(k, 1, tuple([u + h2 * d for u, d in zip(s, k1)]))
-        k3 = rhs(k, 1, tuple([u + h2 * d for u, d in zip(s, k2)]))
-        k4 = rhs(k, 2, tuple([u + h * d for u, d in zip(s, k3)]))
-        s = tuple(
-            [u + h6 * (((d1 + 2 * d2) + 2 * d3) + d4) for u, d1, d2, d3, d4 in zip(s, k1, k2, k3, k4)]
-        )
-        out.append(s)
-    return out
+    av, bv = [a], [b]
+    for c1, c2, c3 in zip(*c):
+        ka1, kb1 = -b / d, slope(c1, a)
+        a2, b2 = a + h2 * ka1, b + h2 * kb1
+        ka2, kb2 = -b2 / d, slope(c2, a2)
+        a3, b3 = a + h2 * ka2, b + h2 * kb2
+        ka3, kb3 = -b3 / d, slope(c2, a3)
+        a4, b4 = a + h * ka3, b + h * kb3
+        ka4, kb4 = -b4 / d, slope(c3, a4)
+        a = a + h6 * (((ka1 + 2 * ka2) + 2 * ka3) + ka4)
+        b = b + h6 * (((kb1 + 2 * kb2) + 2 * kb3) + kb4)
+        av.append(a)
+        bv.append(b)
+    return np.array(av), np.array(bv)
 
 
 def rk4_sums(
     g: tuple[np.ndarray, np.ndarray, np.ndarray], t0: float, q0: float, h: float, d: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`rk4`'s states for dt/dx = -q / d, dq/dx = g(x): the n + 1 values of t and of q.
+    """`rk4` with a slope that reads no state, dq/dx = g: the n + 1 values of t and of q.
 
-    g holds the samples on `rk4_abscissae`'s stages, as `rk4_samples` returns
-    them: the n nodes that start a step, the midpoints and the step ends.
-    dq/dx reads no state, so q is one running sum of its RK4 increments, and
-    t a second one of the stage slopes -q_j / d, evaluated as arrays.
-    `np.cumsum` adds in stepping order, so both equal `rk4`'s bit for bit.
+    It equals `rk4(lambda g, a: g, [u.tolist() for u in g], t0, q0, h, d)`
+    bit for bit, evaluated as arrays.  g holds the samples on
+    `rk4_abscissae`'s stages, as `rk4_samples` returns them: the n nodes that
+    start a step, the midpoints and the step ends.  q is one running sum of
+    its RK4 increments, and t a second one of the stage slopes -q_j / d;
+    `np.cumsum` adds in stepping order, as the loop does.
     """
     g0, g1, g2 = g
     h2, h6 = 0.5 * h, h / 6.0
@@ -225,6 +208,7 @@ def rk4_sums(
     k3, k4 = -(qk + h2 * g1) / d, -(qk + h * g1) / d
     t = np.cumsum(np.concatenate(([float(t0)], h6 * (((k1 + 2 * k2) + 2 * k3) + k4))))
     return t, q
+
 
 def rk4_abscissae(x0: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The abscissae of `rk4`'s stages over n steps of size h from x0: the

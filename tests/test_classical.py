@@ -130,7 +130,7 @@ class TestTraceRay:
         calls, rk4 = [], classical.rk4
 
         def counted(*args, **kwargs):
-            calls.append(args[2])  # n
+            calls.append(len(args[1][0]))  # n: the stage-0 list holds the nodes that start a step
             return rk4(*args, **kwargs)
 
         monkeypatch.setattr(classical, "rk4", counted)

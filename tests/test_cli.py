@@ -122,6 +122,12 @@ class TestExitCodes:
         assert cli.main(["duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "no usable zero-free patch" in capsys.readouterr().err
 
+    def test_too_coarse_pair_is_numerical_failure(self, tmp_path, capsys):
+        # three steps are a valid grid, too coarse to hold a usable patch
+        cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "duality": {"n": 3}})
+        assert cli.main(["duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "no usable zero-free patch" in capsys.readouterr().err
+
     @pytest.mark.parametrize("eps", [[0.01], [0.01, 0.01], [0.0, 0.01]])
     def test_dyson_eps_cannot_fit_a_slope(self, tmp_path, eps):
         cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "dyson": {"eps": eps}})
@@ -154,6 +160,9 @@ class TestExitCodes:
             ({"quantize": {"n_max": 2001}}, "quantize.n_max must lie in 1..2000"),
             ({"quantize": {"n_max": 0}}, "quantize.n_max must lie in 1..2000"),
             ({"quantize": {"T": 0.0}}, "quantize.T must be positive, got 0.0"),
+            ({"duality": {"n": 0}}, "need at least one step, got n = 0"),
+            ({"duality": {"n": -5}}, "need at least one step, got n = -5"),
+            ({"quantize": {"p0": 1.0}}, "unknown config key quantize.p0"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):

@@ -119,6 +119,16 @@ class TestFundamentalPair:
         with pytest.raises(ValueError):
             integrate_fundamental_pair(lambda x: 0 * x, 1.0, 0.0, 10)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_fewer_than_one_step(self, n):
+        with pytest.raises(ValueError, match=f"need at least one step, got n = {n}"):
+            integrate_fundamental_pair(lambda x: 0 * x, 0.0, 1.0, n)
+
+    def test_one_step_is_exact_for_zero_q(self):
+        pair = integrate_fundamental_pair(lambda x: 0 * x, 0.0, 2.0, 1)
+        assert pair.y1.tolist() == [1.0, 1.0] and pair.y2.tolist() == [0.0, 2.0]
+        assert pair.y1_prime.tolist() == [0.0, 0.0] and pair.y2_prime.tolist() == [1.0, 1.0]
+
     def test_rejects_nonfinite_q(self):
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
             integrate_fundamental_pair(lambda x: 1.0 / (x - 0.5), 0.0, 1.0, 64)
@@ -226,14 +236,10 @@ class TestFloatStateRK4:
 
     @pytest.mark.parametrize("h, d", [(0.013, 1.0648), (-0.0017, 0.3)], ids=["upward", "downward"])
     def test_sums_match_float_loop(self, h, d):
-        """The running sums equal `rk4` on rhs (-q / d, g[stage][k]) for any samples g."""
+        """The running sums equal `rk4` with the slope g[stage][k] for any samples g."""
         g = tuple(np.random.default_rng(16).normal(size=(3, 777)))
-
-        def rhs(k, stage, s):
-            return (-s[1] / d, float(g[stage][k]))
-
         t, q = rk4_sums(g, 0.25, -0.6, h, d)
-        ref_t, ref_q = map(np.array, zip(*rk4(rhs, (0.25, -0.6), 777, h)))
+        ref_t, ref_q = rk4(lambda g, a: g, [u.tolist() for u in g], 0.25, -0.6, h, d)
         assert np.array_equal(t, ref_t)
         assert np.array_equal(q, ref_q)
 

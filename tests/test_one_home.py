@@ -5,7 +5,9 @@ second copy of the expression elsewhere in the package would bypass its
 cache and could drift from it.  The RK4 stage abscissae (nodes, midpoints
 x_k + h/2, step ends) are built by `numerics` alone, so every caller samples
 its coefficients at the points `rk4` steps through, and the RK4 weight h/6
-is written there alone, so every RK4 step has one home.  scipy is imported
+is written there alone; within `numerics`, the scalar loop `rk4` and its
+array twin `rk4_sums` are the only places that form the weighted sum, so
+the stage order and the weights have one home.  scipy is imported
 by `numerics` alone, so its import cost is paid only where a spline is
 built.  In `cli`, one runner writes the CSVs and checks the gates, so no
 command can bypass it.
@@ -35,6 +37,30 @@ def test_rk4_weights_only_in_numerics():
     weight = re.compile(r"\bh\s*/\s*6\b")
     homes = sorted(p.name for p in PACKAGE.glob("*.py") if weight.search(p.read_text()))
     assert homes == ["numerics.py"], f"RK4 weight (h / 6) written outside numerics.py: {homes}"
+
+
+def _is_rk4_weighting(node: ast.AST) -> bool:
+    """`h6 * ...`, or the weighted sum ((d1 + 2 * d2) + 2 * d3) + d4 of the stage slopes."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Add))):
+        return False
+    if isinstance(node.op, ast.Mult):
+        return any(isinstance(side, ast.Name) and side.id == "h6" for side in (node.left, node.right))
+    partial_sums = [node.left, getattr(node.left, "left", None)]
+    return all(
+        isinstance(s, ast.BinOp) and isinstance(s.op, ast.Add)
+        and isinstance(s.right, ast.BinOp) and isinstance(s.right.op, ast.Mult)
+        and isinstance(s.right.left, ast.Constant) and s.right.left.value == 2
+        for s in partial_sums
+    )
+
+
+def test_rk4_step_only_in_rk4_and_its_array_twin():
+    """Within numerics.py, only `rk4` and `rk4_sums` form the RK4 weighted sum."""
+    tree = ast.parse((PACKAGE / "numerics.py").read_text())
+    homes = sorted(
+        {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top) if _is_rk4_weighting(node)}
+    )
+    assert homes == ["rk4", "rk4_sums"], f"RK4 weighted sum formed in {homes}"
 
 
 def _imported_roots(path: Path) -> set[str]:
