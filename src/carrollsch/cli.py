@@ -440,6 +440,8 @@ def cmd_dyson(b: dict, consts: PhysicalConstants):
     eps_list, x_end, n_steps = b["eps"], b["x_end"], b["n_steps"]
     if len(set(eps_list)) < 2 or min(eps_list) <= 0:
         raise ConfigError("dyson.eps needs at least two distinct positive values to fit a slope")
+    if x_end == 0.0:
+        raise ConfigError("dyson.x_end must differ from the start station 0, or every error is 0")
 
     grid = TimeGrid(-20.0, 20.0, 1024)
     params = propagator.GaussianParams(sigma=1.0)

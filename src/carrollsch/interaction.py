@@ -13,8 +13,10 @@ F(x,t) = int_{t0}^t d_x V dtau, leaving Schrodinger-type evolution in x:
 
 solved here by symmetric (Strang) split-step.  The perturbative split of the
 potential term into g(t) + eps * eta(x) admits a first-order Dyson expansion
-in x; since eta enters as a scalar at each station, the correction exponentiates
-to a global phase, which makes the O(eps^2) truncation directly measurable.
+in x.  Since eta enters as a scalar at each station, the split-step reference
+is exp(-i theta) U0 phi0 with theta = eps int eta / hbar c, the integral being
+the steps' own trapezoid.  The Dyson error is therefore exactly the first-order
+truncation |exp(-i theta) - 1 + i theta| ||U0 phi0||, free of quadrature error.
 """
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ class InteractionMomentum:
     """F(x,t) = int_{t0}^{t} d_x V(x,tau) dtau on a tensor grid."""
 
     field: Field2D
-    t0: float
 
     @cached_property
     def _spline(self):
@@ -119,7 +120,7 @@ def interaction_momentum(
     The running trapezoid of `cumulative_integral` makes F 2nd order in dt.
     """
     F = cumulative_integral(v.dv_dx(x_grid.times, t_grid.times), t_grid, t0, axis=1)
-    return InteractionMomentum(field=Field2D(x_grid, t_grid, F), t0=float(t0))
+    return InteractionMomentum(field=Field2D(x_grid, t_grid, F))
 
 
 def gauge_reduce(
@@ -206,49 +207,6 @@ def evolve_interacting(
     return replace(phi0, x=x_end, values=vals)
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson sum over an odd number of samples at abscissae x.
-
-    The operations and their order are those of scipy's `simpson(y, x=x)` on
-    an odd sample count (its `_basic_simpson` with explicit x), so the result
-    is bit-identical to it.
-    """
-
-    def div(a, b):  # a / b, and 0 where b == 0
-        return np.divide(a, b, out=np.zeros_like(b), where=b != 0)
-
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    h0divh1 = div(h0, h1)
-    tmp = hsum / 6.0 * (
-        y[:-2:2] * (2.0 - div(1.0, h0divh1))
-        + y[1:-1:2] * (hsum * div(hsum, h0 * h1))
-        + y[2::2] * (2.0 - h0divh1)
-    )
-    return np.sum(tmp)
-
-
-def _unperturbed(
-    phi0: Wavefunction, g_t: np.ndarray, eta: Callable, x0: float, x_end: float,
-    n_steps: int, constants: PhysicalConstants,
-) -> tuple[np.ndarray, float]:
-    """U0 phi0 and the Simpson integral of eta, on an even panel count."""
-    if n_steps % 2 == 1:
-        n_steps += 1  # composite Simpson needs an even panel count
-    # unperturbed evolution U0, with the time profile g_t absorbed in a constant phase
-    h = (x_end - x0) / n_steps
-    pot = np.exp(-0.5j * h / (constants.hbar * constants.c) * g_t)
-    u0 = _split_step(phi0.values, phi0.grid, x0, h, n_steps, lambda x: pot, constants)
-    xi = np.linspace(x0, x_end, n_steps + 1)
-    return u0, float(_simpson(np.asarray(eta(xi), dtype=float), xi))
-
-
-def _dyson_factor(eps, I_eta: float, constants: PhysicalConstants):
-    """1 - (i eps / hbar c) int eta: the first-order factor on U0 phi0."""
-    return 1.0 - 1j * (eps * I_eta / (constants.hbar * constants.c))
-
-
 def dyson_first_order(
     phi0: Wavefunction,
     g: PotentialSpec,
@@ -263,13 +221,12 @@ def dyson_first_order(
 
     phi ~ U0 phi0 - (i eps / hbar c) int_{x0}^{x} U0(x,xi) eta(xi) U0(xi,x0)
     phi0 dxi.  Because eta(xi) is a scalar it commutes with U0 and the
-    xi-integral collapses to Simpson quadrature of eta times the full U0
-    propagation; the truncation error is O(eps^2).  An odd n_steps is
-    rounded up to even.
+    xi-integral collapses to (int eta) U0 phi0; the truncation error is O(eps^2).
+    This is the one-coupling dyson_sweep, so U0 and int eta are the split
+    step's own.
     """
-    g_t = real_samples(g.v_t(phi0.grid.times), "time profile g")
-    u0, I_eta = _unperturbed(phi0, g_t, eta, x0, x_end, n_steps, constants)
-    return replace(phi0, x=x_end, values=_dyson_factor(eps, I_eta, constants) * u0)
+    dy = dyson_sweep(phi0, g, eta, [eps], x0, x_end, n_steps, constants)[1]
+    return replace(phi0, x=x_end, values=dy[0])
 
 
 def dyson_sweep(
@@ -286,24 +243,28 @@ def dyson_sweep(
 
     Returns two (len(eps), n_t) arrays.  Row k of the first is
     evolve_interacting(phi0, F_k, x0, x_end, n_steps).values with
-    F_k(x, t) = (g(t) + eps[k] eta(x)) / c; row k of the second is
-    dyson_first_order(phi0, g, eta, eps[k], x0, x_end, n_steps).values.
-    Both are bit-identical to those calls: the references run as one batch
-    of split steps, and the coupling-independent U0 evolution runs once.
+    F_k(x, t) = (g(t) + eps[k] eta(x)) / c, bit for bit; row k of the second
+    is (1 - i eps[k] I / hbar c) U0 phi0.  U0 phi0 is a coupling-0 row of the
+    same batch of split steps, and I is the trapezoid of eta over the n_steps + 1
+    stations, the integral those steps apply.  So row k of the reference is
+    exp(-i theta_k) U0 phi0 with theta_k = eps[k] I / hbar c, and the Dyson
+    error is |exp(-i theta_k) - 1 + i theta_k| ||U0 phi0|| up to roundoff.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
     h = (x_end - x0) / n_steps
     g_t = real_samples(g.v_t(phi0.grid.times), "time profile g")
-    eps_col = np.asarray(eps, dtype=float)[:, None]
+    eps_col = np.append(np.asarray(eps, dtype=float), 0.0)[:, None]
 
     def half_phase(x: float) -> np.ndarray:
         return _momentum_phase((g_t + eps_col * eta(x)) / constants.c, h, constants)
 
     batch = np.broadcast_to(phi0.values, (len(eps_col), phi0.grid.n))
-    ref = _split_step(batch, phi0.grid, x0, h, n_steps, half_phase, constants)
-    u0, I_eta = _unperturbed(phi0, g_t, eta, x0, x_end, n_steps, constants)
-    return ref, _dyson_factor(eps_col, I_eta, constants) * u0
+    rows = _split_step(batch, phi0.grid, x0, h, n_steps, half_phase, constants)
+    xi = np.linspace(x0, x_end, n_steps + 1)
+    I_eta = cumulative_integral(eta(xi), xi, x0)[-1]
+    factor = 1.0 - 1j * (eps_col[:-1] * I_eta / (constants.hbar * constants.c))
+    return rows[:-1], factor * rows[-1]
 
 
 def dirichlet_eigenvalue_oracle(T: float, n_points: int, n_levels: int) -> np.ndarray:

@@ -133,6 +133,11 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "dyson": {"eps": eps}})
         assert cli.main(["dyson", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_dyson_few_odd_steps_keep_the_slope(self, tmp_path):
+        # the Dyson rows take the reference's own steps, an odd count included
+        cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "dyson": {"n_steps": 7}})
+        assert cli.main(["dyson", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize(
         "payload, message",
         [
@@ -163,6 +168,7 @@ class TestExitCodes:
             ({"duality": {"n": 0}}, "need at least one step, got n = 0"),
             ({"duality": {"n": -5}}, "need at least one step, got n = -5"),
             ({"quantize": {"p0": 1.0}}, "unknown config key quantize.p0"),
+            ({"dyson": {"x_end": 0.0}}, "dyson.x_end must differ from the start station 0"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):

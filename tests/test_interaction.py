@@ -23,8 +23,7 @@ from carrollsch import (
     interaction_momentum,
     quantized_modes,
 )
-from carrollsch.interaction import _simpson
-from carrollsch.numerics import deriv_uniform
+from carrollsch.numerics import deriv_uniform, kinetic_multiplier
 
 
 class TestQuantizedModes:
@@ -226,12 +225,12 @@ class TestEvolveInteracting:
         phi0 = self._phi0(TimeGrid(-20.0, 20.0, 64))
         xg = TimeGrid(0.0, 1.0, 32)
         real = np.outer(xg.times, np.sin(phi0.grid.times))
-        F = InteractionMomentum(Field2D(xg, phi0.grid, real + 1e-3j * real), t0=0.0)
+        F = InteractionMomentum(Field2D(xg, phi0.grid, real + 1e-3j * real))
         with pytest.raises(ValueError, match="complex interaction momentum"):
             evolve_interacting(phi0, F, 0.0, 0.5, 8)
         # a complex dtype with no imaginary part is the real F
-        F = InteractionMomentum(Field2D(xg, phi0.grid, real + 0j), t0=0.0)
-        F_real = InteractionMomentum(Field2D(xg, phi0.grid, real), t0=0.0)
+        F = InteractionMomentum(Field2D(xg, phi0.grid, real + 0j))
+        F_real = InteractionMomentum(Field2D(xg, phi0.grid, real))
         assert np.array_equal(
             evolve_interacting(phi0, F, 0.0, 0.5, 8).values,
             evolve_interacting(phi0, F_real, 0.0, 0.5, 8).values,
@@ -336,6 +335,36 @@ class TestDysonSweep:
             one = dyson_first_order(phi0, g, eta, e, 0.0, x_end, n_steps, consts)
             assert np.array_equal(dy[k], one.values)
 
+    @pytest.mark.parametrize("n_steps", [7, 255, 256])
+    @pytest.mark.parametrize(
+        "consts", [PhysicalConstants(), PhysicalConstants(hbar=0.7, m=1.3, c=1.4)], ids=["natural", "scaled"]
+    )
+    def test_error_is_the_exact_first_order_truncation(self, n_steps, consts):
+        # eta is a scalar at each station, so the reference is exp(-i theta) U0 phi0
+        # with theta = eps (trapezoid of eta) / hbar c; U0 is unitary
+        grid = TimeGrid(-20.0, 20.0, 1024)
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, grid, consts)
+        g = PotentialSpec.time_profile(lambda t: 0.3 * np.cos(t))
+        eta = lambda x: 1.0 + 0.5 * np.sin(np.asarray(x))
+        eps = np.array([0.005, 0.01, 0.02, 0.05])
+        ref, dy = dyson_sweep(phi0, g, eta, eps, 0.0, 1.0, n_steps, consts)
+        err = np.sqrt(grid.dt * np.sum(np.abs(ref - dy) ** 2, axis=1))
+        xi = np.linspace(0.0, 1.0, n_steps + 1)
+        theta = eps * np.trapezoid(eta(xi), xi) / (consts.hbar * consts.c)
+        exact = np.abs(np.exp(-1j * theta) - 1.0 + 1j * theta) * phi0.norm()
+        np.testing.assert_allclose(err, exact, rtol=1e-8, atol=0)
+
+    def test_odd_step_sweeps_share_one_multiplier(self):
+        # U0 rides in the reference batch, so every step of a sweep has one size
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, TimeGrid(-10.0, 10.0, 64))
+        g = PotentialSpec.time_profile(np.cos)
+        eta = lambda x: 1.0 + 0.5 * np.sin(np.asarray(x))
+        kinetic_multiplier.cache_clear()
+        for _ in range(2):
+            dyson_sweep(phi0, g, eta, [0.01, 0.02], 0.0, 1.0, 255)
+        info = kinetic_multiplier.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
     def test_complex_perturbation_rejected(self):
         phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, TimeGrid(-10.0, 10.0, 64))
         g = PotentialSpec.time_profile(np.cos)
@@ -391,11 +420,3 @@ class TestDysonFirstOrder:
             dy = dyson_first_order(phi0, g, eta, eps, 0.0, 1.0, 128)
             errs.append(np.sqrt(grid.dt * np.sum(np.abs(ref.values - dy.values) ** 2)))
         assert 3.2 <= errs[0] / errs[1] <= 4.8
-
-    @pytest.mark.parametrize("x0, x_end, n_steps", [(0.0, 1.0, 256), (-0.3, 2.1, 128), (1.0, 1.0, 8)])
-    def test_simpson_matches_scipy(self, x0, x_end, n_steps):
-        from scipy.integrate import simpson
-
-        xi = np.linspace(x0, x_end, n_steps + 1)
-        y = 1.0 + 0.5 * np.sin(xi)
-        assert np.array_equal(_simpson(y, xi), simpson(y, x=xi))

@@ -234,7 +234,9 @@ class TestFloatStateRK4:
         assert np.array_equal(ray.t, ref[:, 0])
         assert np.array_equal(ray.q, ref[:, 1])
 
-    @pytest.mark.parametrize("h, d", [(0.013, 1.0648), (-0.0017, 0.3)], ids=["upward", "downward"])
+    @pytest.mark.parametrize(
+        "h, d", [(0.013, 1.0648), (-0.0017, 0.3), (0.3, 1.0648)], ids=["upward", "downward", "long-step"]
+    )
     def test_sums_match_float_loop(self, h, d):
         """The running sums equal `rk4` with the slope g[stage][k] for any samples g."""
         g = tuple(np.random.default_rng(16).normal(size=(3, 777)))
