@@ -224,11 +224,9 @@ def cmd_gaussian(b: dict, consts: PhysicalConstants):
         gates.append(("gaussian_width_rel", abs(width / w_pred - 1.0), f"at x={x}"))
         gates.append(("gaussian_drift_rel", abs(mean - c_pred) / max(abs(c_pred), w_pred), f"at x={x}"))
         rho, j = propagator.carroll_density_current(psi, vzero, consts)
-        stride = max(1, n // 64)
-        for i in range(0, n, stride):
-            field_rows.append(
-                (x, grid.times[i], psi.values[i].real, psi.values[i].imag, rho[i], j[i])
-            )
+        kept = slice(None, None, max(1, n // 64))
+        v = psi.values[kept]
+        field_rows += [(x, *row) for row in zip(grid.times[kept], v.real, v.imag, rho[kept], j[kept])]
 
     return {
         "gaussian_summary.csv": (
@@ -418,9 +416,8 @@ def cmd_quantize(b: dict, consts: PhysicalConstants):
     gates = []
     for i, mode in enumerate(spec.modes):
         rho = np.abs(mode.values) ** 2
-        stride = max(1, mode.grid.n // 128)
-        for k in range(0, mode.grid.n, stride):
-            mode_rows.append((i + 1, mode.grid.times[k], rho[k]))
+        kept = slice(None, None, max(1, mode.grid.n // 128))
+        mode_rows += [(i + 1, t, r) for t, r in zip(mode.grid.times[kept], rho[kept])]
         total = mode.grid.dt * float(np.sum(rho))
         gates.append(("quantize_norm", abs(total - 1.0), f"for the norm {total} of mode {i + 1}"))
     return {

@@ -57,14 +57,13 @@ def continuity_equivalence(
     constants: PhysicalConstants = NATURAL,
     v_car: PotentialSpec | None = None,
     t0: float | None = None,
-    margin: int = MARGIN,
 ) -> float:
     """Schrodinger-form continuity residual of a transformed Carroll field.
 
     Strips v_car, when given, with `interaction.gauge_reduce`, applies the
-    coordinate inversion, then evaluates max |d_t' rho + d_x' J| on interior
-    samples with rho, J from schrodinger_density_current.  Converges to zero
-    under refinement when psi_car solves the Carroll equation.
+    coordinate inversion, then evaluates max |d_t' rho + d_x' J| without the
+    `MARGIN` edge ring, with rho, J from schrodinger_density_current.
+    Converges to zero under refinement when psi_car solves the Carroll equation.
     """
     f = psi_car
     if v_car is not None:
@@ -72,4 +71,4 @@ def continuity_equivalence(
     f = coordinate_inversion(f, constants)
     rho, j = schrodinger_density_current(f, constants)
     res = deriv_uniform(rho, f.t_grid.dt, 1, axis=1) + deriv_uniform(j, f.x_grid.dt, 1, axis=0)
-    return float(np.max(np.abs(interior(res, margin))))
+    return float(np.max(np.abs(interior(res, MARGIN))))

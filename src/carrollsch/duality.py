@@ -38,6 +38,10 @@ from .numerics import (
 from .potentials import PotentialSpec
 
 
+#: edge samples (per side) left out of the Schwarzian and roundtrip residuals
+_MARGIN = 4
+
+
 class BranchError(ValueError):
     """No usable coordinate patch (y2 zeros, |sigma| = 1 crossing, ...)."""
 
@@ -52,8 +56,8 @@ class DualityMap:
     q: np.ndarray
     delta_t: np.ndarray
     delta: np.ndarray
-    pair: FundamentalPair = field(repr=False, default=None)
-    constants: PhysicalConstants = NATURAL
+    pair: FundamentalPair = field(repr=False)
+    constants: PhysicalConstants
 
     @property
     def dx(self) -> float:
@@ -108,13 +112,13 @@ def vsch_from_vcar(
     return E_sch + (1j * hbar * dV + V**2 - E0**2) / (2 * m * ddelta**2)
 
 
-def _zero_free_patch(y2: np.ndarray, guard: int = 2) -> tuple[int, int]:
-    """Largest index run on which y2 keeps one sign, trimmed by a guard band."""
+def _zero_free_patch(y2: np.ndarray) -> tuple[int, int]:
+    """Largest index run on which y2 keeps one sign, trimmed by 2 samples at each end."""
     sgn = np.sign(y2)
     cut = (sgn[1:] == 0) | ((sgn[:-1] != 0) & (sgn[1:] != sgn[:-1]))
     breaks = np.concatenate(([0], np.flatnonzero(cut) + 1, [len(y2)]))
     i = int(np.argmax(np.diff(breaks)))  # the first of the longest runs
-    a, b = int(breaks[i]) + guard, int(breaks[i + 1]) - guard
+    a, b = int(breaks[i]) + 2, int(breaks[i + 1]) - 2
     if b - a < 16:
         raise BranchError("no usable zero-free patch of y2")
     return a, b
@@ -167,13 +171,13 @@ def inverse_tau(
     )
 
 
-def _window_extrema(a: np.ndarray, size: int = 9) -> tuple[np.ndarray, np.ndarray]:
-    """Running max and min over `size` samples centred on each point (odd size).
+def _window_extrema(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running max and min over the 9 samples centred on each point.
 
     The ends are padded by repeating the edge samples, as scipy.ndimage's
     mode="nearest" does.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(a, size // 2, mode="edge"), size)
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(a, 4, mode="edge"), 9)
     return windows.max(axis=1), windows.min(axis=1)
 
 
@@ -182,16 +186,16 @@ def _stride(target_step: float, step: float, n: int, min_samples: int) -> int:
     return max(1, min(int(round(target_step / step)), n // min_samples))
 
 
-def schwarzian_residual(dmap: DualityMap, margin: int = 4, target_step: float = 2e-3) -> float:
+def schwarzian_residual(dmap: DualityMap) -> float:
     """max |{sigma, x} + 2q| over interior samples, by finite differences.
 
     Two conditioning devices keep the stencils honest: the samples are
-    strided so the effective step is near `target_step` (third-derivative
+    strided so the effective step is near 2e-3 (third-derivative
     roundoff scales as eps/h^3), and wherever |sigma| is large the
     Mobius-equivalent ratio 1/sigma = y2/y1 is differentiated instead
     (same Schwarzian, bounded samples near zeros of y2).
     """
-    stride = _stride(target_step, dmap.dx, len(dmap.sigma), 2 * margin + 32)
+    stride = _stride(2e-3, dmap.dx, len(dmap.sigma), 2 * _MARGIN + 32)
     sig = dmap.sigma[::stride]
     q = dmap.q[::stride]
     h = dmap.dx * stride
@@ -203,16 +207,12 @@ def schwarzian_residual(dmap: DualityMap, margin: int = 4, target_step: float = 
     r_hi = np.abs(S_hi + 2 * q)
     wmax, wmin = _window_extrema(np.abs(sig))
     r = np.where(wmax <= 1.0, r_lo, np.where(wmin >= 1.0, r_hi, np.minimum(r_lo, r_hi)))
-    core = interior(r, margin)
+    core = interior(r, _MARGIN)
     core = core[np.isfinite(core)]
     return float(np.max(core))
 
 
-def roundtrip_residual(
-    dmap: DualityMap,
-    v_sch: PotentialSpec,
-    margin: int = 4,
-) -> float:
+def roundtrip_residual(dmap: DualityMap, v_sch: PotentialSpec) -> float:
     """Relative deviation of the potential rebuilt from the constructed map.
 
     V_sch(delta(t)) - E_sch = (hbar^2/4m) {delta,t}/delta-dot^2
@@ -229,28 +229,26 @@ def roundtrip_residual(
     v_rec = dmap.E_sch - (hbar**2 / (4 * m)) * S_tau - (dmap.E0**2 / (2 * m)) * tau_p**2
     v_tgt = v_sch.v_x(dmap.x[::stride])
     scale = max(float(np.max(np.abs(v_tgt - dmap.E_sch))), dmap.E0**2 / (2 * m))
-    return float(np.max(np.abs(interior(v_rec, margin) - interior(v_tgt, margin))) / scale)
+    return float(np.max(np.abs(interior(v_rec, _MARGIN) - interior(v_tgt, _MARGIN))) / scale)
 
 
-def inversion_identity_residual(
-    dmap: DualityMap, margin: int = 8, target_step: float | None = None
-) -> float:
+def inversion_identity_residual(dmap: DualityMap) -> float:
     """Check ({delta,t}/delta-dot^2)|_{t=tau(x)} = -{tau,x} numerically.
 
     Evaluated on the well-conditioned part of the t range: edge samples and
     points where |delta-dot| exceeds three times its minimum are excluded,
     since the finite-difference Schwarzian of a steep delta is dominated by
-    truncation there rather than by the identity under test.
+    truncation there rather than by the identity under test.  The best step
+    depends on how steep delta is; as the identity holds at every step, the
+    minimum over steps of 1/150, 1/250, 1/500 and 1/1000 of the t span is kept.
     """
-    if target_step is None:
-        # the optimal step balancing truncation against roundoff depends on
-        # how steep delta is; since the identity holds at every step, evaluate
-        # over a bracket of steps and keep the best-conditioned measurement
-        span = float(dmap.delta_t[-1] - dmap.delta_t[0])
-        return min(
-            inversion_identity_residual(dmap, margin, span / den)
-            for den in (150, 250, 500, 1000)
-        )
+    span = float(dmap.delta_t[-1] - dmap.delta_t[0])
+    return min(_identity_residual(dmap, span / den) for den in (150, 250, 500, 1000))
+
+
+def _identity_residual(dmap: DualityMap, target_step: float) -> float:
+    """The inversion identity residual with both sides strided to near target_step."""
+    margin = 8  # edge samples (per side) left out
     dt = float(dmap.delta_t[1] - dmap.delta_t[0])
     st = _stride(target_step, dt, len(dmap.delta), 2 * margin + 32)
     delta = dmap.delta[::st]

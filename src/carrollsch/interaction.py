@@ -63,7 +63,7 @@ class InteractionMomentum:
     def _spline(self):
         """Cubic interpolant of F along the x axis, built once per instance."""
         values = real_samples(self.field.values, "interaction momentum")
-        return CubicSpline(self.field.x_grid.times, values, axis=0)
+        return CubicSpline(self.field.x_grid.times, values)
 
     def at_x(self, x: float) -> np.ndarray:
         """Row of F at station x by cubic interpolation along the x axis.
@@ -84,9 +84,8 @@ def quantized_modes(
     p0: float | None,
     v_time: PotentialSpec,
     constants: PhysicalConstants = NATURAL,
-    n_samples: int = 1024,
 ) -> SpectrumResult:
-    """Dirichlet spectrum on [0, T]: E_n = n pi hbar / T, amplitude sqrt(2/T).
+    """Dirichlet spectrum on [0, T]: E_n = n pi hbar / T, amplitude sqrt(2/T), 1024 samples.
 
     Mode n carries the unit-modulus gauge phase exp[(i/hbar) int_0^t V];
     its density (2/T) sin^2(n pi t/T) is therefore independent of v_time.
@@ -97,7 +96,7 @@ def quantized_modes(
     if n_max < 1:
         raise ValueError("need at least one level")
     hbar = constants.hbar
-    grid = TimeGrid(0.0, T, n_samples)
+    grid = TimeGrid(0.0, T, 1024)
     t = grid.times
     levels = np.arange(1, n_max + 1) * np.pi * hbar / T
     phase = np.exp(1j / hbar * cumulative_integral(v_time.v_t(t), grid, 0.0))
@@ -153,17 +152,23 @@ def _split_step(
     x0: float,
     h: float,
     n_steps: int,
-    half_phase: Callable[[float], np.ndarray],
+    momentum: Callable[[float], np.ndarray],
     constants: PhysicalConstants,
 ) -> np.ndarray:
     """Strang steps of size h from station x0, along the last axis of values.
 
-    The potential factor half_phase(x) is applied at both cell edges around
-    the exact spectral kinetic multiplier exp(-i beta h w^2).  Each station's
-    factor is evaluated once: the end phase of one step is the start phase of
-    the next.  Leading axes of values, and of the factors, are a batch.
+    The factor exp(-i h F / 2 hbar) of the real momentum row F = momentum(x)
+    (a complex row raises) is applied at both cell edges around the exact
+    kinetic multiplier exp(-i beta h w^2).  Each station's row is evaluated
+    once: the end factor of one step is the start factor of the next.
+    Leading axes of values, and of the rows, are a batch.
     """
     kin = kinetic_multiplier(grid, constants.beta, h)
+    coef = -0.5j * h / constants.hbar
+
+    def half_phase(x: float) -> np.ndarray:
+        return np.exp(coef * real_samples(momentum(x), "interaction momentum"))
+
     x = x0
     phase = half_phase(x)
     for _ in range(n_steps):
@@ -173,11 +178,6 @@ def _split_step(
         phase = half_phase(x)
         values = values * phase
     return values
-
-
-def _momentum_phase(row: np.ndarray, h: float, constants: PhysicalConstants) -> np.ndarray:
-    """Half-step potential factor exp(-i h F / 2 hbar) of a real momentum row."""
-    return np.exp(-0.5j * h / constants.hbar * real_samples(row, "interaction momentum"))
 
 
 def evolve_interacting(
@@ -192,18 +192,20 @@ def evolve_interacting(
 
     Kinetic half of the stencil is the exact spectral multiplier; the
     potential phase exp(-i F dx / hbar) is applied in half steps at the cell
-    edges.  Unitary for real F; second order in the step size.
+    edges.  Unitary for real F; second order in the step size.  An
+    InteractionMomentum must be sampled on phi0's own t grid, else ValueError.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
+    if isinstance(F, InteractionMomentum) and F.field.t_grid != phi0.grid:
+        raise ValueError(f"F is sampled on {F.field.t_grid}, phi0 on {phi0.grid}")
     t = phi0.grid.times
     h = (x_end - x0) / n_steps
 
-    def half_phase(x: float) -> np.ndarray:
-        row = F.at_x(x) if isinstance(F, InteractionMomentum) else np.asarray(F(x, t))
-        return _momentum_phase(row, h, constants)
+    def momentum(x: float) -> np.ndarray:
+        return F.at_x(x) if isinstance(F, InteractionMomentum) else np.asarray(F(x, t))
 
-    vals = _split_step(phi0.values, phi0.grid, x0, h, n_steps, half_phase, constants)
+    vals = _split_step(phi0.values, phi0.grid, x0, h, n_steps, momentum, constants)
     return replace(phi0, x=x_end, values=vals)
 
 
@@ -256,13 +258,13 @@ def dyson_sweep(
     g_t = real_samples(g.v_t(phi0.grid.times), "time profile g")
     eps_col = np.append(np.asarray(eps, dtype=float), 0.0)[:, None]
 
-    def half_phase(x: float) -> np.ndarray:
-        return _momentum_phase((g_t + eps_col * eta(x)) / constants.c, h, constants)
+    def momentum(x: float) -> np.ndarray:
+        return (g_t + eps_col * eta(x)) / constants.c
 
     batch = np.broadcast_to(phi0.values, (len(eps_col), phi0.grid.n))
-    rows = _split_step(batch, phi0.grid, x0, h, n_steps, half_phase, constants)
+    rows = _split_step(batch, phi0.grid, x0, h, n_steps, momentum, constants)
     xi = np.linspace(x0, x_end, n_steps + 1)
-    I_eta = cumulative_integral(eta(xi), xi, x0)[-1]
+    I_eta = cumulative_integral(np.broadcast_to(eta(xi), xi.shape), xi, x0)[-1]
     factor = 1.0 - 1j * (eps_col[:-1] * I_eta / (constants.hbar * constants.c))
     return rows[:-1], factor * rows[-1]
 

@@ -1,18 +1,18 @@
 """Shared numerical substrate.
 
 Uniform grids with a periodic (endpoint-excluded) convention; the one check
-of complex samples and the one rule for a real V; the spectral multiplier
-and derivative; the kinetic multiplier exp(-i beta h w^2), built once per
-(grid, beta, h) and returned read-only, with one entry kept; the lazily
-loaded cubic spline; the RK4 stage abscissae and the checked up-front sample
-of a coefficient on them, whose first bad value is reported in stepping
-order; the one scalar RK4 loop, for a' = -b/d, b' = slope(c, a), and its
-array twin for a slope that reads no state, as two running sums; the
-fundamental pair of y'' + q y = 0, two chains of that loop; finite-difference
-stencils along any axis, the Schwarzian of sampled functions, the anchored
-cumulative integral and the interior slice.  Everything here is a pure
-function of its inputs (the one cache returns an array equal to a fresh
-build), and this module loads numpy only (scipy on the first spline).
+of complex samples and the one rule for a real V; the spectral multiplier;
+the kinetic multiplier exp(-i beta h w^2), built once per (grid, beta, h)
+and returned read-only, with one entry kept; the lazily loaded cubic spline;
+the RK4 stage abscissae and the checked up-front sample of a coefficient on
+them, whose first bad value is reported in stepping order; the one scalar
+RK4 loop, for a' = -b/d, b' = slope(c, a), and its array twin for a slope
+that reads no state, as two running sums; the fundamental pair of
+y'' + q y = 0, two chains of that loop; finite-difference stencils along any
+axis, the Schwarzian of sampled functions, the anchored cumulative integral
+and the interior slice.  Everything here is a pure function of its inputs
+(the one cache returns an array equal to a fresh build), and this module
+loads numpy only (scipy on the first spline).
 """
 from __future__ import annotations
 
@@ -100,16 +100,11 @@ def kinetic_multiplier(grid: TimeGrid, beta: float, h: float) -> np.ndarray:
     return m
 
 
-def spectral_derivative(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Spectral derivative along the periodic grid: ifft(i w fft(values))."""
-    return spectral_multiply(values, 1j * grid.omegas)
-
-
-def cubic_spline(x: np.ndarray, y: np.ndarray, axis: int = 0):
-    """scipy's CubicSpline of y at x, imported on first use so this module loads numpy only."""
+def cubic_spline(x: np.ndarray, y: np.ndarray):
+    """scipy's CubicSpline of y at x along axis 0, imported on first use: numpy-only load."""
     from scipy.interpolate import CubicSpline
 
-    return CubicSpline(x, y, axis=axis)
+    return CubicSpline(x, y)
 
 
 @dataclass(frozen=True)

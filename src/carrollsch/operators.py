@@ -95,8 +95,8 @@ def gaussian_probes(x_grid: TimeGrid, t_grid: TimeGrid) -> list[Field2D]:
     return probes
 
 
-def _interior_norm(values: np.ndarray, dx: float, dt: float, margin: int = MARGIN) -> float:
-    return float(np.sqrt(dx * dt * np.sum(np.abs(interior(values, margin)) ** 2)))
+def _interior_norm(values: np.ndarray, dx: float, dt: float) -> float:
+    return float(np.sqrt(dx * dt * np.sum(np.abs(interior(values, MARGIN)) ** 2)))
 
 
 def commutator_residual(

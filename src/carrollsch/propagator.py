@@ -22,9 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import (
-    TimeGrid, complex_samples, kinetic_multiplier, spectral_derivative, spectral_multiply,
-)
+from .numerics import TimeGrid, complex_samples, kinetic_multiplier, spectral_multiply
 from .operators import Field2D
 from .potentials import PotentialSpec
 
@@ -44,10 +42,6 @@ class Wavefunction:
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
-
-    def dt_values(self) -> np.ndarray:
-        """Spectral time derivative of the samples."""
-        return spectral_derivative(self.values, self.grid)
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ def carroll_density_current(
     """
     hbar = constants.hbar
     mc3 = constants.mc3
-    dpsi = psi.dt_values()
+    dpsi = spectral_multiply(psi.values, 1j * psi.grid.omegas)  # the spectral d/dt
     im = np.imag(np.conj(psi.values) * dpsi)
     j_t = hbar / mc3 * im
     V = v_car.v_t(psi.grid.times)

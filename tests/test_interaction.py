@@ -1,6 +1,8 @@
 """Tests for finite-window quantization, gauge reduction and the Dyson term."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,7 +186,7 @@ class TestGaugeReduce:
         # satisfy the free first-order-in-x equation
         T, n = np.pi, 1
         v = PotentialSpec.time_profile(np.sin, np.cos)
-        spec = quantized_modes(T, n, 1.0, v, n_samples=256)
+        spec = quantized_modes(T, n, 1.0, v)
         e_n = spec.levels[0]
         p0 = e_n**2 / 2.0  # c p0 = E_n^2 / (2 m c^2) in natural units
         xg = TimeGrid(0.0, 2.0, 256)
@@ -247,6 +249,18 @@ class TestEvolveInteracting:
                 np.sqrt(phi0.grid.dt * np.sum(np.abs(coarse.values - dense.values) ** 2))
             )
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
+
+    @pytest.mark.parametrize(
+        "t_grid", [TimeGrid(-5.0, 5.0, 512), TimeGrid(-20.0, 20.0, 256)], ids=["same-n", "other-n"]
+    )
+    def test_momentum_on_another_t_grid_rejected(self, t_grid):
+        # F sampled on another t grid would silently step phi0 with the wrong
+        # rows (same n) or fail in numpy broadcasting (other n)
+        phi0 = self._phi0()
+        v = PotentialSpec.separable(np.sin, lambda t: np.exp(-(t**2)), np.cos)
+        F = interaction_momentum(v, 0.0, TimeGrid(0.0, 1.0, 16), t_grid)
+        with pytest.raises(ValueError, match=re.escape(f"F is sampled on {t_grid}, phi0 on {phi0.grid}")):
+            evolve_interacting(phi0, F, 0.0, 0.5, 8)
 
     def test_time_only_momentum_against_dense_reference(self):
         phi0 = self._phi0()
@@ -364,6 +378,16 @@ class TestDysonSweep:
             dyson_sweep(phi0, g, eta, [0.01, 0.02], 0.0, 1.0, 255)
         info = kinetic_multiplier.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+
+    def test_scalar_eta_equals_the_sampled_constant(self):
+        # a constant eta may return a Python float; the sweep broadcasts it
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, TimeGrid(-10.0, 10.0, 64))
+        g = PotentialSpec.time_profile(np.cos)
+        scalar = dyson_sweep(phi0, g, lambda x: 1.0, [0.01, 0.02], 0.0, 1.0, 16)
+        sampled = dyson_sweep(phi0, g, lambda x: np.full(np.shape(x), 1.0), [0.01, 0.02], 0.0, 1.0, 16)
+        assert all(np.array_equal(a, b) for a, b in zip(scalar, sampled))
+        one = dyson_first_order(phi0, g, lambda x: 1.0, 0.02, 0.0, 1.0, 16)
+        assert np.array_equal(one.values, sampled[1][1])
 
     def test_complex_perturbation_rejected(self):
         phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, TimeGrid(-10.0, 10.0, 64))
