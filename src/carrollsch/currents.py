@@ -27,9 +27,11 @@ def schrodinger_density_current(
     exact solution converges at the scheme order.
     """
     hbar, m = constants.hbar, constants.m
-    rho = np.abs(psi.values) ** 2
+    rho = np.abs(psi.values)
+    rho *= rho
     dpsi = deriv_uniform(psi.values, psi.x_grid.dt, 1, axis=0)
-    j = hbar / m * np.imag(np.conj(psi.values) * dpsi)
+    np.multiply(np.conj(psi.values), dpsi, out=dpsi)
+    j = hbar / m * dpsi.imag
     return rho, j
 
 
@@ -70,5 +72,6 @@ def continuity_equivalence(
         f = gauge_reduce(f, v_car, psi_car.t_grid.t_min if t0 is None else t0, constants)
     f = coordinate_inversion(f, constants)
     rho, j = schrodinger_density_current(f, constants)
-    res = deriv_uniform(rho, f.t_grid.dt, 1, axis=1) + deriv_uniform(j, f.x_grid.dt, 1, axis=0)
+    res = deriv_uniform(rho, f.t_grid.dt, 1, axis=1)
+    res += deriv_uniform(j, f.x_grid.dt, 1, axis=0)
     return float(np.max(np.abs(interior(res, MARGIN))))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
 from .numerics import (
-    TimeGrid, cumulative_integral, kinetic_multiplier, real_samples, spectral_multiply,
+    TimeGrid, cumulative_integral, kinetic_multiplier, real_samples, spectral_multiply, unit_phase,
     cubic_spline as CubicSpline,  # the name perfbench/tracer.py patches to count spline builds
 )
 from .operators import Field2D
@@ -99,7 +99,8 @@ def quantized_modes(
     grid = TimeGrid(0.0, T, 1024)
     t = grid.times
     levels = np.arange(1, n_max + 1) * np.pi * hbar / T
-    phase = np.exp(1j / hbar * cumulative_integral(v_time.v_t(t), grid, 0.0))
+    I = cumulative_integral(real_samples(v_time.v_t(t), "time profile"), grid, 0.0)
+    phase = unit_phase(1.0 / hbar * I)
     amp = np.sqrt(2.0 / T)
     modes = [
         Wavefunction(0.0, grid, amp * np.sin(n * np.pi * t / T) * phase)
@@ -141,9 +142,12 @@ def gauge_reduce(
     reduction converges at ratios 6.0, 4.8 and 4.2 per halving of dt up to
     n = 1024, while apply_F on the same field converges at 4th order.
     """
-    V = v.v_xt(psi.x_grid.times, psi.t_grid.times)
+    V = real_samples(v.v_xt(psi.x_grid.times, psi.t_grid.times), "potential")
     I = cumulative_integral(V, psi.t_grid, t0, axis=1)
-    return Field2D(psi.x_grid, psi.t_grid, np.exp(-1j / constants.hbar * I) * psi.values)
+    I *= -1.0 / constants.hbar
+    z = unit_phase(I)
+    z *= psi.values
+    return Field2D(psi.x_grid, psi.t_grid, z)
 
 
 def _split_step(
@@ -164,10 +168,10 @@ def _split_step(
     Leading axes of values, and of the rows, are a batch.
     """
     kin = kinetic_multiplier(grid, constants.beta, h)
-    coef = -0.5j * h / constants.hbar
+    coef = -0.5 * h / constants.hbar
 
     def half_phase(x: float) -> np.ndarray:
-        return np.exp(coef * real_samples(momentum(x), "interaction momentum"))
+        return unit_phase(coef * real_samples(momentum(x), "interaction momentum"))
 
     x = x0
     phase = half_phase(x)
@@ -216,7 +220,7 @@ def dyson_first_order(
     eps: float,
     x0: float,
     x_end: float,
-    n_steps: int = 256,
+    n_steps: int,
     constants: PhysicalConstants = NATURAL,
 ) -> Wavefunction:
     """First-order Dyson solution for the split potential term g(t) + eps eta(x).
@@ -238,7 +242,7 @@ def dyson_sweep(
     eps: Sequence[float],
     x0: float,
     x_end: float,
-    n_steps: int = 256,
+    n_steps: int,
     constants: PhysicalConstants = NATURAL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split-step references and first-order Dyson solutions for every coupling.

@@ -4,8 +4,9 @@ Uniform grids with a periodic (endpoint-excluded) convention; the one check
 of complex samples and the one rule for a real V; the spectral multiplier;
 the kinetic multiplier exp(-i beta h w^2), built once per (grid, beta, h)
 and returned read-only, with one entry kept; the lazily loaded cubic spline;
-the RK4 stage abscissae and the checked up-front sample of a coefficient on
-them, whose first bad value is reported in stepping order; the one scalar
+the unit phase exp(i theta), cos and sin in one complex buffer; the RK4
+stage abscissae and the checked up-front sample of a coefficient on them,
+whose first bad value is reported in stepping order; the one scalar
 RK4 loop, for a' = -b/d, b' = slope(c, a), and its array twin for a slope
 that reads no state, as two running sums; the fundamental pair of
 y'' + q y = 0, two chains of that loop; finite-difference stencils along any
@@ -98,6 +99,16 @@ def kinetic_multiplier(grid: TimeGrid, beta: float, h: float) -> np.ndarray:
     m = np.exp(-1j * beta * h * grid.omegas**2)
     m.flags.writeable = False
     return m
+
+
+def unit_phase(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) of a real phase, as cos theta and sin theta written into one
+    complex buffer; equal to np.exp of the complex 0 + i theta, signed zeros included."""
+    theta = np.asarray(theta)
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    return z
 
 
 def cubic_spline(x: np.ndarray, y: np.ndarray):
@@ -249,7 +260,13 @@ def deriv_uniform(values: np.ndarray, dx: float, order: int = 1, axis: int = 0) 
         raise ValueError(f"need at least {9 if order == 3 else 7} samples")
     out = np.empty_like(v, dtype=complex if np.iscomplexobj(v) else float)
     if order == 1:
-        out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * dx)
+        # ((v0 - 8 v1) + 8 v3) - v4, built in out with one temporary
+        mid, t = out[2:-2], 8 * v[1:-3]
+        np.subtract(v[:-4], t, out=mid)
+        np.multiply(8, v[3:-1], out=t)
+        mid += t
+        mid -= v[4:]
+        mid /= 12 * dx
         out[:2] = (-3 * v[:2] + 4 * v[1:3] - v[2:4]) / (2 * dx)
         out[-2:] = (3 * v[-2:] - 4 * v[-3:-1] + v[-4:-2]) / (2 * dx)
     elif order == 2:
@@ -284,9 +301,10 @@ def cumulative_integral(
     The anchor must be a grid point; `grid` may be a TimeGrid or any
     monotone abscissae, increasing or decreasing.  The running sum takes the
     operations, in their order, of scipy.integrate's running trapezoid with
-    initial=0, so with the anchor at the first sample the result is
-    bit-identical to scipy's.  The running trapezoid is 2nd order in the
-    spacing, below the 4th order of the stencils; every caller inherits it.
+    initial=0, in one preallocated array, so with the anchor at the first
+    sample the result is bit-identical to scipy's.  The running trapezoid is
+    2nd order in the spacing, below the 4th order of the stencils; every
+    caller inherits it.
     """
     ts = grid.times if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
     lo, hi = sorted((ts[0], ts[-1]))
@@ -296,9 +314,17 @@ def cumulative_integral(
     if abs(ts[idx] - anchor) > 1e-9 * max(1.0, abs(anchor)):
         raise GridError(f"anchor {anchor} is not a grid point")
     y = np.moveaxis(np.asarray(values), axis, -1)
-    F = np.cumsum(np.diff(ts) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
-    F = np.concatenate((np.zeros_like(F[..., :1]), F), axis=-1)
-    return np.moveaxis(F - F[..., idx : idx + 1], -1, axis)
+    dts = np.diff(ts)
+    F = np.empty(y.shape, dtype=np.result_type(dts, y))
+    steps = F[..., 1:]
+    np.add(y[..., 1:], y[..., :-1], out=steps)
+    steps *= dts
+    steps /= 2.0
+    np.cumsum(steps, axis=-1, out=steps)
+    F[..., 0] = 0.0
+    if idx:  # anchored at the first sample, F already vanishes there
+        F -= F[..., idx : idx + 1]
+    return np.moveaxis(F, -1, axis)
 
 
 def interior(values: np.ndarray, margin: int) -> np.ndarray:

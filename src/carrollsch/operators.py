@@ -71,8 +71,9 @@ def apply_F(
     def a(v: np.ndarray) -> np.ndarray:
         return -1j * hbar * deriv_uniform(v, psi.t_grid.dt, 1, axis=1) - V * v
 
-    dpsi_dx = deriv_uniform(psi.values, psi.x_grid.dt, 1, axis=0)
-    out = c * 1j * hbar * dpsi_dx - a(a(psi.values)) / (2 * m * c**2)
+    out = deriv_uniform(psi.values, psi.x_grid.dt, 1, axis=0)
+    out *= c * 1j * hbar
+    out -= a(a(psi.values)) / (2 * m * c**2)
     return Field2D(psi.x_grid, psi.t_grid, out)
 
 

@@ -77,11 +77,32 @@ class TestGaugeRemove:
             gauge_reduce(f, PotentialSpec.time_profile(np.sin), 0.123456)
 
 
+class TestDensityCurrentBits:
+    @pytest.mark.parametrize("consts", [PhysicalConstants(), PhysicalConstants(hbar=1.0546, m=0.7)])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_is_the_one_expression(self, consts, layout):
+        """rho and J built in their own buffers equal |psi|**2 and (hbar/m) Im(conj(psi) dpsi)."""
+        f = _free_carroll_field(64)
+        psi = Field2D(f.x_grid, f.t_grid, np.asarray(f.values, order=layout))
+        rho, j = schrodinger_density_current(psi, consts)
+        dpsi = deriv_uniform(psi.values, psi.x_grid.dt, 1, axis=0)
+        assert rho.tobytes() == (np.abs(psi.values) ** 2).tobytes()
+        assert j.tobytes() == (consts.hbar / consts.m * np.imag(np.conj(psi.values) * dpsi)).tobytes()
+
+
 class TestCoordinateInversion:
     def test_transpose(self):
         f = _free_carroll_field(64)
         g = coordinate_inversion(f)
         np.testing.assert_array_equal(g.values, f.values.T)
+
+    def test_transpose_owns_its_samples(self):
+        f = _free_carroll_field(64)
+        before = f.values.copy()
+        g = coordinate_inversion(f)
+        assert not np.shares_memory(g.values, f.values)
+        g.values[0, 0] = 1.0
+        assert np.array_equal(f.values, before)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -126,6 +147,15 @@ class TestContinuityEquivalence:
     def test_refinement_ratio(self):
         res = [continuity_equivalence(_free_carroll_field(n)) for n in (128, 256)]
         assert res[0] / res[1] >= 3.5
+
+    @pytest.mark.parametrize("v_car", [None, PotentialSpec.space_time(lambda x, t: 0.2 * np.sin(x) * np.cos(t))])
+    def test_leaves_the_field_unchanged(self, v_car):
+        """Nothing on the bridge writes into psi_car's samples."""
+        f = _free_carroll_field(64)
+        before = f.values.copy()
+        f.values.flags.writeable = False  # a write into them raises
+        continuity_equivalence(f, v_car=v_car, t0=f.t_grid.t_min)
+        assert np.array_equal(f.values, before)
 
     def test_gauge_path_matches_free(self):
         # dress the free solution with the exact potential phase; removing the

@@ -25,7 +25,7 @@ from carrollsch import (
     interaction_momentum,
     quantized_modes,
 )
-from carrollsch.numerics import deriv_uniform, kinetic_multiplier
+from carrollsch.numerics import cumulative_integral, deriv_uniform, kinetic_multiplier
 
 
 class TestQuantizedModes:
@@ -47,6 +47,20 @@ class TestQuantizedModes:
             np.testing.assert_allclose(
                 np.abs(b.modes[n - 1].values) ** 2, b.density(n), atol=1e-13
             )
+
+    @pytest.mark.parametrize("consts", [PhysicalConstants(), PhysicalConstants(hbar=1.0546), PhysicalConstants(hbar=0.3)])
+    def test_modes_are_the_complex_exponential(self, consts):
+        T, v = 2.0, PotentialSpec.time_profile(lambda t: 0.5 * np.sin(3 * t) - 0.2, lambda t: 1.5 * np.cos(3 * t))
+        spec = quantized_modes(T, 3, None, v, consts)
+        t = spec.modes[0].grid.times
+        phase = np.exp(1j / consts.hbar * cumulative_integral(v.v_t(t), spec.modes[0].grid, 0.0))
+        for n, mode in enumerate(spec.modes, start=1):
+            expected = np.sqrt(2.0 / T) * np.sin(n * np.pi * t / T) * phase
+            assert mode.values.tobytes() == expected.tobytes()
+
+    def test_complex_profile_rejected(self):
+        with pytest.raises(ValueError, match="complex time profile"):
+            quantized_modes(1.0, 1, None, PotentialSpec.time_profile(lambda t: 1j * np.sin(t), np.cos))
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
@@ -180,6 +194,34 @@ class TestGaugeReduce:
         phase = cumulative_trapezoid(np.sin(t), t, initial=0.0)
         back = Field2D(g, g, np.exp(1j * phase)[None, :] * phi.values)
         np.testing.assert_allclose(back.values, psi.values, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "consts", [PhysicalConstants(), PhysicalConstants(hbar=1.0546, m=0.7, c=1.3), PhysicalConstants(hbar=0.3)]
+    )
+    @pytest.mark.parametrize("anchor", [0, 40, -1])
+    def test_phase_is_the_complex_exponential(self, consts, anchor):
+        """The phase filled by unit_phase, times psi, is np.exp(-1j / hbar * I) * psi bit
+        for bit: every value and every sign of zero in both parts."""
+        rng = np.random.default_rng(anchor % 7)
+        xg, tg = TimeGrid(-3.0, 3.0, 32), TimeGrid(-4.0, 4.0, 64)
+        vals = rng.standard_normal((32, 64)) + 1j * rng.standard_normal((32, 64))
+        vals[0, :4] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+        vals[:, anchor] = complex(-0.0, 0.0)  # zero phase times zero samples
+        psi = Field2D(xg, tg, vals)
+        v = PotentialSpec.space_time(lambda x, t: 0.3 * np.cos(x) * np.exp(-(t**2)) - 0.1 * t)
+        t0 = tg.times[anchor]
+        out = gauge_reduce(psi, v, t0, consts)
+        I = cumulative_integral(v.v_xt(xg.times, tg.times), tg, t0, axis=1)
+        expected = np.exp(-1j / consts.hbar * I) * psi.values
+        assert out.values.tobytes() == expected.tobytes()
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(out.values)), np.signbit(part(expected)))
+
+    def test_complex_potential_rejected(self):
+        g = TimeGrid(0.0, 2.0, 16)
+        psi = Field2D(g, g, np.ones((16, 16), dtype=complex))
+        with pytest.raises(ValueError, match="complex potential"):
+            gauge_reduce(psi, PotentialSpec.time_profile(lambda t: 1j * t, lambda t: 1j + 0 * t), 0.0)
 
     def test_quantized_mode_reduces_to_free_solution(self):
         # a dressed separated mode strips to plane wave x sine, which must

@@ -17,6 +17,7 @@ from carrollsch.numerics import (
     rk4,
     rk4_sums,
     schwarzian_samples,
+    unit_phase,
 )
 from carrollsch.operators import Field2D
 from carrollsch.propagator import Wavefunction
@@ -294,6 +295,46 @@ class TestDerivUniform:
         for axis in (1, -1):
             assert np.array_equal(deriv_uniform(v, self.h, order, axis=axis), expected)
 
+    @staticmethod
+    def _one_expression(v, dx, axis):
+        """The first derivative with each region written as one array expression."""
+        u = np.swapaxes(v, axis, 0)
+        out = np.empty_like(u)
+        out[2:-2] = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * dx)
+        out[:2] = (-3 * u[:2] + 4 * u[1:3] - u[2:4]) / (2 * dx)
+        out[-2:] = (3 * u[-2:] - 4 * u[-3:-1] + u[-4:-2]) / (2 * dx)
+        return np.swapaxes(out, 0, axis)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_first_order_is_the_one_expression(self, dtype, axis, layout):
+        """The in-place interior leaves every bit of the array expression, on
+        either layout along either axis, signed zeros included."""
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((40, 33)).astype(dtype)
+        if dtype is complex:
+            v = v + 1j * rng.standard_normal((40, 33))
+        v[10:17] = -0.0  # stencils over signed zeros, along either axis
+        v[:, 20:26] = -v[:, 20:26] * 0.0
+        v = np.asarray(v, order=layout)
+        d = deriv_uniform(v, self.h, 1, axis=axis)
+        assert d.dtype == v.dtype
+        assert d.tobytes() == self._one_expression(v, self.h, axis).tobytes()
+
+
+class TestUnitPhase:
+    def test_is_the_exponential_of_the_imaginary_phase(self):
+        """cos and sin in one buffer equal np.exp of the complex 0 + i theta, signed zeros included."""
+        rng = np.random.default_rng(4)
+        theta = np.concatenate(
+            [rng.standard_normal(4096) * s for s in (1e-300, 1e-8, 1.0, 1e3, 1e6)]
+            + [np.array([0.0, -0.0, 5e-324, -5e-324, np.pi, -np.pi, 1e-310, -1e-310])]
+        ).reshape(2, -1)
+        z = np.zeros(theta.shape, dtype=complex)
+        z.imag = theta
+        assert unit_phase(theta).tobytes() == np.exp(z).tobytes()
+
 
 class TestCumulativeIntegral:
     def test_antiderivative(self):
@@ -324,6 +365,33 @@ class TestCumulativeIntegral:
         for r, row in zip(F, rows):
             assert np.array_equal(r, cumulative_integral(row, g, anchor=g.times[10]))
         assert np.all(F[:, 10] == 0.0)
+
+    @staticmethod
+    def _one_expression(values, ts, idx, axis):
+        """The anchored running trapezoid as whole-array expressions."""
+        y = np.moveaxis(values, axis, -1)
+        F = np.cumsum(np.diff(ts) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+        F = np.concatenate((np.zeros_like(F[..., :1]), F), axis=-1)
+        return np.moveaxis(F - F[..., idx : idx + 1], -1, axis)
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    @pytest.mark.parametrize("decreasing", [False, True])
+    @pytest.mark.parametrize("idx", [0, 17, 40])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_in_place_build_is_the_one_expression(self, dtype, idx, decreasing, axis):
+        """The sum built in one preallocated array leaves every bit of the
+        whole-array expressions: anchor first, interior and last."""
+        rng = np.random.default_rng(idx)
+        ts = np.sort(rng.uniform(-2.0, 3.0, 41))[:: -1 if decreasing else 1]
+        y = rng.standard_normal((5, 41)).astype(dtype)
+        if dtype is complex:
+            y = y + 1j * rng.standard_normal((5, 41))
+        y[1] = -0.0
+        y = np.moveaxis(y, -1, axis)
+        F = cumulative_integral(y, ts, ts[idx], axis=axis)
+        assert F.dtype == y.dtype
+        assert F.tobytes() == self._one_expression(y, ts, idx, axis).tobytes()
+        assert np.all(np.take(F, idx, axis=axis) == 0.0)
 
 
 class TestCumulativeTrapezoid:

@@ -10,7 +10,8 @@ array twin `rk4_sums` are the only places that form the weighted sum, so
 the stage order and the weights have one home.  scipy is imported
 by `numerics` alone, so its import cost is paid only where a spline is
 built.  In `cli`, one runner writes the CSVs and checks the gates, so no
-command can bypass it.
+command can bypass it.  Every phase factor of `interaction` comes from
+`numerics.unit_phase`, so it forms no complex exponential of its own.
 """
 from __future__ import annotations
 
@@ -93,3 +94,18 @@ def test_cli_writes_and_gates_in_one_runner():
             )
         )
         assert callers == ["_command"], f"{callee} called from {callers}"
+
+
+def test_interaction_takes_phases_from_unit_phase():
+    """interaction.py calls no np.exp: its gauge, mode and split-step phases are numerics.unit_phase."""
+    tree = ast.parse((PACKAGE / "interaction.py").read_text())
+    exps = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "exp"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+    ]
+    assert exps == [], f"np.exp called in interaction.py at lines {exps}"

@@ -6,6 +6,7 @@ import pytest
 
 from carrollsch import (
     Field2D,
+    PhysicalConstants,
     PotentialSpec,
     TimeGrid,
     apply_F,
@@ -13,7 +14,7 @@ from carrollsch import (
     commutator_residual,
     gaussian_probes,
 )
-from carrollsch.numerics import interior
+from carrollsch.numerics import deriv_uniform, interior
 from carrollsch.operators import MARGIN
 
 
@@ -78,6 +79,28 @@ class TestApplyF:
         psi = Field2D(g, g, np.ones((8, 8)))
         with pytest.raises(ValueError):
             apply_F(psi, PotentialSpec.zero())
+
+
+class TestOneBuffer:
+    """F scaled and summed in one buffer equals its one-expression form."""
+
+    CASES = [
+        (PotentialSpec.time_profile(np.sin, np.cos), PhysicalConstants()),
+        (PotentialSpec.space_time(lambda x, t: 0.2 * np.sin(x + t)), PhysicalConstants(hbar=1.0546, m=0.7, c=1.3)),
+    ]
+
+    @pytest.mark.parametrize("v, consts", CASES)
+    def test_apply_F(self, v, consts):
+        g = TimeGrid(-4.0, 4.0, 32)
+        psi = gaussian_probes(g, g)[2]
+        hbar, m, c = consts.hbar, consts.m, consts.c
+        V = v.v_xt(g.times, g.times)
+
+        def a(u):
+            return -1j * hbar * deriv_uniform(u, g.dt, 1, axis=1) - V * u
+
+        expected = c * 1j * hbar * deriv_uniform(psi.values, g.dt, 1, axis=0) - a(a(psi.values)) / (2 * m * c**2)
+        assert apply_F(psi, v, consts).values.tobytes() == expected.tobytes()
 
 
 class TestCommutator:
