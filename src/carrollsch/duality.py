@@ -21,6 +21,7 @@ integrated with Q = -q to realize {sigma, x} = -2q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,11 +68,16 @@ class DualityMap:
     def monotone_interval(self) -> tuple[float, float]:
         return float(self.x[0]), float(self.x[-1])
 
+    @cached_property
+    def _tau_spline(self):
+        """Cubic interpolant of tau(x), built once per map."""
+        return cubic_spline(self.x, self.tau)
+
     def tau_at(self, x: float) -> float:
         lo, hi = self.monotone_interval
         if not (lo <= x <= hi):
             raise ValueError(f"x = {x} outside monotone interval [{lo}, {hi}]")
-        return float(cubic_spline(self.x, self.tau)(x))
+        return float(self._tau_spline(x))
 
 
 def forward_delta(

@@ -3,7 +3,7 @@
 Uniform grids with a periodic (endpoint-excluded) convention; the one check
 of complex samples and the one rule for a real V; the spectral multiplier;
 the kinetic multiplier exp(-i beta h w^2), built once per (grid, beta, h)
-and returned read-only, with one entry kept; the lazily loaded cubic spline;
+and returned read-only, with one entry kept; the not-a-knot cubic spline;
 the unit phase exp(i theta), cos and sin in one complex buffer; the RK4
 stage abscissae and the checked up-front sample of a coefficient on them,
 whose first bad value is reported in stepping order; the one scalar
@@ -12,8 +12,8 @@ that reads no state, as two running sums; the fundamental pair of
 y'' + q y = 0, two chains of that loop; finite-difference stencils along any
 axis, the Schwarzian of sampled functions, the anchored cumulative integral
 and the interior slice.  Everything here is a pure function of its inputs
-(the one cache returns an array equal to a fresh build), and this module
-loads numpy only (scipy on the first spline).
+(the one cache returns an array equal to a fresh build), and this module,
+like the package, loads numpy only.
 """
 from __future__ import annotations
 
@@ -111,11 +111,101 @@ def unit_phase(theta: np.ndarray) -> np.ndarray:
     return z
 
 
-def cubic_spline(x: np.ndarray, y: np.ndarray):
-    """scipy's CubicSpline of y at x along axis 0, imported on first use: numpy-only load."""
-    from scipy.interpolate import CubicSpline
+def cubic_spline(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The not-a-knot cubic spline of y at x along axis 0, as a callable.
 
-    return CubicSpline(x, y)
+    The slopes solve scipy's CubicSpline system, with the same not-a-knot end
+    rows, by cyclic reduction; the trailing axes of y ride along as columns
+    of one solve.  The pieces take scipy's cubic Hermite coefficients, and a
+    call finds each piece with np.searchsorted and sums it by Horner's rule:
+    it returns shape xv.shape + y.shape[1:], and past the ends the end pieces
+    extrapolate.  Fewer than 4 samples, an x that is not finite and strictly
+    increasing, a y of another length or a non-finite y raise ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y)
+    y = y.astype(np.result_type(y.dtype, float), copy=False)
+    if x.ndim != 1 or len(x) < 4:
+        raise ValueError(f"need a 1-D x of at least 4 samples, got shape {x.shape}")
+    if y.shape[:1] != x.shape:
+        raise ValueError(f"y has {y.shape[:1]} samples along axis 0, x has {x.shape}")
+    dx = np.diff(x)
+    if not (np.all(np.isfinite(x)) and np.all(dx > 0)):
+        raise ValueError("x must be finite and strictly increasing")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains non-finite entries")
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    # the slope system: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = r[i] inside,
+    # and the not-a-knot end rows dx[1] s[0] + d0 s[1] = r[0], d1 s[-2] + dx[-2] s[-1] = r[-1]
+    r = np.empty_like(y)
+    r[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    r[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+    r[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    # the end rows subtracted from their neighbours leave a diagonally dominant system in s[1:-1]
+    lo, di, up = dxr[1:].copy(), 2 * (dxr[:-1] + dxr[1:]), dxr[:-1].copy()
+    lo[0], up[-1] = 0.0, 0.0
+    di[0] -= d0
+    di[-1] -= d1
+    rhs = r[1:-1]
+    rhs[0] -= r[0]
+    rhs[-1] -= r[-1]
+    s = np.empty_like(y)
+    s[1:-1] = _cyclic_reduction(lo, di, up, rhs)
+    s[0] = (r[0] - d0 * s[1]) / dxr[1]
+    s[-1] = (r[-1] - d1 * s[-2]) / dxr[-2]
+    # scipy's Hermite coefficients, highest power first: t / dx, (slope - s) / dx - t, s, y
+    # with t = (s[:-1] + s[1:] - 2 slope) / dx, built in one array
+    c = np.empty((4,) + slope.shape, dtype=y.dtype)
+    t = np.add(s[:-1], s[1:], out=c[0])
+    t -= 2 * slope
+    t /= dxr
+    np.subtract(slope, s[:-1], out=c[1])
+    c[1] /= dxr
+    c[1] -= t
+    t /= dxr
+    c[2] = s[:-1]
+    c[3] = y[:-1]
+    columns = (1,) * (y.ndim - 1)
+
+    def spline(xv: np.ndarray) -> np.ndarray:
+        xv = np.asarray(xv, dtype=float)
+        i = np.searchsorted(x[1:-1], xv, side="right")  # the piece of xv, end pieces past the ends
+        h = (xv - x[i]).reshape(xv.shape + columns)
+        c3, c2, c1, c0 = c.take(i, axis=1)
+        return ((c3 * h + c2) * h + c1) * h + c0
+
+    return spline
+
+
+def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """s with lo[i] s[i-1] + di[i] s[i] + up[i] s[i+1] = d[i] (lo[0] = up[-1] = 0).
+
+    The coefficients broadcast against d, whose trailing axes are columns of
+    one solve.  Each level folds the even rows into the odd ones, recurses on
+    those, and recovers the even rows from them: log2 n levels of array
+    passes, stable for a diagonally dominant system.
+    """
+    if len(di) == 1:
+        return d / di
+    k = (len(di) - 1) // 2  # odd rows with an even row below them
+    k1 = lo[1::2] / di[:-1:2]
+    k2 = up[1::2][:k] / di[2::2]
+    lo2, di2, up2 = -k1 * lo[:-1:2], di[1::2] - k1 * up[:-1:2], np.zeros_like(k1)
+    di2[:k] -= k2 * lo[2::2]
+    up2[:k] = -k2 * up[2::2]
+    d2 = d[1::2] - k1 * d[:-1:2]
+    d2[:k] -= k2 * d[2::2]
+    s_odd = _cyclic_reduction(lo2, di2, up2, d2)
+    s = np.empty_like(d)
+    s[1::2] = s_odd
+    even = s[::2]
+    even[...] = d[::2]
+    even[1:] -= lo[2::2] * s_odd[: len(even) - 1]
+    even[: len(s_odd)] -= up[:-1:2] * s_odd
+    even /= di[::2]
+    return s
 
 
 @dataclass(frozen=True)

@@ -326,7 +326,7 @@ class TestCsvFormat:
 
 
 def test_scipy_loaded_only_where_needed(tmp_path):
-    """The package import and the six scipy-free subcommands load no scipy module."""
+    """Neither the package import nor any of the seven subcommands loads a scipy module."""
     code = textwrap.dedent(
         f"""
         import sys
@@ -337,7 +337,8 @@ def test_scipy_loaded_only_where_needed(tmp_path):
             return [m for m in sys.modules if m.split(".")[0] == "scipy"]
 
         assert not scipy_modules(), scipy_modules()
-        for sub in ("gaussian", "commutator", "currents", "rays", "dyson", "quantize"):
+        assert len(cli.COMMANDS) == 7, sorted(cli.COMMANDS)
+        for sub in sorted(cli.COMMANDS):
             assert cli.main([sub, "--out", {str(tmp_path)!r} + "/" + sub]) == 0, sub
             assert not scipy_modules(), (sub, scipy_modules())
         """

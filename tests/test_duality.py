@@ -16,9 +16,9 @@ from carrollsch import (
     schwarzian_residual,
     vsch_from_vcar,
 )
-from carrollsch import cli
+from carrollsch import cli, duality
 from carrollsch.duality import _window_extrema, _zero_free_patch
-from carrollsch.numerics import deriv_uniform, schwarzian_samples
+from carrollsch.numerics import cubic_spline, deriv_uniform, schwarzian_samples
 
 TARGETS = [
     ("free", PotentialSpec.zero(), 0.0, (0.0, 2.0), 1e-6),
@@ -90,6 +90,20 @@ class TestInverseTau:
         mid = dmap.x[len(dmap.x) // 2]
         delta = CubicSpline(dmap.delta_t, dmap.delta)
         assert float(delta(dmap.tau_at(mid))) == pytest.approx(mid, abs=1e-8)
+
+    def test_tau_at_builds_one_spline(self, monkeypatch):
+        dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 2.0))
+        builds = []
+
+        def counting(x, y):
+            builds.append(len(x))
+            return cubic_spline(x, y)
+
+        monkeypatch.setattr(duality, "cubic_spline", counting)
+        first, second = dmap.tau_at(1.0), dmap.tau_at(0.5)
+        assert builds == [len(dmap.x)]
+        assert first == float(cubic_spline(dmap.x, dmap.tau)(1.0))
+        assert second == float(cubic_spline(dmap.x, dmap.tau)(0.5))
 
     def test_tau_outside_interval_rejected(self):
         dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 2.0))

@@ -25,7 +25,7 @@ from carrollsch import (
     interaction_momentum,
     quantized_modes,
 )
-from carrollsch.numerics import cumulative_integral, deriv_uniform, kinetic_multiplier
+from carrollsch.numerics import cubic_spline, cumulative_integral, deriv_uniform, kinetic_multiplier
 
 
 class TestQuantizedModes:
@@ -140,15 +140,19 @@ class TestInteractionMomentum:
         np.testing.assert_allclose(row, 2 * 0.5 * (1.0 - np.cos(tg.times)), atol=1e-4)
 
     def test_at_x_equals_fresh_spline(self):
+        """The cached spline's rows equal a fresh numerics.cubic_spline bit for bit,
+        and scipy's CubicSpline to roundoff: 1e-13 of max |F|."""
         from scipy.interpolate import CubicSpline
 
         xg, tg = self._grids()
         v = PotentialSpec.separable(lambda x: np.sin(3 * x), np.cos, da=lambda x: 3 * np.cos(3 * x))
         F = interaction_momentum(v, 0.0, xg, tg)
-        xs = xg.times
+        xs, values = xg.times, np.real(F.field.values)
+        bound = 1e-13 * np.max(np.abs(values))
         for x in (xs[0], 0.37, xs[31], 1.5, xs[-1]):
-            fresh = CubicSpline(xs, np.real(F.field.values), axis=0)(x)
-            assert np.array_equal(F.at_x(x), fresh)
+            row = F.at_x(x)
+            assert np.array_equal(row, cubic_spline(xs, values)(x))
+            np.testing.assert_allclose(row, CubicSpline(xs, values, axis=0)(x), rtol=0, atol=bound)
 
     def test_at_x_out_of_range(self):
         xg, tg = self._grids()

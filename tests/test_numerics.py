@@ -9,6 +9,7 @@ from carrollsch import PhysicalConstants, PotentialSpec, trace_ray
 from carrollsch.numerics import (
     GridError,
     TimeGrid,
+    cubic_spline,
     cumulative_integral,
     deriv_uniform,
     integrate_fundamental_pair,
@@ -392,6 +393,68 @@ class TestCumulativeIntegral:
         assert F.dtype == y.dtype
         assert F.tobytes() == self._one_expression(y, ts, idx, axis).tobytes()
         assert np.all(np.take(F, idx, axis=axis) == 0.0)
+
+
+def _abscissae(rng, n):
+    """n random strictly increasing abscissae, spacings drawn from [0.1, 1)."""
+    return -3.0 + np.cumsum(rng.uniform(0.1, 1.0, n))
+
+
+class TestCubicSpline:
+    @pytest.mark.parametrize("n", [4, 5, 17, 256])
+    def test_reproduces_cubics(self, n):
+        """Not-a-knot: a cubic through the samples is its own spline, on and past the ends."""
+        rng = np.random.default_rng(n)
+        x = _abscissae(rng, n)
+        cubics = [np.polynomial.Polynomial(rng.normal(size=4)) for _ in range(3)]
+        xv = np.concatenate((rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200), x))
+        want = np.stack([p(xv) for p in cubics], axis=-1)
+        bound = 1e-12 * np.max(np.abs(want))
+        y = np.stack([p(x) for p in cubics], axis=-1)
+        np.testing.assert_allclose(cubic_spline(x, y)(xv), want, rtol=0, atol=bound)
+        np.testing.assert_allclose(cubic_spline(x, y[:, 1])(xv), want[:, 1], rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("n, columns", [(4, ()), (64, ()), (2048, ()), (8189, ()), (64, (1024,))])
+    def test_agrees_with_scipy(self, n, columns):
+        """Within 1e-13 of max |scipy| on random abscissae, at the knots, between and just past them."""
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(n + len(columns))
+        x = _abscissae(rng, n)
+        y = rng.normal(size=(n, *columns))
+        xv = np.concatenate((x, rng.uniform(x[0] - 0.05, x[-1] + 0.05, 1000)))
+        want = CubicSpline(x, y)(xv)
+        got = cubic_spline(x, y)(xv)
+        assert got.shape == want.shape == (len(xv), *columns)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_output_shape(self):
+        x = np.arange(6.0)
+        y = np.arange(18.0).reshape(6, 3)
+        spline = cubic_spline(x, y)
+        assert spline(2.5).shape == (3,)
+        assert spline(np.ones((4, 2))).shape == (4, 2, 3)
+        assert isinstance(float(cubic_spline(x, y[:, 0])(2.5)), float)
+        np.testing.assert_allclose(spline(x), y, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "x, y, match",
+        [
+            (np.arange(3.0), np.arange(3.0), "at least 4 samples"),
+            (np.zeros((4, 2)), np.zeros(4), "at least 4 samples"),
+            ([0.0, 1.0, 1.0, 2.0], np.zeros(4), "strictly increasing"),
+            ([0.0, 2.0, 1.0, 3.0], np.zeros(4), "strictly increasing"),
+            ([0.0, 1.0, np.nan, 3.0], np.zeros(4), "strictly increasing"),
+            ([0.0, 1.0, 2.0, np.inf], np.zeros(4), "strictly increasing"),
+            (np.arange(4.0), np.zeros(5), "samples along axis 0"),
+            (np.arange(4.0), np.zeros((3, 4)), "samples along axis 0"),
+            (np.arange(4.0), [0.0, np.nan, 0.0, 0.0], "non-finite"),
+            (np.arange(4.0), [[0.0], [np.inf], [0.0], [0.0]], "non-finite"),
+        ],
+    )
+    def test_rejects_bad_input(self, x, y, match):
+        with pytest.raises(ValueError, match=match):
+            cubic_spline(x, y)
 
 
 class TestCumulativeTrapezoid:

@@ -7,9 +7,9 @@ x_k + h/2, step ends) are built by `numerics` alone, so every caller samples
 its coefficients at the points `rk4` steps through, and the RK4 weight h/6
 is written there alone; within `numerics`, the scalar loop `rk4` and its
 array twin `rk4_sums` are the only places that form the weighted sum, so
-the stage order and the weights have one home.  scipy is imported
-by `numerics` alone, so its import cost is paid only where a spline is
-built.  In `cli`, one runner writes the CSVs and checks the gates, so no
+the stage order and the weights have one home.  No module imports
+scipy: the package runs on numpy alone, and scipy is a test-time
+reference.  In `cli`, one runner writes the CSVs and checks the gates, so no
 command can bypass it.  Every phase factor of `interaction` comes from
 `numerics.unit_phase`, so it forms no complex exponential of its own.
 """
@@ -75,9 +75,9 @@ def _imported_roots(path: Path) -> set[str]:
     return roots
 
 
-def test_scipy_imported_only_in_numerics():
+def test_no_module_imports_scipy():
     homes = sorted(p.name for p in PACKAGE.glob("*.py") if "scipy" in _imported_roots(p))
-    assert homes == ["numerics.py"], f"scipy imported outside numerics.py: {homes}"
+    assert homes == [], f"scipy imported by {homes}"
 
 
 def test_cli_writes_and_gates_in_one_runner():
