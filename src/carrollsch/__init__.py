@@ -25,6 +25,7 @@ from .operators import (
     apply_F,
     apply_H,
     commutator_residual,
+    commutator_residuals,
     gaussian_probes,
 )
 from .duality import (

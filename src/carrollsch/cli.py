@@ -322,15 +322,12 @@ def cmd_commutator(b: dict, consts: PhysicalConstants):
         ("time_matched_minus", v_t, v_t_neg),
         ("space_target", v_x, v_t_shift),
     ]
-    probes = {}
-    for n in sizes:
+    pairs = [(vs, vc) for _, vs, vc in cases]
+    residuals = {}
+    for n in sizes:  # one size's probes alive at a time
         grid = TimeGrid(-4.0, 4.0, n)
-        probes[n] = operators.gaussian_probes(grid, grid)
-    rows = [
-        (label, n, operators.commutator_residual(vs, vc, probes[n], consts))
-        for label, vs, vc in cases
-        for n in sizes
-    ]
+        residuals[n] = operators.commutator_residuals(pairs, operators.gaussian_probes(grid, grid), consts)
+    rows = [(label, n, residuals[n][k]) for k, (label, _, _) in enumerate(cases) for n in sizes]
     return {"commutator_residuals.csv": (["case", "n", "residual=max||(HF-FH)psi||/||psi||"], rows)}, []
 
 

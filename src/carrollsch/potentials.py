@@ -38,10 +38,15 @@ def _eval(fn: Callable, x, t) -> np.ndarray:
     return v if v.shape == shape else np.full(shape, v)
 
 
+def _axes(x, t) -> tuple[np.ndarray, np.ndarray]:
+    """x and t as float arrays shaped (n_x, 1) and (1, n_t)."""
+    x, t = (np.atleast_1d(np.asarray(u, dtype=float)) for u in (x, t))
+    return x[:, None], t[None, :]
+
+
 def _tensor(fn: Callable, x, t) -> np.ndarray:
     """fn on the tensor grid of x and t, shaped (n_x, n_t)."""
-    x, t = (np.atleast_1d(np.asarray(u, dtype=float)) for u in (x, t))
-    return _eval(fn, x[:, None], t[None, :])
+    return _eval(fn, *_axes(x, t))
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,11 @@ class PotentialSpec:
     def v_xt(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Values on the tensor grid, shaped (n_x, n_t)."""
         return _tensor(self.f, x, t)
+
+    def v_grid(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Values on the tensor grid in the shape f gives, which broadcasts to
+        (n_x, n_t): a V of t alone is one row (1, n_t), not n_x copies of it."""
+        return np.asarray(self.f(*_axes(x, t)))
 
     def dv_dx(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Spatial derivative on the tensor grid, shaped (n_x, n_t)."""

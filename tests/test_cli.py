@@ -169,6 +169,7 @@ class TestExitCodes:
             ({"duality": {"n": -5}}, "need at least one step, got n = -5"),
             ({"quantize": {"p0": 1.0}}, "unknown config key quantize.p0"),
             ({"dyson": {"x_end": 0.0}}, "dyson.x_end must differ from the start station 0"),
+            ({"commutator": {"sizes": [64, 16]}}, "grid has no interior"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):
@@ -199,6 +200,14 @@ class TestExitCodes:
         proc = _run_python(["-m", "carrollsch.cli", "rays", "--config", cfg, "--out", str(tmp_path / "o")])
         assert proc.returncode == 2, proc.stderr
         assert "tolerance breach: rays_exact = nan" in proc.stderr
+
+    def test_nonfinite_commutator_field_is_config_fault(self, tmp_path):
+        # F psi overflows at c = 1e-160; the residual must not be written as 0
+        payload = {"schema": cli.SCHEMA, "constants": {"c": 1e-160}, "commutator": {"sizes": [32]}}
+        cfg = _write_config(tmp_path, payload)
+        proc = _run_python(["-m", "carrollsch.cli", "commutator", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1, proc.stderr
+        assert "samples contain non-finite entries" in proc.stderr
 
     def test_gate_intervals(self):
         tol = cli.TOLERANCES["default"]

@@ -12,10 +12,12 @@ from carrollsch import (
     apply_F,
     apply_H,
     commutator_residual,
+    commutator_residuals,
     gaussian_probes,
 )
+from carrollsch import operators
 from carrollsch.numerics import deriv_uniform, interior
-from carrollsch.operators import MARGIN
+from carrollsch.operators import MARGIN, _interior_norm
 
 
 def _plane_wave(xg: TimeGrid, tg: TimeGrid, k: float, omega: float) -> Field2D:
@@ -82,7 +84,7 @@ class TestApplyF:
 
 
 class TestOneBuffer:
-    """F scaled and summed in one buffer equals its one-expression form."""
+    """F scaled and summed in one buffer, and H, equal their one-expression forms."""
 
     CASES = [
         (PotentialSpec.time_profile(np.sin, np.cos), PhysicalConstants()),
@@ -101,6 +103,20 @@ class TestOneBuffer:
 
         expected = c * 1j * hbar * deriv_uniform(psi.values, g.dt, 1, axis=0) - a(a(psi.values)) / (2 * m * c**2)
         assert apply_F(psi, v, consts).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("v, consts", CASES)
+    def test_apply_H(self, v, consts):
+        # pins the order of _h, which the shared commutator pass reuses
+        g = TimeGrid(-4.0, 4.0, 32)
+        psi = gaussian_probes(g, g)[2]
+        hbar, m = consts.hbar, consts.m
+        V = v.v_xt(g.times, g.times)
+        expected = (
+            -(hbar**2) / (2 * m) * deriv_uniform(psi.values, g.dt, 2, axis=0)
+            + V * psi.values
+            - 1j * hbar * deriv_uniform(psi.values, g.dt, 1, axis=1)
+        )
+        assert apply_H(psi, v, consts).values.tobytes() == expected.tobytes()
 
 
 class TestCommutator:
@@ -122,6 +138,71 @@ class TestCommutator:
     def test_empty_probe_set_rejected(self):
         with pytest.raises(ValueError):
             commutator_residual(PotentialSpec.zero(), PotentialSpec.zero(), [])
+
+    def test_probes_on_different_grids_rejected(self):
+        g, h = TimeGrid(-4.0, 4.0, 32), TimeGrid(-4.0, 4.0, 64)
+        probes = gaussian_probes(g, g)[:1] + gaussian_probes(g, h)[:1]
+        with pytest.raises(ValueError, match="probes on different grids"):
+            commutator_residuals([(PotentialSpec.zero(), PotentialSpec.zero())], probes)
+
+    @pytest.mark.parametrize("consts", [PhysicalConstants(c=1e-160), PhysicalConstants(hbar=1e160)])
+    def test_nonfinite_field_rejected(self, consts):
+        # F psi overflows; a NaN residual must not pass as max(0, nan) = 0
+        v = PotentialSpec.time_profile(np.sin, np.cos)
+        g = TimeGrid(-4.0, 4.0, 32)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            commutator_residual(v, v, gaussian_probes(g, g), consts)
+
+
+def _cli_cases() -> list[tuple[PotentialSpec, PotentialSpec]]:
+    """The three (v_sch, v_car) cases of `cli.cmd_commutator`, sharing potentials as it does."""
+    v_t = PotentialSpec.time_profile(np.sin, np.cos)
+    v_t_shift = PotentialSpec.time_profile(lambda t: np.sin(t) + 0.7)
+    v_t_neg = PotentialSpec.time_profile(lambda t: -np.sin(t) + 0.7)
+    v_x = PotentialSpec.space_profile(lambda x: x, lambda x: np.ones_like(x))
+    return [(v_t, v_t_shift), (v_t, v_t_neg), (v_x, v_t_shift)]
+
+
+class TestSharedPass:
+    """The shared pass has the bits of the composition, from fewer stencils."""
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("consts", [PhysicalConstants(), PhysicalConstants(hbar=1.0546, m=0.7, c=1.3)])
+    def test_bits_of_the_composition(self, n, consts):
+        g = TimeGrid(-4.0, 4.0, n)
+        probes = gaussian_probes(g, g)
+        cases = _cli_cases()
+
+        def composed(vs, vc):
+            worst = 0.0
+            for psi in probes:
+                hf = apply_H(apply_F(psi, vc, consts), vs, consts).values
+                fh = apply_F(apply_H(psi, vs, consts), vc, consts).values
+                r = _interior_norm(hf - fh, g.dt, g.dt) / _interior_norm(psi.values, g.dt, g.dt)
+                worst = max(worst, r)
+            return worst
+
+        assert commutator_residuals(cases, probes, consts) == [composed(vs, vc) for vs, vc in cases]
+
+    def test_one_case_is_the_batch_of_one(self):
+        g = TimeGrid(-4.0, 4.0, 64)
+        probes = gaussian_probes(g, g)
+        for vs, vc in _cli_cases():
+            assert commutator_residual(vs, vc, probes) == commutator_residuals([(vs, vc)], probes)[0]
+
+    @pytest.mark.parametrize("n_cases, per_probe", [(3, 16), (1, 9)])
+    def test_stencils_per_probe(self, monkeypatch, n_cases, per_probe):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return deriv_uniform(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "deriv_uniform", counted)
+        g = TimeGrid(-4.0, 4.0, 32)
+        probes = gaussian_probes(g, g)
+        commutator_residuals(_cli_cases()[:n_cases], probes)
+        assert len(calls) == per_probe * len(probes)
 
 
 class TestGaussianProbes:

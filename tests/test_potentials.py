@@ -93,6 +93,16 @@ def test_tensor_values_match_closed_form(kind):
     assert np.array_equal(_KINDS[kind].dv_dx(_X, _T), dv)
 
 
+_GRID_SHAPES = {"zero": (), "constant": (), "time_profile": (1, 5), "space_profile": (4, 1), "separable": (4, 5)}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_grid_values_broadcast_to_the_tensor_values(kind):
+    v = _KINDS[kind].v_grid(_X, _T)
+    assert v.shape == _GRID_SHAPES.get(kind.removesuffix("_fd"), (4, 5))
+    assert np.array_equal(np.broadcast_to(v, (4, 5)), _KINDS[kind].v_xt(_X, _T))
+
+
 _POINTS = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12)
 
 
