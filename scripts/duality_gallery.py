@@ -48,8 +48,8 @@ def main() -> None:
         os.path.join(args.out, "duality_gallery.csv"),
         [
             "target",
-            "patch_lo",
-            "patch_hi",
+            "x_lo",
+            "x_hi",
             "schwarzian_residual",
             "roundtrip_residual",
             "inversion_identity_residual",

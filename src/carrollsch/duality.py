@@ -9,11 +9,13 @@ Inverse direction: for a target static V_sch(x) with reference energies
 
     y'' = q(x) y,      q = (2m/hbar^2) (V_sch - E_sch)
 
-has Schwarzian {sigma, x} = -2q, and tau(x) = (hbar/E0) arctan(sigma) inverts
-to delta on any interval where y2 has no zeros.  Correctness is asserted
-through the basis-independent Schwarzian residual and the reconstruction
-residual, never through sigma itself (sigma is only fixed up to a Mobius
-action of the basis choice).
+has Schwarzian {sigma, x} = -2q.  tau(x) = (hbar/E0) theta, with theta the
+pi-unwrapped angle arctan(sigma), is continuous across the zeros of y2 and
+strictly monotone (theta' = -W/(y1^2 + y2^2), W = 1), so it inverts to delta
+on the whole interval.  Correctness is asserted through the basis-
+independent Schwarzian residual and the reconstruction residual, never
+through sigma itself (sigma is only fixed up to a Mobius action of the
+basis choice).
 
 Note the ratio sigma of y'' + Q y = 0 has Schwarzian +2Q, so the pair is
 integrated with Q = -q to realize {sigma, x} = -2q.
@@ -44,7 +46,7 @@ _MARGIN = 4
 
 
 class BranchError(ValueError):
-    """No usable coordinate patch (y2 zeros, |sigma| = 1 crossing, ...)."""
+    """No usable map: too few samples, a non-monotone tau or a vanishing delta-dot."""
 
 
 @dataclass(frozen=True)
@@ -118,18 +120,6 @@ def vsch_from_vcar(
     return E_sch + (1j * hbar * dV + V**2 - E0**2) / (2 * m * ddelta**2)
 
 
-def _zero_free_patch(y2: np.ndarray) -> tuple[int, int]:
-    """Largest index run on which y2 keeps one sign, trimmed by 2 samples at each end."""
-    sgn = np.sign(y2)
-    cut = (sgn[1:] == 0) | ((sgn[:-1] != 0) & (sgn[1:] != sgn[:-1]))
-    breaks = np.concatenate(([0], np.flatnonzero(cut) + 1, [len(y2)]))
-    i = int(np.argmax(np.diff(breaks)))  # the first of the longest runs
-    a, b = int(breaks[i]) + 2, int(breaks[i + 1]) - 2
-    if b - a < 16:
-        raise BranchError("no usable zero-free patch of y2")
-    return a, b
-
-
 def inverse_tau(
     v_sch: PotentialSpec,
     E_sch: float,
@@ -149,13 +139,16 @@ def inverse_tau(
 
     # integrate y'' = q y, i.e. y'' + (-q) y = 0, so {y1/y2, x} = -2q
     pair = integrate_fundamental_pair(lambda x: -q_fn(x), x_lo, x_hi, n)
-    a, b = _zero_free_patch(pair.y2)
-    xs = pair.x[a:b]
-    sigma = pair.y1[a:b] / pair.y2[a:b]
-    tau = (hbar / E0) * np.arctan(sigma)
+    xs = pair.x[2:-2]  # 2 samples off each end; y2(x_lo) = 0 by the canonical data
+    if len(xs) < 16:
+        raise BranchError(f"too few samples for the map: {len(xs)} after the end trim, need 16")
+    sigma = pair.y1[2:-2] / pair.y2[2:-2]
+    # unwrap adds an exact 0 where no branch jump occurs
+    tau = (hbar / E0) * np.unwrap(np.arctan(sigma), period=np.pi)
     dtau = np.diff(tau)
     if not (np.all(dtau > 0) or np.all(dtau < 0)):
-        raise BranchError("tau is not strictly monotone on the trimmed patch")
+        drift = np.max(np.abs(pair.wronskian - 1.0))
+        raise BranchError(f"tau is not strictly monotone: pair unresolved, Wronskian drift {drift:.1e}")
 
     # invert tau on a uniform t grid spanning its range
     order = np.argsort(tau)

@@ -114,19 +114,20 @@ class TestExitCodes:
         assert cli.main(["gaussian", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
     def test_branch_error_is_numerical_failure(self, tmp_path, capsys):
-        # E_sch far above the well makes y2 oscillate too fast for a usable patch
+        # E_sch far above the well leaves the pair unresolved: a step turns
+        # the angle too far for tau to stay monotone
         cfg = _write_config(
             tmp_path,
             {"schema": cli.SCHEMA, "duality": {"target": "harmonic", "omega": 1.0, "E_sch": 1e6}},
         )
         assert cli.main(["duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "no usable zero-free patch" in capsys.readouterr().err
+        assert "tau is not strictly monotone" in capsys.readouterr().err
 
     def test_too_coarse_pair_is_numerical_failure(self, tmp_path, capsys):
-        # three steps are a valid grid, too coarse to hold a usable patch
+        # three steps are a valid grid, too coarse to leave a sample after the end trim
         cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "duality": {"n": 3}})
         assert cli.main(["duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "no usable zero-free patch" in capsys.readouterr().err
+        assert "too few samples for the map: 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps", [[0.01], [0.01, 0.01], [0.0, 0.01]])
     def test_dyson_eps_cannot_fit_a_slope(self, tmp_path, eps):
@@ -170,6 +171,7 @@ class TestExitCodes:
             ({"quantize": {"p0": 1.0}}, "unknown config key quantize.p0"),
             ({"dyson": {"x_end": 0.0}}, "dyson.x_end must differ from the start station 0"),
             ({"commutator": {"sizes": [64, 16]}}, "grid has no interior"),
+            ({"commutator": {"sizes": [8]}}, "grid has no interior"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):

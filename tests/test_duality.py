@@ -17,7 +17,7 @@ from carrollsch import (
     vsch_from_vcar,
 )
 from carrollsch import cli, duality
-from carrollsch.duality import _window_extrema, _zero_free_patch
+from carrollsch.duality import _window_extrema
 from carrollsch.numerics import cubic_spline, deriv_uniform, schwarzian_samples
 
 TARGETS = [
@@ -161,28 +161,66 @@ class TestWindowExtrema:
         assert np.array_equal(wmin, minimum_filter1d(a, size=9, mode="nearest"))
 
 
-@pytest.mark.parametrize(
-    "runs, patch",
-    [
-        # a zero starts a new run, and that run keeps the sign that follows
-        ([(1.0, 20), (0.0, 1), (-2.0, 30)], (22, 49)),
-        ([(1.0, 2), (0.0, 2), (3.0, 40)], (5, 42)),
-        # of equal runs the first wins
-        ([(1.0, 25), (-1.0, 25), (1.0, 25)], (2, 23)),
-        ([(1.0, 3), (-1.0, 25), (1.0, 25)], (5, 26)),
-        # 16 samples inside the guard bands is the shortest patch accepted
-        ([(-1.0, 20)], (2, 18)),
-        ([(1.0, 19), (-1.0, 19), (0.0, 5)], None),
-        ([(0.0, 40)], None),
-    ],
-)
-def test_zero_free_patch(runs, patch):
-    y2 = np.concatenate([np.full(k, v) for v, k in runs])
-    if patch is None:
-        with pytest.raises(BranchError):
-            _zero_free_patch(y2)
-    else:
-        assert _zero_free_patch(y2) == patch
+def _cli_map(E0=1.0, n=2048, **block):
+    """The map of a CLI duality target at reference energy E0."""
+    block = cli._resolve({"duality": {**block, "n": n}}, "duality")
+    v, x_range = cli._duality_target(block)
+    return inverse_tau(v, block["E_sch"], E0, x_range, n=n)
+
+
+class TestWholeInterval:
+    """tau is the pi-unwrapped angle on every sample but two at each end."""
+
+    @pytest.mark.parametrize(
+        "target, E0, n",
+        [(t, 1.0, n) for n in (2048, 8192) for t in ("free", "constant", "harmonic", "coulomb-like")]
+        + [("harmonic", -1.0, 2048)],
+    )
+    def test_default_targets_keep_the_bits_of_the_plain_arctan(self, target, E0, n):
+        # y2 has no interior zero on these intervals, so unwrap adds exact
+        # zeros and the map keeps the bits of the plain arctan construction
+        dmap = _cli_map(E0, n, target=target)
+        pair, hbar = dmap.pair, dmap.constants.hbar
+        xs = pair.x[2:-2]
+        sigma = pair.y1[2:-2] / pair.y2[2:-2]
+        tau = (hbar / E0) * np.arctan(sigma)
+        order = np.argsort(tau)
+        delta_t = np.linspace(tau.min(), tau.max(), len(xs))
+        delta = cubic_spline(tau[order], xs[order])(delta_t)
+        assert np.array_equal(dmap.x, xs) and np.array_equal(dmap.sigma, sigma)
+        assert np.array_equal(dmap.tau, tau)
+        assert np.array_equal(dmap.delta_t, delta_t) and np.array_equal(dmap.delta, delta)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"target": "harmonic", "E_sch": 5.0},
+            {"target": "coulomb-like", "k": 2.0},
+            {"target": "free", "E_sch": 3.0},
+        ],
+        ids=["harmonic-E5", "coulomb-k2", "free-E3"],
+    )
+    def test_map_covers_the_zeros_of_y2(self, block):
+        # y2 has interior zeros on each of these intervals
+        dmap = _cli_map(**block)
+        assert np.array_equal(dmap.x, dmap.pair.x[2:-2]) and len(dmap.x) == 2045
+        assert np.any(np.diff(np.sign(dmap.pair.y2[1:])) != 0)
+        assert np.all(np.diff(dmap.tau) < 0)
+        # the angle keeps tan(E0 tau / hbar) = sigma across every branch
+        keep = np.abs(dmap.sigma) < 1e6
+        err = np.abs(np.tan(dmap.E0 * dmap.tau / dmap.constants.hbar) - dmap.sigma)
+        assert np.all(err[keep] <= 1e-11 * np.maximum(1.0, np.abs(dmap.sigma[keep])))
+
+    def test_unresolved_pair_is_a_branch_error(self):
+        # E_sch = 1e3 turns the angle by more than pi/2 within one step
+        # near the zeros of y1, so its direction is lost to unwrap
+        with pytest.raises(BranchError, match="tau is not strictly monotone"):
+            _cli_map(target="harmonic", E_sch=1e3)
+
+    def test_sixteen_samples_is_the_shortest_map(self):
+        assert len(inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 1.0), n=19).x) == 16
+        with pytest.raises(BranchError, match="too few samples for the map: 15"):
+            inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 1.0), n=18)
 
 
 class TestVelocityProfileTarget:
