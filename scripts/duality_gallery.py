@@ -34,8 +34,8 @@ def main() -> None:
         dmap = inverse_tau(v, block["E_sch"], args.E0, x_range, n=args.n)
         row = (
             target,
-            dmap.monotone_interval[0],
-            dmap.monotone_interval[1],
+            dmap.x[0],
+            dmap.x[-1],
             schwarzian_residual(dmap),
             roundtrip_residual(dmap, v),
             inversion_identity_residual(dmap),

@@ -337,6 +337,8 @@ def cmd_commutator(b: dict, consts: PhysicalConstants):
 @_command
 def cmd_currents(b: dict, consts: PhysicalConstants):
     sigma, sizes = b["sigma"], b["sizes"]
+    if len(sizes) < 2 or any(n != 2 * m for m, n in zip(sizes, sizes[1:])):
+        raise ConfigError("currents.sizes needs at least two sizes, each double the one before")
 
     params = propagator.GaussianParams(sigma=sigma, t0=0.0, omega0=0.0)
     rows = []

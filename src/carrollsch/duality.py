@@ -12,10 +12,10 @@ Inverse direction: for a target static V_sch(x) with reference energies
 has Schwarzian {sigma, x} = -2q.  tau(x) = (hbar/E0) theta, with theta the
 pi-unwrapped angle arctan(sigma), is continuous across the zeros of y2 and
 strictly monotone (theta' = -W/(y1^2 + y2^2), W = 1), so it inverts to delta
-on the whole interval.  Correctness is asserted through the basis-
-independent Schwarzian residual and the reconstruction residual, never
-through sigma itself (sigma is only fixed up to a Mobius action of the
-basis choice).
+on the whole interval.  Correctness is asserted through residuals on tau
+alone (the Schwarzian, reconstruction and inversion identities), which has
+no poles; sigma, only fixed up to a Mobius action of the basis choice and
+singular at every zero of y2, is kept for the CSV.
 
 Note the ratio sigma of y'' + Q y = 0 has Schwarzian +2Q, so the pair is
 integrated with Q = -q to realize {sigma, x} = -2q.
@@ -66,19 +66,14 @@ class DualityMap:
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    @property
-    def monotone_interval(self) -> tuple[float, float]:
-        return float(self.x[0]), float(self.x[-1])
-
     @cached_property
     def _tau_spline(self):
         """Cubic interpolant of tau(x), built once per map."""
         return cubic_spline(self.x, self.tau)
 
     def tau_at(self, x: float) -> float:
-        lo, hi = self.monotone_interval
-        if not (lo <= x <= hi):
-            raise ValueError(f"x = {x} outside monotone interval [{lo}, {hi}]")
+        if not (self.x[0] <= x <= self.x[-1]):
+            raise ValueError(f"x = {x} outside the map's interval [{self.x[0]}, {self.x[-1]}]")
         return float(self._tau_spline(x))
 
 
@@ -170,45 +165,29 @@ def inverse_tau(
     )
 
 
-def _window_extrema(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running max and min over the 9 samples centred on each point.
-
-    The ends are padded by repeating the edge samples, as scipy.ndimage's
-    mode="nearest" does.
-    """
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(a, 4, mode="edge"), 9)
-    return windows.max(axis=1), windows.min(axis=1)
-
-
 def _stride(target_step: float, step: float, n: int, min_samples: int) -> int:
     """The sample stride nearest target_step / step, at most n // min_samples and at least 1."""
     return max(1, min(int(round(target_step / step)), n // min_samples))
 
 
-def schwarzian_residual(dmap: DualityMap) -> float:
-    """max |{sigma, x} + 2q| over interior samples, by finite differences.
-
-    Two conditioning devices keep the stencils honest: the samples are
-    strided so the effective step is near 2e-3 (third-derivative
-    roundoff scales as eps/h^3), and wherever |sigma| is large the
-    Mobius-equivalent ratio 1/sigma = y2/y1 is differentiated instead
-    (same Schwarzian, bounded samples near zeros of y2).
-    """
-    stride = _stride(2e-3, dmap.dx, len(dmap.sigma), 2 * _MARGIN + 32)
-    sig = dmap.sigma[::stride]
-    q = dmap.q[::stride]
+def _tau_stencils(dmap: DualityMap, target_step: float, min_samples: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(stride, tau', {tau, x}) on tau strided to near target_step (3rd-difference roundoff ~ eps/h^3)."""
+    stride = _stride(target_step, dmap.dx, len(dmap.tau), min_samples)
+    tau = dmap.tau[::stride]
     h = dmap.dx * stride
+    return stride, deriv_uniform(tau, h, 1), schwarzian_samples(tau, h)
 
-    S_lo = schwarzian_samples(sig, h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S_hi = schwarzian_samples(1.0 / sig, h)
-    r_lo = np.abs(S_lo + 2 * q)
-    r_hi = np.abs(S_hi + 2 * q)
-    wmax, wmin = _window_extrema(np.abs(sig))
-    r = np.where(wmax <= 1.0, r_lo, np.where(wmin >= 1.0, r_hi, np.minimum(r_lo, r_hi)))
-    core = interior(r, _MARGIN)
-    core = core[np.isfinite(core)]
-    return float(np.max(core))
+
+def schwarzian_residual(dmap: DualityMap) -> float:
+    """max |{sigma, x} + 2q| over interior samples, by finite differences on tau.
+
+    sigma = tan(E0 tau / hbar) and {tan theta, x} = {theta, x} + 2 theta'^2,
+    so {sigma, x} + 2q = {tau, x} + 2 (E0 tau'/hbar)^2 + 2q exactly; tau has
+    no poles where y2 vanishes, so no sample needs special handling.
+    """
+    stride, tau_p, S_tau = _tau_stencils(dmap, 2e-3, 2 * _MARGIN + 32)
+    r = S_tau + 2 * (dmap.E0 / dmap.constants.hbar * tau_p) ** 2 + 2 * dmap.q[::stride]
+    return float(np.max(np.abs(interior(r, _MARGIN))))
 
 
 def roundtrip_residual(dmap: DualityMap, v_sch: PotentialSpec) -> float:
@@ -220,11 +199,7 @@ def roundtrip_residual(dmap: DualityMap, v_sch: PotentialSpec) -> float:
     ({delta,t}/delta-dot^2)|_{t=tau} = -{tau,x} and (1/delta-dot^2)| = tau'^2.
     """
     hbar, m = dmap.constants.hbar, dmap.constants.m
-    stride = _stride(5e-3, dmap.dx, len(dmap.tau), 64)
-    tau = dmap.tau[::stride]
-    h = dmap.dx * stride
-    tau_p = deriv_uniform(tau, h, 1)
-    S_tau = schwarzian_samples(tau, h)
+    stride, tau_p, S_tau = _tau_stencils(dmap, 5e-3, 64)
     v_rec = dmap.E_sch - (hbar**2 / (4 * m)) * S_tau - (dmap.E0**2 / (2 * m)) * tau_p**2
     v_tgt = v_sch.v_x(dmap.x[::stride])
     scale = max(float(np.max(np.abs(v_tgt - dmap.E_sch))), dmap.E0**2 / (2 * m))
@@ -254,8 +229,7 @@ def _identity_residual(dmap: DualityMap, target_step: float) -> float:
     ddot = deriv_uniform(delta, dt * st, 1)
     S_delta = schwarzian_samples(delta, dt * st) / ddot**2
 
-    sx = _stride(target_step, dmap.dx, len(dmap.tau), 2 * margin + 32)
-    S_tau = schwarzian_samples(dmap.tau[::sx], dmap.dx * sx)
+    sx, _, S_tau = _tau_stencils(dmap, target_step, 2 * margin + 32)
     # pull -{tau,x} to the t grid: x = delta(t)
     xs = interior(dmap.x[::sx], margin)
     spl = cubic_spline(xs, -interior(S_tau, margin))

@@ -160,7 +160,7 @@ class TestExitCodes:
             ({"currents": {"sizes": []}}, "currents.sizes must not be empty"),
             ({"gaussian": {"stations": []}}, "gaussian.stations must not be empty"),
             ({"duality": {"target": "harmonic", "E_sch": None}}, "duality.E_sch must be a number"),
-            ({"currents": {"sizes": [16]}}, "grid has no interior"),
+            ({"currents": {"sizes": [16, 32]}}, "grid has no interior"),
             ({"commutator": {"sizes": [16, 32]}}, "grid has no interior"),
             ({"quantize": {"n_max": 2001}}, "n_levels must lie in 1..n_points = 2000, got 2001"),
             ({"quantize": {"n_max": 2001}}, "quantize.n_max must lie in 1..2000"),
@@ -172,6 +172,10 @@ class TestExitCodes:
             ({"dyson": {"x_end": 0.0}}, "dyson.x_end must differ from the start station 0"),
             ({"commutator": {"sizes": [64, 16]}}, "grid has no interior"),
             ({"commutator": {"sizes": [8]}}, "grid has no interior"),
+            ({"currents": {"sizes": [256, 128]}}, "currents.sizes needs at least two sizes, each double"),
+            ({"currents": {"sizes": [128, 128]}}, "currents.sizes needs at least two sizes, each double"),
+            ({"currents": {"sizes": [128, 512]}}, "currents.sizes needs at least two sizes, each double"),
+            ({"currents": {"sizes": [128]}}, "currents.sizes needs at least two sizes, each double"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):

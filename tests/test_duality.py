@@ -17,7 +17,6 @@ from carrollsch import (
     vsch_from_vcar,
 )
 from carrollsch import cli, duality
-from carrollsch.duality import _window_extrema
 from carrollsch.numerics import cubic_spline, deriv_uniform, schwarzian_samples
 
 TARGETS = [
@@ -25,6 +24,13 @@ TARGETS = [
     ("constant", PotentialSpec.constant(2.0), 0.0, (0.0, 0.6), 1e-6),
     ("harmonic", PotentialSpec.space_profile(lambda x: 0.5 * x**2), 0.25, (-1.5, 1.5), 1e-4),
     ("coulomb-like", PotentialSpec.space_profile(lambda x: -1.0 / x), -0.5, (0.5, 3.0), 1e-4),
+]
+
+#: (E0, constants) settings under which the map's (E0/hbar)^2 factor shows
+SCALES = [
+    pytest.param(1.0, PhysicalConstants(), id="E1-natural"),
+    pytest.param(0.3, PhysicalConstants(), id="E0.3-natural"),
+    pytest.param(1.0, PhysicalConstants(hbar=1.3, m=0.8, c=1.1), id="E1-scaled"),
 ]
 
 
@@ -116,10 +122,23 @@ class TestInverseTau:
 
 
 class TestResiduals:
+    @pytest.mark.parametrize("E0, consts", SCALES)
     @pytest.mark.parametrize("name,v,e_sch,x_range,tol", TARGETS)
-    def test_schwarzian_identity(self, name, v, e_sch, x_range, tol):
-        dmap = inverse_tau(v, e_sch, 1.0, x_range)
+    def test_schwarzian_identity(self, name, v, e_sch, x_range, tol, E0, consts):
+        dmap = inverse_tau(v, e_sch, E0, x_range, consts)
         assert schwarzian_residual(dmap) <= 1e-5
+
+    @pytest.mark.parametrize("target", ["free", "constant", "harmonic", "coulomb-like"])
+    def test_schwarzian_residual_is_the_tau_form(self, target):
+        # {sigma, x} + 2q = {tau, x} + 2 (E0 tau'/hbar)^2 + 2q, on tau
+        # strided to near 2e-3 and with 4 samples left out at each end
+        dmap = _cli_map(target=target)
+        stride = max(1, min(int(round(2e-3 / dmap.dx)), len(dmap.tau) // 40))
+        tau = dmap.tau[::stride]
+        h = dmap.dx * stride
+        tau_p = deriv_uniform(tau, h, 1)
+        r = schwarzian_samples(tau, h) + 2 * (dmap.E0 / dmap.constants.hbar * tau_p) ** 2 + 2 * dmap.q[::stride]
+        assert schwarzian_residual(dmap) == float(np.max(np.abs(r[4:-4])))
 
     @pytest.mark.parametrize("name,v,e_sch,x_range,tol", TARGETS)
     def test_roundtrip(self, name, v, e_sch, x_range, tol):
@@ -131,11 +150,15 @@ class TestResiduals:
         dmap = inverse_tau(v, e_sch, 1.0, x_range)
         assert inversion_identity_residual(dmap) <= 1e-5
 
-    def test_chain_rule_between_sigma_and_tau(self):
+    @pytest.mark.parametrize("E0", [1.0, 0.3])
+    @pytest.mark.parametrize(
+        "consts", [PhysicalConstants(), PhysicalConstants(hbar=1.3, m=0.8, c=1.1)], ids=["natural", "scaled"]
+    )
+    def test_chain_rule_between_sigma_and_tau(self, E0, consts):
         # sigma = tan(E0 tau / hbar), so
         # {sigma, x} = {tau, x} + 2 (E0/hbar)^2 tau'^2
         _, v, e_sch, x_range, _ = TARGETS[2]
-        dmap = inverse_tau(v, e_sch, 1.0, x_range)
+        dmap = inverse_tau(v, e_sch, E0, x_range, consts)
         stride = max(1, int(round(5e-3 / dmap.dx)))
         sig = dmap.sigma[::stride]
         tau = dmap.tau[::stride]
@@ -146,19 +169,8 @@ class TestResiduals:
         s_tau = schwarzian_samples(tau, h)
         tau_p = deriv_uniform(tau, h, 1)
         lhs = s_sig[keep]
-        rhs = s_tau[keep] + 2.0 * tau_p[keep] ** 2
+        rhs = s_tau[keep] + 2.0 * (E0 / consts.hbar) ** 2 * tau_p[keep] ** 2
         assert np.max(np.abs(lhs - rhs)) <= 1e-5
-
-
-class TestWindowExtrema:
-    @pytest.mark.parametrize("n", [1, 5, 9, 200])
-    def test_matches_ndimage_nearest(self, n):
-        from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
-        a = np.abs(np.random.default_rng(n).standard_cauchy(n))
-        wmax, wmin = _window_extrema(a)
-        assert np.array_equal(wmax, maximum_filter1d(a, size=9, mode="nearest"))
-        assert np.array_equal(wmin, minimum_filter1d(a, size=9, mode="nearest"))
 
 
 def _cli_map(E0=1.0, n=2048, **block):
