@@ -36,7 +36,7 @@ from .numerics import (
     deriv_uniform,
     integrate_fundamental_pair,
     interior,
-    schwarzian_samples,
+    schwarzian,
 )
 from .potentials import PotentialSpec
 
@@ -170,12 +170,16 @@ def _stride(target_step: float, step: float, n: int, min_samples: int) -> int:
     return max(1, min(int(round(target_step / step)), n // min_samples))
 
 
+def _slope_and_schwarzian(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f', {f, x}) of samples f at spacing h, from three stencils: f' is taken once."""
+    f1 = deriv_uniform(f, h, 1)
+    return f1, schwarzian(f1, deriv_uniform(f, h, 2), deriv_uniform(f, h, 3))
+
+
 def _tau_stencils(dmap: DualityMap, target_step: float, min_samples: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(stride, tau', {tau, x}) on tau strided to near target_step (3rd-difference roundoff ~ eps/h^3)."""
     stride = _stride(target_step, dmap.dx, len(dmap.tau), min_samples)
-    tau = dmap.tau[::stride]
-    h = dmap.dx * stride
-    return stride, deriv_uniform(tau, h, 1), schwarzian_samples(tau, h)
+    return (stride, *_slope_and_schwarzian(dmap.tau[::stride], dmap.dx * stride))
 
 
 def schwarzian_residual(dmap: DualityMap) -> float:
@@ -226,8 +230,8 @@ def _identity_residual(dmap: DualityMap, target_step: float) -> float:
     dt = float(dmap.delta_t[1] - dmap.delta_t[0])
     st = _stride(target_step, dt, len(dmap.delta), 2 * margin + 32)
     delta = dmap.delta[::st]
-    ddot = deriv_uniform(delta, dt * st, 1)
-    S_delta = schwarzian_samples(delta, dt * st) / ddot**2
+    ddot, S_delta = _slope_and_schwarzian(delta, dt * st)
+    S_delta = S_delta / ddot**2
 
     sx, _, S_tau = _tau_stencils(dmap, target_step, 2 * margin + 32)
     # pull -{tau,x} to the t grid: x = delta(t)

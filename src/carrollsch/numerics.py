@@ -1,19 +1,22 @@
 """Shared numerical substrate.
 
 Uniform grids with a periodic (endpoint-excluded) convention; the one check
-of complex samples and the one rule for a real V; the spectral multiplier;
-the kinetic multiplier exp(-i beta h w^2), built once per (grid, beta, h)
-and returned read-only, with one entry kept; the not-a-knot cubic spline;
-the unit phase exp(i theta), cos and sin in one complex buffer; the RK4
-stage abscissae and the checked up-front sample of a coefficient on them,
-whose first bad value is reported in stepping order; the one scalar
-RK4 loop, for a' = -b/d, b' = slope(c, a), and its array twin for a slope
-that reads no state, as two running sums; the fundamental pair of
-y'' + q y = 0, two chains of that loop; finite-difference stencils along any
-axis, the Schwarzian of sampled functions, the anchored cumulative integral
-and the interior slice.  Everything here is a pure function of its inputs
-(the one cache returns an array equal to a fresh build), and this module,
-like the package, loads numpy only.
+of complex samples and the one rule for a real V; the spectral step, which
+multiplies a spectrum (given, or the fft of the samples) and returns it with
+its inverse transform, and the spectral multiplier built on it, so every FFT
+of the package is taken here; the kinetic multiplier exp(-i beta h w^2),
+built once per (grid, beta, h) and returned read-only, with one entry kept;
+the not-a-knot cubic spline; the unit phase exp(i theta), cos and sin in one
+complex buffer; the RK4 stage abscissae and the checked up-front sample of a
+coefficient on them, whose first bad value is reported in stepping order;
+the one scalar RK4 loop, for a' = -b/d, b' = slope(c, a), and its array twin
+for a slope that reads no state, as two running sums; the fundamental pair
+of y'' + q y = 0, two chains of that loop; finite-difference stencils along
+any axis, the Schwarzian from the first three derivatives and of sampled
+functions, the anchored cumulative integral and the interior slice.
+Everything here is a pure function of its inputs (the one cache returns an
+array equal to a fresh build), and this module, like the package, loads
+numpy only.
 """
 from __future__ import annotations
 
@@ -84,9 +87,24 @@ def real_samples(values: np.ndarray, what: str) -> np.ndarray:
     return v.real
 
 
+def spectral_step(
+    values: np.ndarray, m: np.ndarray, spectrum: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(m S, ifft(m S)) along the last axis, with S = spectrum, else fft(values).
+
+    A caller that keeps the returned m S passes it as the next step's
+    spectrum, so a chain of k steps makes k + 1 transforms, not 2k.  From
+    values, m S is the one expression m * fft(values): from 256 KiB up numpy
+    forms it in the transform's buffer with the operands swapped, and that
+    order sets its last bits.
+    """
+    spectrum = m * (np.fft.fft(values) if spectrum is None else spectrum)
+    return spectrum, np.fft.ifft(spectrum)
+
+
 def spectral_multiply(values: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The Fourier multiplier m applied along the last axis: ifft(m fft(values))."""
-    return np.fft.ifft(m * np.fft.fft(values))
+    return spectral_step(values, m)[1]
 
 
 @functools.lru_cache(maxsize=1)
@@ -377,9 +395,11 @@ def deriv_uniform(values: np.ndarray, dx: float, order: int = 1, axis: int = 0) 
 
 def schwarzian_samples(values: np.ndarray, dx: float) -> np.ndarray:
     """Schwarzian of a sampled function; trustworthy on interior points only."""
-    f1 = deriv_uniform(values, dx, 1)
-    f2 = deriv_uniform(values, dx, 2)
-    f3 = deriv_uniform(values, dx, 3)
+    return schwarzian(*(deriv_uniform(values, dx, k) for k in (1, 2, 3)))
+
+
+def schwarzian(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
+    """The Schwarzian f3/f1 - 1.5 (f2/f1)^2 from the first three derivatives f1, f2, f3."""
     return f3 / f1 - 1.5 * (f2 / f1) ** 2
 
 

@@ -4,9 +4,15 @@ A Wavefunction is a complex profile in t at a fixed spatial station x.  Free
 x-evolution is the spectral multiplier exp(-i beta dx w^2) with
 beta = hbar/(2 m c^3), which is exactly unitary on the discrete grid.  It
 comes from `numerics.kinetic_multiplier`, built once per (grid, beta, dx),
-read-only, with one entry kept, so a loop of equal steps builds it once.  The
-closed-form dispersing Gaussian packet provides an independent oracle for the
-spectral path, including the carrier-drift case.
+read-only, with one entry kept, so a loop of equal steps builds it once.  On
+L2(R_t) the step is diagonal in frequency, so a chain of steps needs the
+forward transform once: each output of `evolve_free` holds the spectrum its
+values are the inverse transform of, both read-only, and the next step
+multiplies that spectrum.  A packet the caller builds (`gaussian_exact`,
+`Wavefunction(...)`, `dataclasses.replace`) holds none and is transformed
+from its values on every call, so nothing is cached on an array a caller
+may still write.  The closed-form dispersing Gaussian packet provides an
+independent oracle for the spectral path, including the carrier-drift case.
 
 Periodic grid semantics stand in for decay at t -> +-inf; callers should keep
 boundary density below 1e-10 of peak so wrap-around stays under tolerance.
@@ -22,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import TimeGrid, complex_samples, kinetic_multiplier, spectral_multiply
+from .numerics import TimeGrid, complex_samples, kinetic_multiplier, spectral_multiply, spectral_step
 from .operators import Field2D
 from .potentials import PotentialSpec
 
@@ -32,6 +38,8 @@ class Wavefunction:
     x: float
     grid: TimeGrid
     values: np.ndarray
+
+    _spectrum = None  # not a field: evolve_free sets it on its own outputs
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", complex_samples(self.values, (self.grid.n,)))
@@ -58,9 +66,21 @@ class GaussianParams:
 def evolve_free(
     psi: Wavefunction, dx: float, constants: PhysicalConstants = NATURAL
 ) -> Wavefunction:
-    """Advance the station by dx with the unitary spectral multiplier."""
+    """Advance the station by dx with the unitary spectral multiplier.
+
+    The output holds the spectrum its values are the inverse transform of,
+    and both arrays are read-only, so the next step multiplies that spectrum
+    and makes one transform, not two.  An input that holds none (any packet
+    built by the caller), or whose values have been made writeable again, is
+    transformed from its values on each call.
+    """
     kin = kinetic_multiplier(psi.grid, constants.beta, dx)
-    return replace(psi, x=psi.x + dx, values=spectral_multiply(psi.values, kin))
+    held = None if psi.values.flags.writeable else psi._spectrum
+    spectrum, values = spectral_step(psi.values, kin, held)
+    out = replace(psi, x=psi.x + dx, values=values)
+    out.values.flags.writeable = spectrum.flags.writeable = False
+    object.__setattr__(out, "_spectrum", spectrum)
+    return out
 
 
 def _packet(

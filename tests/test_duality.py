@@ -16,7 +16,7 @@ from carrollsch import (
     schwarzian_residual,
     vsch_from_vcar,
 )
-from carrollsch import cli, duality
+from carrollsch import cli, duality, numerics
 from carrollsch.numerics import cubic_spline, deriv_uniform, schwarzian_samples
 
 TARGETS = [
@@ -171,6 +171,30 @@ class TestResiduals:
         lhs = s_sig[keep]
         rhs = s_tau[keep] + 2.0 * (E0 / consts.hbar) ** 2 * tau_p[keep] ** 2
         assert np.max(np.abs(lhs - rhs)) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "residual, per_call",
+        [
+            (schwarzian_residual, {"tau": 3}),
+            (lambda d: roundtrip_residual(d, PotentialSpec.space_profile(lambda x: 0.5 * x**2)), {"tau": 3}),
+            (lambda d: duality._identity_residual(d, 0.01), {"tau": 3, "delta": 3}),
+        ],
+        ids=["schwarzian", "roundtrip", "identity"],
+    )
+    def test_three_stencils_per_differentiated_function(self, monkeypatch, residual, per_call):
+        # f' is taken once and shared by the slope and the Schwarzian, so each
+        # function a residual differentiates costs orders 1, 2 and 3 once each
+        dmap = _cli_map(target="harmonic")
+        calls = {"tau": 0, "delta": 0}
+
+        def counted(values, *args, **kwargs):
+            calls["tau" if np.shares_memory(values, dmap.tau) else "delta"] += 1
+            return deriv_uniform(values, *args, **kwargs)
+
+        monkeypatch.setattr(duality, "deriv_uniform", counted)
+        monkeypatch.setattr(numerics, "deriv_uniform", counted)
+        residual(dmap)
+        assert {k: v for k, v in calls.items() if v} == per_call
 
 
 def _cli_map(E0=1.0, n=2048, **block):

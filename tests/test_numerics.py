@@ -17,7 +17,10 @@ from carrollsch.numerics import (
     kinetic_multiplier,
     rk4,
     rk4_sums,
+    schwarzian,
     schwarzian_samples,
+    spectral_multiply,
+    spectral_step,
     unit_phase,
 )
 from carrollsch.operators import Field2D
@@ -94,6 +97,34 @@ class TestKineticMultiplier:
     def test_repeated_key_reuses_the_array(self):
         first = kinetic_multiplier(TimeGrid(-8.0, 8.0, 128), 0.5, 0.1)
         assert kinetic_multiplier(TimeGrid(-8.0, 8.0, 128), 0.5, 0.1) is first
+
+
+class TestSpectralStep:
+    @pytest.mark.parametrize("shape", [(128,), (3, 64), (2**15,), (3, 2**13)])
+    def test_bits_of_the_inline_expression(self, shape):
+        # the last two are 256 KiB or more, where numpy forms m * fft(v) in
+        # the transform's buffer with the operands swapped, which moves bits
+        rng = np.random.default_rng(21)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = kinetic_multiplier(TimeGrid(-8.0, 8.0, shape[-1]), 0.5, 0.3)
+        ref = m * np.fft.fft(v)  # outside an assert, which would keep the temporary alive
+        spec, vals = spectral_step(v, m)
+        assert np.array_equal(spec, ref)
+        assert np.array_equal(vals, np.fft.ifft(ref))
+        assert np.array_equal(spectral_multiply(v, m), np.fft.ifft(ref))
+        held = np.fft.fft(v)
+        spec2, vals2 = spectral_step(v, m, held)
+        assert np.array_equal(spec2, m * held) and np.array_equal(vals2, np.fft.ifft(m * held))
+
+
+class TestSchwarzian:
+    def test_samples_are_the_expression_of_three_stencils(self):
+        x = np.linspace(0.1, 1.0, 200)
+        h = x[1] - x[0]
+        f = np.arctan(1.0 / x)
+        f1, f2, f3 = (deriv_uniform(f, h, k) for k in (1, 2, 3))
+        assert np.array_equal(schwarzian(f1, f2, f3), f3 / f1 - 1.5 * (f2 / f1) ** 2)
+        assert np.array_equal(schwarzian_samples(f, h), schwarzian(f1, f2, f3))
 
 
 class TestFundamentalPair:

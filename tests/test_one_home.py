@@ -11,7 +11,10 @@ the stage order and the weights have one home.  No module imports
 scipy: the package runs on numpy alone, and scipy is a test-time
 reference.  In `cli`, one runner writes the CSVs and checks the gates, so no
 command can bypass it.  Every phase factor of `interaction` comes from
-`numerics.unit_phase`, so it forms no complex exponential of its own.
+`numerics.unit_phase`, so it forms no complex exponential of its own.  Every
+forward and inverse FFT is taken in `numerics`, so a chain of free x-steps,
+which carries its spectrum from one step to the next, has no second
+transform path beside it in `propagator`, `interaction` or `currents`.
 """
 from __future__ import annotations
 
@@ -109,3 +112,20 @@ def test_interaction_takes_phases_from_unit_phase():
         and node.func.value.id == "np"
     ]
     assert exps == [], f"np.exp called in interaction.py at lines {exps}"
+
+
+def _fft_uses(path: Path) -> list[int]:
+    """Lines of path that call np.fft.fft or np.fft.ifft, or import from numpy.fft."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in ("fft", "ifft"):
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "fft":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("numpy.fft"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_transforms_only_in_numerics():
+    homes = sorted(p.name for p in PACKAGE.glob("*.py") if _fft_uses(p))
+    assert homes == ["numerics.py"], f"np.fft.fft/ifft used outside numerics.py: {homes}"

@@ -1,6 +1,8 @@
 """Tests for spectral x-evolution and the dispersing-Gaussian oracle."""
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,10 @@ from carrollsch import (
     Wavefunction,
     carrier_center,
     carroll_density_current,
+    dyson_first_order,
     effective_width,
     evolve_free,
+    evolve_interacting,
     gaussian_exact,
     gaussian_field,
     measured_moments,
@@ -64,15 +68,29 @@ class TestEvolveFree:
         assert np.max(np.abs(evolved.values - exact.values)) < 1e-8
 
     def test_chained_steps_equal_the_inline_multiplier(self):
+        """A chain transforms once and then multiplies the spectrum it holds.
+
+        The first step is the one expression kin * fft(values), as a single
+        step is; the later ones multiply the held spectrum.  The chain is no
+        less accurate than re-transforming each step, ifft(kin fft(values)),
+        and keeps the norm to roundoff.
+        """
         params = GaussianParams(sigma=0.9, t0=0.4, omega0=1.7)
         grid = TimeGrid(-256.0, 256.0, 2**16)
-        psi = gaussian_exact(params, 0.0, grid)
+        psi0 = psi = gaussian_exact(params, 0.0, grid)
         kin = np.exp(-1j * NATURAL.beta * 0.1 * grid.omegas**2)
-        ref_values = psi.values
-        for _ in range(64):
+        spec = kin * np.fft.fft(psi0.values)
+        per_step = psi0.values
+        for step in range(64):
             psi = evolve_free(psi, 0.1)
-            ref_values = np.fft.ifft(kin * np.fft.fft(ref_values))
+            if step:
+                spec = kin * spec
+            ref_values = np.fft.ifft(spec)
+            per_step = np.fft.ifft(kin * np.fft.fft(per_step))
         assert np.array_equal(psi.values, ref_values)
+        exact = gaussian_exact(params, psi.x, grid).values
+        assert np.max(np.abs(psi.values - exact)) <= np.max(np.abs(per_step - exact))
+        assert abs(psi.norm() - psi0.norm()) <= 1e-15
 
     def test_output_does_not_depend_on_call_history(self):
         psi = _random_packet(7, TimeGrid(-8.0, 8.0, 256))
@@ -92,6 +110,87 @@ class TestEvolveFree:
         evolved = evolve_free(gaussian_exact(params, 0.0, grid), 4.0)
         exact = gaussian_exact(params, 4.0, grid)
         assert np.max(np.abs(evolved.values - exact.values)) < 1e-8
+
+
+class TestHeldSpectrum:
+    """evolve_free's output holds its spectrum; nothing else does, and nothing can go stale."""
+
+    def test_a_chain_of_k_steps_makes_k_plus_one_transforms(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        psi = _random_packet(11, TimeGrid(-8.0, 8.0, 256))
+        for _ in range(5):
+            psi = evolve_free(psi, 0.3)
+        assert calls == ["fft"] + ["ifft"] * 5
+
+    def test_output_arrays_are_read_only(self):
+        out = evolve_free(_random_packet(12, TimeGrid(-8.0, 8.0, 128)), 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            out.values[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            out._spectrum[0] = 0.0
+
+    def test_a_user_built_packet_holds_no_spectrum(self):
+        psi = _random_packet(13, TimeGrid(-8.0, 8.0, 128))
+        assert psi._spectrum is None
+        assert Wavefunction(psi.x, psi.grid, evolve_free(psi, 0.5).values)._spectrum is None
+
+    @pytest.mark.parametrize("n", [256, 2**16])
+    def test_single_step_from_a_user_built_packet_is_the_inline_multiplier(self, n):
+        # from 256 KiB up numpy forms kin * fft(values) in the transform's
+        # buffer, operands swapped; a single step keeps those bits too
+        grid = TimeGrid(-8.0, 8.0, n)
+        psi = _random_packet(14, grid)
+        kin = np.exp(-1j * NATURAL.beta * 0.7 * grid.omegas**2)
+        ref = np.fft.ifft(kin * np.fft.fft(psi.values))  # outside the assert, which keeps temporaries
+        assert np.array_equal(evolve_free(psi, 0.7).values, ref)
+
+    def test_in_place_write_to_a_user_built_packet_is_seen(self):
+        grid = TimeGrid(-8.0, 8.0, 256)
+        vals = np.random.default_rng(15).standard_normal(grid.n) + 0j
+        psi = Wavefunction(0.0, grid, vals)
+        evolve_free(psi, 0.4)
+        psi.values[::3] *= -2.0
+        written = Wavefunction(0.0, grid, psi.values.copy())
+        assert np.array_equal(evolve_free(psi, 0.4).values, evolve_free(written, 0.4).values)
+
+    def test_values_made_writeable_again_are_transformed(self):
+        grid = TimeGrid(-8.0, 8.0, 256)
+        out = evolve_free(_random_packet(16, grid), 0.4)
+        out.values.flags.writeable = True
+        out.values[::5] = 1.0
+        fresh = Wavefunction(out.x, grid, out.values.copy())
+        assert np.array_equal(evolve_free(out, 0.4).values, evolve_free(fresh, 0.4).values)
+
+    def test_a_deep_copy_does_not_reuse_a_stale_spectrum(self):
+        grid = TimeGrid(-8.0, 8.0, 256)
+        twin = copy.deepcopy(evolve_free(_random_packet(17, grid), 0.4))
+        twin.values[::4] = 2.0
+        fresh = Wavefunction(twin.x, grid, twin.values.copy())
+        assert np.array_equal(evolve_free(twin, 0.4).values, evolve_free(fresh, 0.4).values)
+
+    def test_consumers_see_only_the_values(self):
+        grid = TimeGrid(-8.0, 8.0, 128)
+        evolved = evolve_free(evolve_free(_random_packet(18, grid), 0.3), 0.2)
+        plain = Wavefunction(evolved.x, grid, evolved.values.copy())
+        F = lambda x, t: 0.3 * np.sin(t + x)
+        v = PotentialSpec.time_profile(lambda t: 0.3 * np.cos(t))
+        eta = lambda x: 1.0 + 0.5 * np.sin(np.asarray(x))
+        for a, b in (
+            (evolve_interacting(evolved, F, 0.2, 1.0, 8), evolve_interacting(plain, F, 0.2, 1.0, 8)),
+            (dyson_first_order(evolved, v, eta, 0.1, 0.2, 1.0, 8), dyson_first_order(plain, v, eta, 0.1, 0.2, 1.0, 8)),
+        ):
+            assert np.array_equal(a.values, b.values)
+        for a, b in zip(carroll_density_current(evolved, v), carroll_density_current(plain, v)):
+            assert np.array_equal(a, b)
 
 
 class TestGaussianExact:
