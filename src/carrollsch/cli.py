@@ -384,7 +384,7 @@ def cmd_rays(b: dict, consts: PhysicalConstants):
             return t0 - q0 * x / consts.mc3 - kappa * x**3 / (6 * consts.mc3)
 
     ray = classical.trace_ray(v, 0.0, t0, q0, x_end, n_steps, consts)
-    _, picard = classical.picard_iterate(v, 0.0, t0, q0, x_end, 2, n_samples=n_steps, constants=consts)
+    _, picard = classical.picard_iterate(v, 0.0, t0, q0, x_end, 1, n_samples=n_steps, constants=consts)
     rows = [
         (x, t, q, p, t_exact(x), pi)
         for x, t, q, p, pi in zip(ray.x, ray.t, ray.q, ray.p_x, picard[1])

@@ -46,7 +46,7 @@ _MARGIN = 4
 
 
 class BranchError(ValueError):
-    """No usable map: too few samples, a non-monotone tau or a vanishing delta-dot."""
+    """No usable map: an overflowing pair, too few samples, a non-monotone tau or a vanishing delta-dot."""
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,9 @@ def inverse_tau(
 
     # integrate y'' = q y, i.e. y'' + (-q) y = 0, so {y1/y2, x} = -2q
     pair = integrate_fundamental_pair(lambda x: -q_fn(x), x_lo, x_hi, n)
+    finite = np.isfinite(pair.y1) & np.isfinite(pair.y2)
+    if not np.all(finite):
+        raise BranchError(f"fundamental pair overflows from x = {pair.x[np.argmin(finite)]:.6g}: unresolved at n = {n}")
     xs = pair.x[2:-2]  # 2 samples off each end; y2(x_lo) = 0 by the canonical data
     if len(xs) < 16:
         raise BranchError(f"too few samples for the map: {len(xs)} after the end trim, need 16")
@@ -142,8 +145,10 @@ def inverse_tau(
     tau = (hbar / E0) * np.unwrap(np.arctan(sigma), period=np.pi)
     dtau = np.diff(tau)
     if not (np.all(dtau > 0) or np.all(dtau < 0)):
-        drift = np.max(np.abs(pair.wronskian - 1.0))
-        raise BranchError(f"tau is not strictly monotone: pair unresolved, Wronskian drift {drift:.1e}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite pair's W may overflow
+            drift = np.max(np.abs(pair.wronskian - 1.0))
+        drift_text = f"{drift:.1e}" if np.isfinite(drift) else "beyond the float range"
+        raise BranchError(f"tau is not strictly monotone: pair unresolved, Wronskian drift {drift_text}")
 
     # invert tau on a uniform t grid spanning its range
     order = np.argsort(tau)
@@ -201,6 +206,9 @@ def roundtrip_residual(dmap: DualityMap, v_sch: PotentialSpec) -> float:
                               - (E0^2/2m) / delta-dot^2,
     pulled back to the x side with the inversion identities
     ({delta,t}/delta-dot^2)|_{t=tau} = -{tau,x} and (1/delta-dot^2)| = tau'^2.
+    As q = (2m/hbar^2)(V_sch - E_sch), V_rec - V_sch = -(hbar^2/4m) ({tau,x}
+    + 2 (E0 tau'/hbar)^2 + 2q): the Schwarzian residual's defect in potential
+    units over the scale below, at a stride near 5e-3 rather than 2e-3.
     """
     hbar, m = dmap.constants.hbar, dmap.constants.m
     stride, tau_p, S_tau = _tau_stencils(dmap, 5e-3, 64)

@@ -15,8 +15,8 @@ solved here by symmetric (Strang) split-step.  The perturbative split of the
 potential term into g(t) + eps * eta(x) admits a first-order Dyson expansion
 in x.  Since eta enters as a scalar at each station, the split-step reference
 is exp(-i theta) U0 phi0 with theta = eps int eta / hbar c, the integral being
-the steps' own trapezoid.  The Dyson error is therefore exactly the first-order
-truncation |exp(-i theta) - 1 + i theta| ||U0 phi0||, free of quadrature error.
+the steps' own trapezoid, so a sweep of couplings steps U0 phi0 once.  The Dyson
+error is exactly the first-order truncation |exp(-i theta) - 1 + i theta| ||U0 phi0||.
 """
 from __future__ import annotations
 
@@ -165,7 +165,6 @@ def _split_step(
     (a complex row raises) is applied at both cell edges around the exact
     kinetic multiplier exp(-i beta h w^2).  Each station's row is evaluated
     once: the end factor of one step is the start factor of the next.
-    Leading axes of values, and of the rows, are a batch.
     """
     kin = kinetic_multiplier(grid, constants.beta, h)
     coef = -0.5 * h / constants.hbar
@@ -247,30 +246,20 @@ def dyson_sweep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split-step references and first-order Dyson solutions for every coupling.
 
-    Returns two (len(eps), n_t) arrays.  Row k of the first is
-    evolve_interacting(phi0, F_k, x0, x_end, n_steps).values with
-    F_k(x, t) = (g(t) + eps[k] eta(x)) / c, bit for bit; row k of the second
-    is (1 - i eps[k] I / hbar c) U0 phi0.  U0 phi0 is a coupling-0 row of the
-    same batch of split steps, and I is the trapezoid of eta over the n_steps + 1
-    stations, the integral those steps apply.  So row k of the reference is
-    exp(-i theta_k) U0 phi0 with theta_k = eps[k] I / hbar c, and the Dyson
-    error is |exp(-i theta_k) - 1 + i theta_k| ||U0 phi0|| up to roundoff.
+    Returns two (len(eps), n_t) arrays, rows exp(-i theta_k) U0 phi0 and
+    (1 - i theta_k) U0 phi0 with theta_k = eps[k] I / hbar c: U0 phi0 is
+    evolve_interacting(phi0, g(t) / c, x0, x_end, n_steps).values and I the
+    trapezoid of eta over its n_steps + 1 stations.  eta(x) is a scalar there, so
+    the first row is the split step with F_k = (g(t) + eps[k] eta(x)) / c to roundoff.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    h = (x_end - x0) / n_steps
-    g_t = real_samples(g.v_t(phi0.grid.times), "time profile g")
-    eps_col = np.append(np.asarray(eps, dtype=float), 0.0)[:, None]
-
-    def momentum(x: float) -> np.ndarray:
-        return (g_t + eps_col * eta(x)) / constants.c
-
-    batch = np.broadcast_to(phi0.values, (len(eps_col), phi0.grid.n))
-    rows = _split_step(batch, phi0.grid, x0, h, n_steps, momentum, constants)
+    g_t = real_samples(g.v_t(phi0.grid.times), "time profile g") / constants.c
     xi = np.linspace(x0, x_end, n_steps + 1)
-    I_eta = cumulative_integral(np.broadcast_to(eta(xi), xi.shape), xi, x0)[-1]
-    factor = 1.0 - 1j * (eps_col[:-1] * I_eta / (constants.hbar * constants.c))
-    return rows[:-1], factor * rows[-1]
+    I_eta = cumulative_integral(np.broadcast_to(real_samples(eta(xi), "perturbation eta"), xi.shape), xi, x0)[-1]
+    u0 = _split_step(phi0.values, phi0.grid, x0, (x_end - x0) / n_steps, n_steps, lambda x: g_t, constants)
+    theta = np.asarray(eps, dtype=float)[:, None] * I_eta / (constants.hbar * constants.c)
+    return unit_phase(-theta) * u0, (1.0 - 1j * theta) * u0
 
 
 def dirichlet_eigenvalue_oracle(T: float, n_points: int, n_levels: int) -> np.ndarray:

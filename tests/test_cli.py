@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import carrollsch
-from carrollsch import cli
+from carrollsch import PotentialSpec, cli
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs")
@@ -122,6 +122,13 @@ class TestExitCodes:
         )
         assert cli.main(["duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "tau is not strictly monotone" in capsys.readouterr().err
+
+    def test_overflowing_pair_is_numerical_failure(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path, {"schema": cli.SCHEMA, "duality": {"target": "harmonic", "E_sch": 1e7, "n": 64}}
+        )
+        assert cli.main(["duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "fundamental pair overflows" in capsys.readouterr().err
 
     def test_too_coarse_pair_is_numerical_failure(self, tmp_path, capsys):
         # three steps are a valid grid, too coarse to leave a sample after the end trim
@@ -288,6 +295,36 @@ class TestSubcommands:
         assert csv[0.0] != csv[1.0]
         t = [float(row.split(",")[1]) for row in csv[0.0].splitlines()[1:]]
         assert t == [0.25] * len(t)  # q0 = 0: no drift in t
+
+    @pytest.mark.parametrize("constants", [{}, {"m": 0.5, "c": 2.0}], ids=["natural", "m0.5-c2"])
+    @pytest.mark.parametrize("potential", ["linear", "time-only", "quadratic"])
+    def test_rays_follow_the_closed_form(self, tmp_path, potential, constants):
+        # q0 = 0.5 gives the time-only ray a slope; the header's closed forms,
+        # written out: t0 - q0 x / mc^3, minus alpha x^2 / 2mc^3 or kappa x^3 / 6mc^3
+        payload = {"schema": cli.SCHEMA, "constants": constants, "rays": {"potential": potential, "q0": 0.5, "t0": 0.3}}
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main(["rays", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = np.loadtxt(tmp_path / "o" / "rays.csv", delimiter=",", skiprows=1)
+        x, t = rows[:, 0], rows[:, 1]
+        mc3 = constants.get("m", 1.0) * constants.get("c", 1.0) ** 3
+        alpha, kappa = cli.DEFAULTS["rays"]["alpha"], cli.DEFAULTS["rays"]["kappa"]
+        bend = {"linear": alpha * x**2 / 2, "time-only": 0.0 * x, "quadratic": kappa * x**3 / 6}[potential]
+        np.testing.assert_allclose(t, 0.3 - 0.5 * x / mc3 - bend / mc3, rtol=0, atol=1e-8)
+
+    def test_rays_run_one_picard_sweep(self, tmp_path, monkeypatch):
+        sweeps = []
+
+        def counted(*args, **kwargs):
+            sweeps.append(args[5])
+            return picard_iterate(*args, **kwargs)
+
+        picard_iterate = cli.classical.picard_iterate
+        monkeypatch.setattr(cli.classical, "picard_iterate", counted)
+        assert cli.main(["rays", "--out", str(tmp_path / "o")]) == 0
+        assert sweeps == [1]
+        rows = np.loadtxt(tmp_path / "o" / "rays.csv", delimiter=",", skiprows=1)
+        _, its = picard_iterate(PotentialSpec.space_profile(lambda x: x, np.ones_like), 0.0, 0.0, 0.0, 1.0, 1, 256)
+        assert np.array_equal(rows[:, 5], its[1])
 
     @pytest.mark.parametrize(
         "constants", [{"hbar": 1.3, "m": 0.8, "c": 1.1}, {"hbar": 0.5, "c": 2.0}], ids=["c1.1", "c2"]

@@ -1,6 +1,8 @@
 """Tests for the reparametrization map between static and time profiles."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,26 @@ class TestResiduals:
         r = schwarzian_samples(tau, h) + 2 * (dmap.E0 / dmap.constants.hbar * tau_p) ** 2 + 2 * dmap.q[::stride]
         assert schwarzian_residual(dmap) == float(np.max(np.abs(r[4:-4])))
 
+    @pytest.mark.parametrize(
+        "consts", [PhysicalConstants(), PhysicalConstants(hbar=0.7, m=1.3, c=2.0)], ids=["natural", "scaled"]
+    )
+    @pytest.mark.parametrize("n", [2048, 8192])
+    @pytest.mark.parametrize("target", ["free", "constant", "harmonic", "coulomb-like"])
+    def test_roundtrip_is_the_schwarzian_defect_in_potential_units(self, target, n, consts):
+        # V_rec - V = -(hbar^2/4m) ({tau, x} + 2 (E0 tau'/hbar)^2 + 2q), with the
+        # defect on tau strided to near 5e-3 and 4 samples left out at each end
+        dmap = _cli_map(target=target, n=n, consts=consts)
+        v, _ = cli._duality_target(cli._resolve({"duality": {"target": target}}, "duality"))
+        hbar, m = consts.hbar, consts.m
+        stride = max(1, min(int(round(5e-3 / dmap.dx)), len(dmap.tau) // 64))
+        tau = dmap.tau[::stride]
+        h = dmap.dx * stride
+        tau_p = deriv_uniform(tau, h, 1)
+        r = schwarzian_samples(tau, h) + 2 * (dmap.E0 / hbar * tau_p) ** 2 + 2 * dmap.q[::stride]
+        scale = max(np.max(np.abs(v.v_x(dmap.x[::stride]) - dmap.E_sch)), dmap.E0**2 / (2 * m))
+        defect = hbar**2 / (4 * m) * np.max(np.abs(r[4:-4])) / scale
+        assert roundtrip_residual(dmap, v) == pytest.approx(defect, rel=1e-7)
+
     @pytest.mark.parametrize("name,v,e_sch,x_range,tol", TARGETS)
     def test_roundtrip(self, name, v, e_sch, x_range, tol):
         dmap = inverse_tau(v, e_sch, 1.0, x_range)
@@ -197,11 +219,11 @@ class TestResiduals:
         assert {k: v for k, v in calls.items() if v} == per_call
 
 
-def _cli_map(E0=1.0, n=2048, **block):
+def _cli_map(E0=1.0, n=2048, consts=PhysicalConstants(), **block):
     """The map of a CLI duality target at reference energy E0."""
     block = cli._resolve({"duality": {**block, "n": n}}, "duality")
     v, x_range = cli._duality_target(block)
-    return inverse_tau(v, block["E_sch"], E0, x_range, n=n)
+    return inverse_tau(v, block["E_sch"], E0, x_range, consts, n=n)
 
 
 class TestWholeInterval:
@@ -252,6 +274,24 @@ class TestWholeInterval:
         # near the zeros of y1, so its direction is lost to unwrap
         with pytest.raises(BranchError, match="tau is not strictly monotone"):
             _cli_map(target="harmonic", E_sch=1e3)
+
+    @pytest.mark.parametrize(
+        "E_sch, n", [(1e6, 64), (1e6, 1024)] + [(1e7, n) for n in (64, 128, 256, 512, 1024, 2048)]
+    )
+    def test_overflowing_pair_is_a_branch_error(self, E_sch, n):
+        # the unresolved pair reaches inf; neither it nor its Wronskian is formed into the map
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BranchError, match=f"fundamental pair overflows from x = .*: unresolved at n = {n}$"):
+                _cli_map(target="harmonic", E_sch=E_sch, n=n)
+
+    @pytest.mark.parametrize("E_sch, n", [(2e4, 64), (1e5, 64), (5e4, 256)])
+    def test_finite_pair_whose_wronskian_overflows(self, E_sch, n):
+        # y1 y2' exceeds the float range although every sample is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BranchError, match="not strictly monotone: .*drift beyond the float range"):
+                _cli_map(target="harmonic", E_sch=E_sch, n=n)
 
     def test_sixteen_samples_is_the_shortest_map(self):
         assert len(inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 1.0), n=19).x) == 16
