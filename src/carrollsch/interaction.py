@@ -156,7 +156,7 @@ def _split_step(
     x0: float,
     h: float,
     n_steps: int,
-    momentum: Callable[[float], np.ndarray],
+    momentum: Callable[[float], np.ndarray] | np.ndarray,
     constants: PhysicalConstants,
 ) -> np.ndarray:
     """Strang steps of size h from station x0, along the last axis of values.
@@ -164,21 +164,24 @@ def _split_step(
     The factor exp(-i h F / 2 hbar) of the real momentum row F = momentum(x)
     (a complex row raises) is applied at both cell edges around the exact
     kinetic multiplier exp(-i beta h w^2).  Each station's row is evaluated
-    once: the end factor of one step is the start factor of the next.
+    once: the end factor of one step is the start factor of the next.  A
+    momentum given as a row, not a callable, holds at every station, so its
+    factor is built once.
     """
     kin = kinetic_multiplier(grid, constants.beta, h)
     coef = -0.5 * h / constants.hbar
 
-    def half_phase(x: float) -> np.ndarray:
-        return unit_phase(coef * real_samples(momentum(x), "interaction momentum"))
+    def half_phase(row: np.ndarray) -> np.ndarray:
+        return unit_phase(coef * real_samples(row, "interaction momentum"))
 
     x = x0
-    phase = half_phase(x)
+    phase = half_phase(momentum(x) if callable(momentum) else momentum)
     for _ in range(n_steps):
         values = values * phase
         values = spectral_multiply(values, kin)
         x += h
-        phase = half_phase(x)
+        if callable(momentum):
+            phase = half_phase(momentum(x))
         values = values * phase
     return values
 
@@ -257,7 +260,7 @@ def dyson_sweep(
     g_t = real_samples(g.v_t(phi0.grid.times), "time profile g") / constants.c
     xi = np.linspace(x0, x_end, n_steps + 1)
     I_eta = cumulative_integral(np.broadcast_to(real_samples(eta(xi), "perturbation eta"), xi.shape), xi, x0)[-1]
-    u0 = _split_step(phi0.values, phi0.grid, x0, (x_end - x0) / n_steps, n_steps, lambda x: g_t, constants)
+    u0 = _split_step(phi0.values, phi0.grid, x0, (x_end - x0) / n_steps, n_steps, g_t, constants)
     theta = np.asarray(eps, dtype=float)[:, None] * I_eta / (constants.hbar * constants.c)
     return unit_phase(-theta) * u0, (1.0 - 1j * theta) * u0
 

@@ -1,14 +1,15 @@
 """Shared numerical substrate.
 
 Uniform grids with a periodic (endpoint-excluded) convention; the one check
-of complex samples and the one rule for a real V; the spectral step, which
-multiplies a spectrum (given, or the fft of the samples) and returns it with
-its inverse transform, and the spectral multiplier built on it, so every FFT
-of the package is taken here; the kinetic multiplier exp(-i beta h w^2),
-built once per (grid, beta, h) and returned read-only, with one entry kept;
-the not-a-knot cubic spline; the unit phase exp(i theta), cos and sin in one
-complex buffer; the RK4 stage abscissae and the checked up-front sample of a
-coefficient on them, whose first bad value is reported in stepping order;
+of complex samples and the one rule for a real V; the spectral product
+m fft(samples), the inverse transform, which a chain of free x-steps takes
+only where its samples are read, and the spectral multiplier that composes
+the two, so every FFT of the package is taken here; the kinetic multiplier
+exp(-i beta h w^2), built once per (grid, beta, h) and returned read-only,
+with one entry kept; the not-a-knot cubic spline; the unit phase
+exp(i theta), cos and sin in one complex buffer; the RK4 stage abscissae and
+the checked up-front sample of a coefficient on them, whose first bad value
+is reported in stepping order;
 the one scalar RK4 loop, for a' = -b/d, b' = slope(c, a), and its array twin
 for a slope that reads no state, as two running sums; the fundamental pair
 of y'' + q y = 0, two chains of that loop; finite-difference stencils along
@@ -87,24 +88,24 @@ def real_samples(values: np.ndarray, what: str) -> np.ndarray:
     return v.real
 
 
-def spectral_step(
-    values: np.ndarray, m: np.ndarray, spectrum: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(m S, ifft(m S)) along the last axis, with S = spectrum, else fft(values).
+def spectral_product(values: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m fft(values) along the last axis.
 
-    A caller that keeps the returned m S passes it as the next step's
-    spectrum, so a chain of k steps makes k + 1 transforms, not 2k.  From
-    values, m S is the one expression m * fft(values): from 256 KiB up numpy
-    forms it in the transform's buffer with the operands swapped, and that
-    order sets its last bits.
+    It is the one expression m * fft(values): from 256 KiB up numpy forms it
+    in the transform's buffer with the operands swapped, and that order sets
+    its last bits.
     """
-    spectrum = m * (np.fft.fft(values) if spectrum is None else spectrum)
-    return spectrum, np.fft.ifft(spectrum)
+    return m * np.fft.fft(values)
+
+
+def inverse_transform(spectrum: np.ndarray) -> np.ndarray:
+    """ifft(spectrum) along the last axis: the samples whose spectrum it is."""
+    return np.fft.ifft(spectrum)
 
 
 def spectral_multiply(values: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The Fourier multiplier m applied along the last axis: ifft(m fft(values))."""
-    return spectral_step(values, m)[1]
+    return inverse_transform(spectral_product(values, m))
 
 
 @functools.lru_cache(maxsize=1)

@@ -5,14 +5,18 @@ x-evolution is the spectral multiplier exp(-i beta dx w^2) with
 beta = hbar/(2 m c^3), which is exactly unitary on the discrete grid.  It
 comes from `numerics.kinetic_multiplier`, built once per (grid, beta, dx),
 read-only, with one entry kept, so a loop of equal steps builds it once.  On
-L2(R_t) the step is diagonal in frequency, so a chain of steps needs the
-forward transform once: each output of `evolve_free` holds the spectrum its
-values are the inverse transform of, both read-only, and the next step
-multiplies that spectrum.  A packet the caller builds (`gaussian_exact`,
-`Wavefunction(...)`, `dataclasses.replace`) holds none and is transformed
-from its values on every call, so nothing is cached on an array a caller
-may still write.  The closed-form dispersing Gaussian packet provides an
-independent oracle for the spectral path, including the carrier-drift case.
+L2(R_t) the step is diagonal in frequency, so a chain of steps is a product of
+phases on one spectrum: each output of `evolve_free` holds only its spectrum,
+read-only, and the next step multiplies it.  The output's values are the
+inverse transform of that spectrum, formed on first read (one inverse FFT,
+then the finiteness check every packet gets) and kept, so a chain of k steps
+whose last station alone is read makes one forward and one inverse FFT.  A
+packet the caller builds (`gaussian_exact`, `Wavefunction(...)`,
+`dataclasses.replace`) holds no spectrum and is transformed from its values
+on every call, and so is an output whose values have been read and made
+writeable again, so nothing is cached on an array a caller may still write.
+The closed-form dispersing Gaussian packet provides an independent oracle
+for the spectral path, including the carrier-drift case.
 
 Periodic grid semantics stand in for decay at t -> +-inf; callers should keep
 boundary density below 1e-10 of peak so wrap-around stays under tolerance.
@@ -23,18 +27,28 @@ Nyquist frequency w_N = pi/dt must lie below the tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import TimeGrid, complex_samples, kinetic_multiplier, spectral_multiply, spectral_step
+from .numerics import (
+    TimeGrid, complex_samples, inverse_transform, kinetic_multiplier, spectral_multiply, spectral_product,
+)
 from .operators import Field2D
 from .potentials import PotentialSpec
 
 
 @dataclass(frozen=True)
 class Wavefunction:
+    """Complex samples of t at the station x.
+
+    An output of `evolve_free` holds its spectrum instead: its `values` are
+    formed on first read as the inverse transform of that spectrum (one
+    inverse FFT of n samples), checked as any packet's are, and kept on the
+    instance, read-only since the spectrum is.  Later reads cost nothing.
+    """
+
     x: float
     grid: TimeGrid
     values: np.ndarray
@@ -43,6 +57,17 @@ class Wavefunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", complex_samples(self.values, (self.grid.n,)))
+
+    def __getattr__(self, name: str):
+        # called only for an attribute the instance lacks: the values of an
+        # evolve_free output that has not been read yet
+        spectrum = self._spectrum
+        if name != "values" or spectrum is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = complex_samples(inverse_transform(spectrum), (self.grid.n,))
+        values.flags.writeable = spectrum.flags.writeable
+        object.__setattr__(self, "values", values)
+        return values
 
     def norm(self) -> float:
         """Discrete L2 norm with the grid measure dt."""
@@ -68,18 +93,22 @@ def evolve_free(
 ) -> Wavefunction:
     """Advance the station by dx with the unitary spectral multiplier.
 
-    The output holds the spectrum its values are the inverse transform of,
-    and both arrays are read-only, so the next step multiplies that spectrum
-    and makes one transform, not two.  An input that holds none (any packet
-    built by the caller), or whose values have been made writeable again, is
-    transformed from its values on each call.
+    The output holds only its spectrum, read-only; its values are the inverse
+    transform of it, formed on first read (one inverse FFT) and kept.  A step
+    from an output multiplies its spectrum and transforms nothing, so a chain
+    of k steps makes one forward FFT, plus one inverse FFT per station read.
+    An input that holds no spectrum (any packet built by the caller), or
+    whose values have been read and made writeable again, is transformed
+    from its values.
     """
     kin = kinetic_multiplier(psi.grid, constants.beta, dx)
-    held = None if psi.values.flags.writeable else psi._spectrum
-    spectrum, values = spectral_step(psi.values, kin, held)
-    out = replace(psi, x=psi.x + dx, values=values)
-    out.values.flags.writeable = spectrum.flags.writeable = False
-    object.__setattr__(out, "_spectrum", spectrum)
+    values = vars(psi).get("values")  # read only if formed: a lazy read would transform
+    held = psi._spectrum if values is None or not values.flags.writeable else None
+    spectrum = spectral_product(psi.values, kin) if held is None else kin * held
+    spectrum.flags.writeable = False
+    out = object.__new__(type(psi))
+    for name, value in (("x", psi.x + dx), ("grid", psi.grid), ("_spectrum", spectrum)):
+        object.__setattr__(out, name, value)
     return out
 
 

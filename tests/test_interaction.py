@@ -421,6 +421,21 @@ class TestDysonSweep:
         assert ref.shape == dy.shape == (3, 64)
         assert calls == [(64,)]
 
+    def test_the_momentum_row_is_phased_once_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(theta):
+            calls.append(np.shape(theta))
+            return phase(theta)
+
+        phase = interaction.unit_phase
+        monkeypatch.setattr(interaction, "unit_phase", counted)
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, TimeGrid(-10.0, 10.0, 64))
+        eta = lambda x: 1.0 + 0.5 * np.sin(np.asarray(x))
+        dyson_sweep(phi0, PotentialSpec.time_profile(np.cos), eta, [0.01, 0.02, 0.05], 0.0, 1.0, 32)
+        # one half-step phase of the row g(t)/c, then the couplings' phases exp(-i theta_k)
+        assert calls == [(64,), (3, 1)]
+
     @pytest.mark.parametrize("n_steps", [7, 255, 256])
     @pytest.mark.parametrize(
         "consts", [PhysicalConstants(), PhysicalConstants(hbar=0.7, m=1.3, c=1.4)], ids=["natural", "scaled"]

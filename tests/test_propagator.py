@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -113,9 +115,10 @@ class TestEvolveFree:
 
 
 class TestHeldSpectrum:
-    """evolve_free's output holds its spectrum; nothing else does, and nothing can go stale."""
+    """evolve_free's output holds its spectrum and forms its values on first read;
+    nothing else holds one, and nothing can go stale."""
 
-    def test_a_chain_of_k_steps_makes_k_plus_one_transforms(self, monkeypatch):
+    def test_a_chain_transforms_back_only_the_stations_read(self, monkeypatch):
         calls = []
 
         def counted(fn):
@@ -127,9 +130,77 @@ class TestHeldSpectrum:
         monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
         psi = _random_packet(11, TimeGrid(-8.0, 8.0, 256))
+        chain = []
         for _ in range(5):
             psi = evolve_free(psi, 0.3)
+            chain.append(psi)
+        assert calls == ["fft"]
+        psi.values
+        assert calls == ["fft", "ifft"]
+        psi.norm()
+        assert calls == ["fft", "ifft"]
+        for station in chain:
+            station.values
         assert calls == ["fft"] + ["ifft"] * 5
+
+    def test_a_step_from_an_output_never_reads_its_values(self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("inverse transform taken")
+
+        psi = evolve_free(_random_packet(19, TimeGrid(-8.0, 8.0, 128)), 0.3)
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        chain = [psi]
+        for _ in range(4):
+            chain.append(evolve_free(chain[-1], 0.2))
+        assert not any("values" in vars(station) for station in chain)
+
+    @pytest.mark.parametrize("n", [256, 2**16])
+    def test_unread_values_are_the_eager_inverse_transform(self, n):
+        grid = TimeGrid(-8.0, 8.0, n)
+        psi = _random_packet(20, grid)
+        kin = np.exp(-1j * NATURAL.beta * 0.4 * grid.omegas**2)
+        spec = kin * np.fft.fft(psi.values)  # on its own line, as the package forms it
+        outs = [evolve_free(psi, 0.4)]
+        refs = [np.fft.ifft(spec)]
+        for _ in range(2):
+            outs.append(evolve_free(outs[-1], 0.4))
+            spec = kin * spec
+            refs.append(np.fft.ifft(spec))
+        assert not any("values" in vars(out) for out in outs)
+        for out, ref in zip(outs, refs):
+            assert np.array_equal(out.values, ref)
+
+    @pytest.mark.parametrize(
+        "op",
+        [copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w)), dataclasses.replace],
+        ids=["deepcopy", "pickle", "replace"],
+    )
+    def test_a_copy_of_an_unread_output_has_the_values_of_a_read_one(self, op):
+        psi = _random_packet(21, TimeGrid(-8.0, 8.0, 128))
+        unread, read = (evolve_free(evolve_free(psi, 0.3), 0.2) for _ in range(2))
+        values = read.values
+        assert "values" not in vars(unread)
+        for twin in (op(unread), op(read)):
+            assert (twin.x, twin.grid) == (read.x, read.grid)
+            assert np.array_equal(twin.values, values)
+
+    def test_repr_and_eq_read_the_values(self):
+        psi = _random_packet(23, TimeGrid(-8.0, 8.0, 128))
+        unread, read = (evolve_free(evolve_free(psi, 0.3), 0.2) for _ in range(2))
+        read.values
+        assert repr(unread) == repr(read)
+        unread, other = evolve_free(evolve_free(psi, 0.3), 0.2), dataclasses.replace(read, x=0.0)
+        assert "values" not in vars(unread)
+        assert unread == unread and read == read
+        assert unread != other and read != other
+        assert np.array_equal(unread.values, read.values)
+
+    def test_a_spectrum_whose_inverse_is_not_finite_raises_when_read(self):
+        grid = TimeGrid(-8.0, 8.0, 64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = evolve_free(Wavefunction(0.0, grid, np.full(grid.n, 1e308 + 0j)), 0.1)
+        with pytest.raises(ValueError, match="samples contain non-finite entries"):
+            out.values
 
     def test_output_arrays_are_read_only(self):
         out = evolve_free(_random_packet(12, TimeGrid(-8.0, 8.0, 128)), 0.5)
@@ -173,6 +244,13 @@ class TestHeldSpectrum:
     def test_a_deep_copy_does_not_reuse_a_stale_spectrum(self):
         grid = TimeGrid(-8.0, 8.0, 256)
         twin = copy.deepcopy(evolve_free(_random_packet(17, grid), 0.4))
+        twin.values[::4] = 2.0
+        fresh = Wavefunction(twin.x, grid, twin.values.copy())
+        assert np.array_equal(evolve_free(twin, 0.4).values, evolve_free(fresh, 0.4).values)
+
+    def test_an_unpickled_twin_does_not_reuse_a_stale_spectrum(self):
+        grid = TimeGrid(-8.0, 8.0, 256)
+        twin = pickle.loads(pickle.dumps(evolve_free(_random_packet(22, grid), 0.4)))
         twin.values[::4] = 2.0
         fresh = Wavefunction(twin.x, grid, twin.values.copy())
         assert np.array_equal(evolve_free(twin, 0.4).values, evolve_free(fresh, 0.4).values)
