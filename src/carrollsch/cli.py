@@ -414,7 +414,7 @@ def cmd_quantize(b: dict, consts: PhysicalConstants):
     mode_rows = []
     gates = []
     for i, mode in enumerate(spec.modes):
-        rho = np.abs(mode.values) ** 2
+        rho = mode.density()
         kept = slice(None, None, max(1, mode.grid.n // 128))
         mode_rows += [(i + 1, t, r) for t, r in zip(mode.grid.times[kept], rho[kept])]
         total = mode.grid.dt * float(np.sum(rho))

@@ -150,8 +150,8 @@ def inverse_tau(
         drift_text = f"{drift:.1e}" if np.isfinite(drift) else "beyond the float range"
         raise BranchError(f"tau is not strictly monotone: pair unresolved, Wronskian drift {drift_text}")
 
-    # invert tau on a uniform t grid spanning its range
-    order = np.argsort(tau)
+    # invert tau on a uniform t grid spanning its range; tau is strictly monotone
+    order = slice(None) if dtau[0] > 0 else slice(None, None, -1)
     inv = cubic_spline(tau[order], xs[order])
     delta_t = np.linspace(tau.min(), tau.max(), len(xs))
     delta = inv(delta_t)

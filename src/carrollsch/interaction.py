@@ -11,17 +11,18 @@ F(x,t) = int_{t0}^t d_x V dtau, leaving Schrodinger-type evolution in x:
 
     i hbar c d_x phi = -(hbar^2 / 2 m c^2) d_t^2 phi + c F phi,
 
-solved here by symmetric (Strang) split-step.  The perturbative split of the
-potential term into g(t) + eps * eta(x) admits a first-order Dyson expansion
-in x.  Since eta enters as a scalar at each station, the split-step reference
-is exp(-i theta) U0 phi0 with theta = eps int eta / hbar c, the integral being
-the steps' own trapezoid, so a sweep of couplings steps U0 phi0 once.  The Dyson
-error is exactly the first-order truncation |exp(-i theta) - 1 + i theta| ||U0 phi0||.
+solved here by symmetric (Strang) split-step, with F taken at each station
+the steps read: one running trapezoid in t, no interpolation along x.  The
+perturbative split of the potential term into g(t) + eps * eta(x) admits a
+first-order Dyson expansion in x.  Since eta enters as a scalar at each
+station, the split-step reference is exp(-i theta) U0 phi0 with theta =
+eps int eta / hbar c, the integral being the steps' own trapezoid, so a sweep
+of couplings steps U0 phi0 once.  The Dyson error is exactly the first-order
+truncation |exp(-i theta) - 1 + i theta| ||U0 phi0||.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .constants import PhysicalConstants, NATURAL
 from .numerics import (
     TimeGrid, cumulative_integral, kinetic_multiplier, real_samples, spectral_multiply, unit_phase,
-    cubic_spline as CubicSpline,  # the name perfbench/tracer.py patches to count spline builds
+    cubic_spline as CubicSpline,  # unused in the package: only perfbench/tracer.py reads it
 )
 from .operators import Field2D
 from .potentials import PotentialSpec
@@ -55,27 +56,24 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class InteractionMomentum:
-    """F(x,t) = int_{t0}^{t} d_x V(x,tau) dtau on a tensor grid."""
+    """F(x,t) = int_{t0}^{t} d_x V(x,tau) dtau, one row per station x on t_grid."""
 
-    field: Field2D
-
-    @cached_property
-    def _spline(self):
-        """Cubic interpolant of F along the x axis, built once per instance."""
-        values = real_samples(self.field.values, "interaction momentum")
-        return CubicSpline(self.field.x_grid.times, values)
+    v: PotentialSpec
+    t0: float
+    x_grid: TimeGrid
+    t_grid: TimeGrid
 
     def at_x(self, x: float) -> np.ndarray:
-        """Row of F at station x by cubic interpolation along the x axis.
+        """Row of F at station x, exact there: the running trapezoid of d_x V(x, .).
 
-        An x past the sampled range by roundoff only, as a station summed up
-        step by step can be, is clamped to the end sample.
+        An x past the x_grid samples by roundoff only, as a station summed up
+        step by step can be, is accepted.
         """
-        xg = self.field.x_grid.times
+        xg = self.x_grid.times
         slack = 1e-9 * (xg[-1] - xg[0])
         if not (xg[0] - slack <= x <= xg[-1] + slack):
             raise ValueError(f"x = {x} outside the sampled range")
-        return self._spline(min(max(x, xg[0]), xg[-1]))
+        return cumulative_integral(self.v.dv_dx(x, self.t_grid.times)[0], self.t_grid, self.t0)
 
 
 def quantized_modes(
@@ -115,12 +113,12 @@ def interaction_momentum(
     x_grid: TimeGrid,
     t_grid: TimeGrid,
 ) -> InteractionMomentum:
-    """Accumulate F(x,t) = int_{t0}^{t} d_x V(x,tau) dtau on the tensor grid.
+    """F(x,t) = int_{t0}^{t} d_x V(x,tau) dtau, taken row by row as stations are read.
 
     The running trapezoid of `cumulative_integral` makes F 2nd order in dt.
+    An anchor t0 off t_grid raises GridError at the first row read.
     """
-    F = cumulative_integral(v.dv_dx(x_grid.times, t_grid.times), t_grid, t0, axis=1)
-    return InteractionMomentum(field=Field2D(x_grid, t_grid, F))
+    return InteractionMomentum(v, t0, x_grid, t_grid)
 
 
 def gauge_reduce(
@@ -203,8 +201,8 @@ def evolve_interacting(
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if isinstance(F, InteractionMomentum) and F.field.t_grid != phi0.grid:
-        raise ValueError(f"F is sampled on {F.field.t_grid}, phi0 on {phi0.grid}")
+    if isinstance(F, InteractionMomentum) and F.t_grid != phi0.grid:
+        raise ValueError(f"F is sampled on {F.t_grid}, phi0 on {phi0.grid}")
     t = phi0.grid.times
     h = (x_end - x0) / n_steps
 

@@ -11,6 +11,7 @@ from scipy.integrate import cumulative_trapezoid
 from carrollsch import (
     Field2D,
     GaussianParams,
+    GridError,
     InteractionMomentum,
     PhysicalConstants,
     PotentialSpec,
@@ -26,7 +27,7 @@ from carrollsch import (
     quantized_modes,
 )
 from carrollsch import interaction
-from carrollsch.numerics import cubic_spline, cumulative_integral, deriv_uniform, kinetic_multiplier, unit_phase
+from carrollsch.numerics import cumulative_integral, deriv_uniform, kinetic_multiplier, unit_phase
 
 
 class TestQuantizedModes:
@@ -110,28 +111,45 @@ class TestDirichletOracle:
             dirichlet_eigenvalue_oracle(1.0, 10, n_levels)
 
 
+def _trapezoid_from(y, t, i0):
+    """The running trapezoid of y over t written out, vanishing at t[i0]."""
+    F = np.concatenate([[0.0], np.cumsum((y[1:] + y[:-1]) * np.diff(t) / 2.0)])
+    return F - F[i0]
+
+
 class TestInteractionMomentum:
     def _grids(self):
         return TimeGrid(0.0, 2.0, 64), TimeGrid(0.0, 2 * np.pi, 1024)
 
+    def _packet_potential(self):
+        # the perfbench interaction job's V, whose d_x V is a 4-point difference
+        return PotentialSpec.space_time(lambda x, t: 0.6 * np.sin(2.0 * x) * np.exp(-(((t - 1.0) / 3.0) ** 2)))
+
     def test_time_only_gives_zero(self):
         xg, tg = self._grids()
         F = interaction_momentum(PotentialSpec.time_profile(np.sin, np.cos), 0.0, xg, tg)
-        assert np.max(np.abs(F.field.values)) == 0.0
+        for x in (xg.times[0], 0.37, xg.times[-1]):
+            assert np.max(np.abs(F.at_x(x))) == 0.0
 
     def test_static_profile_grows_linearly(self):
         xg, tg = self._grids()
-        v = PotentialSpec.space_profile(np.sin, np.cos)
-        F = interaction_momentum(v, 0.0, xg, tg)
-        expected = np.cos(xg.times)[:, None] * tg.times[None, :]
-        np.testing.assert_allclose(np.real(F.field.values), expected, atol=1e-10)
+        F = interaction_momentum(PotentialSpec.space_profile(np.sin, np.cos), 0.0, xg, tg)
+        for x in (xg.times[0], 0.37, xg.times[31], 1.2345, xg.times[-1]):
+            np.testing.assert_allclose(F.at_x(x), np.cos(x) * tg.times, rtol=0, atol=1e-10)
 
     def test_separable_quadrature(self):
-        xg, tg = self._grids()
-        v = PotentialSpec.separable(lambda x: x, np.sin, da=lambda x: np.ones_like(x))
-        F = interaction_momentum(v, 0.0, xg, tg)
-        expected = np.broadcast_to(1.0 - np.cos(tg.times), (xg.n, tg.n))
-        np.testing.assert_allclose(np.real(F.field.values), expected, atol=1e-5)
+        """V = x^2 sin t gives F = 2x (1 - cos t), matched to the trapezoid's O(dt^2):
+        the error is within 2x T dt^2 / 12 and falls 4-fold per halving of dt."""
+        v = PotentialSpec.separable(lambda x: x**2, np.sin, da=lambda x: 2 * x)
+        xg = TimeGrid(0.0, 2.0, 64)
+        for x in (0.5, 0.37, xg.times[-1]):
+            errs = []
+            for n in (256, 512):
+                tg = TimeGrid(0.0, 2 * np.pi, n)
+                err = np.max(np.abs(interaction_momentum(v, 0.0, xg, tg).at_x(x) - 2 * x * (1.0 - np.cos(tg.times))))
+                assert err <= 2 * x * 2 * np.pi * tg.dt**2 / 12
+                errs.append(err)
+            assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_at_x_interpolates(self):
         xg, tg = self._grids()
@@ -140,27 +158,51 @@ class TestInteractionMomentum:
         row = F.at_x(0.5)
         np.testing.assert_allclose(row, 2 * 0.5 * (1.0 - np.cos(tg.times)), atol=1e-4)
 
-    def test_at_x_equals_fresh_spline(self):
-        """The cached spline's rows equal a fresh numerics.cubic_spline bit for bit,
-        and scipy's CubicSpline to roundoff: 1e-13 of max |F|."""
-        from scipy.interpolate import CubicSpline
-
+    @pytest.mark.parametrize("anchor", [0, 300, -1])
+    def test_row_is_the_integral_written_out(self, anchor):
+        """At node stations and off them, the row is the running trapezoid of d_x V at
+        the station, written out here, bit for bit."""
         xg, tg = self._grids()
-        v = PotentialSpec.separable(lambda x: np.sin(3 * x), np.cos, da=lambda x: 3 * np.cos(3 * x))
-        F = interaction_momentum(v, 0.0, xg, tg)
-        xs, values = xg.times, np.real(F.field.values)
-        bound = 1e-13 * np.max(np.abs(values))
-        for x in (xs[0], 0.37, xs[31], 1.5, xs[-1]):
-            row = F.at_x(x)
-            assert np.array_equal(row, cubic_spline(xs, values)(x))
-            np.testing.assert_allclose(row, CubicSpline(xs, values, axis=0)(x), rtol=0, atol=bound)
+        v = self._packet_potential()
+        t0 = tg.times[anchor]
+        F = interaction_momentum(v, t0, xg, tg)
+        for x in (xg.times[0], 0.37, xg.times[31], 1.2345, xg.times[-1]):
+            expected = _trapezoid_from(v.dv_dx(x, tg.times)[0], tg.times, anchor % tg.n)
+            assert np.array_equal(F.at_x(x), expected)
+
+    @pytest.mark.parametrize("anchor", [0, 300])
+    def test_node_rows_are_the_tensor_construction(self, anchor):
+        """At every x_grid sample the row is that row of F built on the whole
+        (n_x, n_t) tensor grid, bit for bit."""
+        xg, tg = self._grids()
+        v = self._packet_potential()
+        t0 = tg.times[anchor]
+        tensor = cumulative_integral(v.dv_dx(xg.times, tg.times), tg, t0, axis=1)
+        F = interaction_momentum(v, t0, xg, tg)
+        for k, x in enumerate(xg.times):
+            assert np.array_equal(F.at_x(x), tensor[k])
+
+    def test_anchor_off_the_grid_raises_before_any_step(self, monkeypatch):
+        xg, tg = TimeGrid(0.0, 1.0, 16), TimeGrid(-10.0, 10.0, 128)
+        F = interaction_momentum(self._packet_potential(), tg.t_min + 0.5 * tg.dt, xg, tg)
+        with pytest.raises(GridError, match="not a grid point"):
+            F.at_x(0.0)
+        steps = []
+        monkeypatch.setattr(interaction, "spectral_multiply", lambda *a: steps.append(a))
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, tg)
+        with pytest.raises(GridError, match="not a grid point"):
+            evolve_interacting(phi0, F, 0.0, 0.5, 8)
+        assert steps == []
 
     def test_at_x_out_of_range(self):
+        """Stations past the x samples raise; an overshoot by roundoff does not."""
         xg, tg = self._grids()
         F = interaction_momentum(PotentialSpec.zero(), 0.0, xg, tg)
         for x in (10.0, xg.times[-1] + 1e-6, xg.times[0] - 1e-6):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="outside the sampled range"):
                 F.at_x(x)
+        for x in (xg.times[-1] + 1e-12, xg.times[0] - 1e-12):
+            assert np.array_equal(F.at_x(x), np.zeros(tg.n))
 
     @pytest.mark.parametrize("n_steps", [100, 1000])
     def test_evolve_to_last_sample(self, n_steps):
@@ -168,7 +210,8 @@ class TestInteractionMomentum:
         xg, tg = TimeGrid(0.0, 1.0, 64), TimeGrid(-10.0, 10.0, 256)
         v = PotentialSpec.separable(np.sin, np.cos, da=np.cos)
         F = interaction_momentum(v, tg.t_min, xg, tg)
-        assert np.array_equal(F.at_x(xg.times[-1] + 1e-15), F.at_x(xg.times[-1]))
+        last = F.at_x(xg.times[-1])
+        np.testing.assert_allclose(F.at_x(xg.times[-1] + 1e-15), last, rtol=0, atol=1e-14 * np.max(np.abs(last)))
         phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, tg)
         out = evolve_interacting(phi0, F, 0.0, xg.times[-1], n_steps)
         assert out.norm() == pytest.approx(phi0.norm(), rel=1e-12)
@@ -273,13 +316,14 @@ class TestEvolveInteracting:
     def test_complex_sampled_momentum_rejected(self):
         phi0 = self._phi0(TimeGrid(-20.0, 20.0, 64))
         xg = TimeGrid(0.0, 1.0, 32)
-        real = np.outer(xg.times, np.sin(phi0.grid.times))
-        F = InteractionMomentum(Field2D(xg, phi0.grid, real + 1e-3j * real))
+        v = PotentialSpec.space_time(lambda x, t: (1.0 + 1e-3j) * x * np.sin(t))
         with pytest.raises(ValueError, match="complex interaction momentum"):
-            evolve_interacting(phi0, F, 0.0, 0.5, 8)
+            evolve_interacting(phi0, interaction_momentum(v, phi0.grid.t_min, xg, phi0.grid), 0.0, 0.5, 8)
         # a complex dtype with no imaginary part is the real F
-        F = InteractionMomentum(Field2D(xg, phi0.grid, real + 0j))
-        F_real = InteractionMomentum(Field2D(xg, phi0.grid, real))
+        F, F_real = (
+            interaction_momentum(PotentialSpec.separable(np.sin, b, np.cos), phi0.grid.t_min, xg, phi0.grid)
+            for b in (lambda t: np.sin(t) + 0j, np.sin)
+        )
         assert np.array_equal(
             evolve_interacting(phi0, F, 0.0, 0.5, 8).values,
             evolve_interacting(phi0, F_real, 0.0, 0.5, 8).values,
