@@ -23,7 +23,6 @@ integrated with Q = -q to realize {sigma, x} = -2q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +30,12 @@ from .constants import PhysicalConstants, NATURAL
 from .numerics import (
     FundamentalPair,
     TimeGrid,
-    cubic_spline,
+    cubic_hermite,
     cumulative_integral,
     deriv_uniform,
     integrate_fundamental_pair,
     interior,
-    schwarzian,
+    slope_and_schwarzian,
 )
 from .potentials import PotentialSpec
 
@@ -56,6 +55,7 @@ class DualityMap:
     x: np.ndarray
     sigma: np.ndarray
     tau: np.ndarray
+    tau_prime: np.ndarray
     q: np.ndarray
     delta_t: np.ndarray
     delta: np.ndarray
@@ -66,15 +66,11 @@ class DualityMap:
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    @cached_property
-    def _tau_spline(self):
-        """Cubic interpolant of tau(x), built once per map."""
-        return cubic_spline(self.x, self.tau)
-
     def tau_at(self, x: float) -> float:
+        """tau(x) from the cubic Hermite of tau and tau' on the piece of x; tau's bits at a node."""
         if not (self.x[0] <= x <= self.x[-1]):
             raise ValueError(f"x = {x} outside the map's interval [{self.x[0]}, {self.x[-1]}]")
-        return float(self._tau_spline(x))
+        return float(cubic_hermite(self.x, self.tau, self.tau_prime)(x))
 
 
 def forward_delta(
@@ -123,7 +119,11 @@ def inverse_tau(
     constants: PhysicalConstants = NATURAL,
     n: int = 2048,
 ) -> DualityMap:
-    """Construct the duality map for a static target potential."""
+    """Construct the duality map for a static target potential.
+
+    The pair gives tau' = (hbar/E0)(y1' y2 - y1 y2')/(y1^2 + y2^2) at every node, and
+    delta on a uniform t grid over tau's range is the cubic Hermite of x against
+    tau with slopes 1/tau'."""
     if E0 == 0:
         raise ValueError("E0 must be nonzero for the inverse construction")
     hbar, m = constants.hbar, constants.m
@@ -137,10 +137,10 @@ def inverse_tau(
     finite = np.isfinite(pair.y1) & np.isfinite(pair.y2)
     if not np.all(finite):
         raise BranchError(f"fundamental pair overflows from x = {pair.x[np.argmin(finite)]:.6g}: unresolved at n = {n}")
-    xs = pair.x[2:-2]  # 2 samples off each end; y2(x_lo) = 0 by the canonical data
+    xs, y1, y2 = pair.x[2:-2], pair.y1[2:-2], pair.y2[2:-2]  # 2 samples off each end; y2(x_lo) = 0
     if len(xs) < 16:
         raise BranchError(f"too few samples for the map: {len(xs)} after the end trim, need 16")
-    sigma = pair.y1[2:-2] / pair.y2[2:-2]
+    sigma = y1 / y2
     # unwrap adds an exact 0 where no branch jump occurs
     tau = (hbar / E0) * np.unwrap(np.arctan(sigma), period=np.pi)
     dtau = np.diff(tau)
@@ -150,11 +150,11 @@ def inverse_tau(
         drift_text = f"{drift:.1e}" if np.isfinite(drift) else "beyond the float range"
         raise BranchError(f"tau is not strictly monotone: pair unresolved, Wronskian drift {drift_text}")
 
-    # invert tau on a uniform t grid spanning its range; tau is strictly monotone
+    # invert tau on a uniform t grid spanning its range, in the order tau runs, with slopes 1/tau'
+    tau_prime = (hbar / E0) * (pair.y1_prime[2:-2] * y2 - y1 * pair.y2_prime[2:-2]) / (y1**2 + y2**2)
     order = slice(None) if dtau[0] > 0 else slice(None, None, -1)
-    inv = cubic_spline(tau[order], xs[order])
     delta_t = np.linspace(tau.min(), tau.max(), len(xs))
-    delta = inv(delta_t)
+    delta = cubic_hermite(tau[order], xs[order], 1 / tau_prime[order])(delta_t)
 
     return DualityMap(
         E0=E0,
@@ -162,6 +162,7 @@ def inverse_tau(
         x=xs,
         sigma=sigma,
         tau=tau,
+        tau_prime=tau_prime,
         q=q_fn(xs),
         delta_t=delta_t,
         delta=delta,
@@ -175,16 +176,10 @@ def _stride(target_step: float, step: float, n: int, min_samples: int) -> int:
     return max(1, min(int(round(target_step / step)), n // min_samples))
 
 
-def _slope_and_schwarzian(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(f', {f, x}) of samples f at spacing h, from three stencils: f' is taken once."""
-    f1 = deriv_uniform(f, h, 1)
-    return f1, schwarzian(f1, deriv_uniform(f, h, 2), deriv_uniform(f, h, 3))
-
-
 def _tau_stencils(dmap: DualityMap, target_step: float, min_samples: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(stride, tau', {tau, x}) on tau strided to near target_step (3rd-difference roundoff ~ eps/h^3)."""
     stride = _stride(target_step, dmap.dx, len(dmap.tau), min_samples)
-    return (stride, *_slope_and_schwarzian(dmap.tau[::stride], dmap.dx * stride))
+    return (stride, *slope_and_schwarzian(dmap.tau[::stride], dmap.dx * stride))
 
 
 def schwarzian_residual(dmap: DualityMap) -> float:
@@ -238,17 +233,17 @@ def _identity_residual(dmap: DualityMap, target_step: float) -> float:
     dt = float(dmap.delta_t[1] - dmap.delta_t[0])
     st = _stride(target_step, dt, len(dmap.delta), 2 * margin + 32)
     delta = dmap.delta[::st]
-    ddot, S_delta = _slope_and_schwarzian(delta, dt * st)
+    ddot, S_delta = slope_and_schwarzian(delta, dt * st)
     S_delta = S_delta / ddot**2
 
     sx, _, S_tau = _tau_stencils(dmap, target_step, 2 * margin + 32)
-    # pull -{tau,x} to the t grid: x = delta(t)
+    # pull -{tau,x} to the t grid, x = delta(t); its slopes are central stencils before the trim
     xs = interior(dmap.x[::sx], margin)
-    spl = cubic_spline(xs, -interior(S_tau, margin))
+    slope = interior(deriv_uniform(S_tau, dmap.dx * sx), margin)
+    pull = cubic_hermite(xs, -interior(S_tau, margin), -slope)
     ok = np.abs(ddot) <= 3.0 * np.min(np.abs(ddot))
-    ok[:margin] = False
-    ok[len(ok) - margin :] = False
+    ok[:margin] = ok[len(ok) - margin :] = False
     ok &= (delta >= xs[0]) & (delta <= xs[-1])
     if not np.any(ok):
         raise ValueError("no well-conditioned samples for the identity check")
-    return float(np.max(np.abs(S_delta[ok] - spl(delta[ok]))))
+    return float(np.max(np.abs(S_delta[ok] - pull(delta[ok]))))

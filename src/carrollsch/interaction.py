@@ -30,7 +30,7 @@ import numpy as np
 from .constants import PhysicalConstants, NATURAL
 from .numerics import (
     TimeGrid, cumulative_integral, kinetic_multiplier, real_samples, spectral_multiply, unit_phase,
-    cubic_spline as CubicSpline,  # unused in the package: only perfbench/tracer.py reads it
+    cubic_hermite as CubicSpline,  # unused in the package: only perfbench/tracer.py reads it
 )
 from .operators import Field2D
 from .potentials import PotentialSpec
@@ -56,24 +56,32 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class InteractionMomentum:
-    """F(x,t) = int_{t0}^{t} d_x V(x,tau) dtau, one row per station x on t_grid."""
+    """F(x,t) = int_{t0}^{t} d_x V(x,tau) dtau, one row per station x on t_grid,
+    taken as stations are read; `interaction_momentum` names this class too.
+
+    The running trapezoid of `cumulative_integral` makes F 2nd order in dt.
+    An anchor t0 off t_grid raises GridError at the first row read.
+    """
 
     v: PotentialSpec
     t0: float
     x_grid: TimeGrid
     t_grid: TimeGrid
 
-    def at_x(self, x: float) -> np.ndarray:
-        """Row of F at station x, exact there: the running trapezoid of d_x V(x, .).
-
-        An x past the x_grid samples by roundoff only, as a station summed up
-        step by step can be, is accepted.
-        """
+    def _check_station(self, x: float) -> None:
+        """Raise unless x is in x_grid's range or past it by the roundoff of a summed station."""
         xg = self.x_grid.times
         slack = 1e-9 * (xg[-1] - xg[0])
         if not (xg[0] - slack <= x <= xg[-1] + slack):
             raise ValueError(f"x = {x} outside the sampled range")
+
+    def at_x(self, x: float) -> np.ndarray:
+        """Row of F at station x, exact there: the running trapezoid of d_x V(x, .)."""
+        self._check_station(x)
         return cumulative_integral(self.v.dv_dx(x, self.t_grid.times)[0], self.t_grid, self.t0)
+
+
+interaction_momentum = InteractionMomentum
 
 
 def quantized_modes(
@@ -105,20 +113,6 @@ def quantized_modes(
         for n in range(1, n_max + 1)
     ]
     return SpectrumResult(T=float(T), levels=levels, modes=modes)
-
-
-def interaction_momentum(
-    v: PotentialSpec,
-    t0: float,
-    x_grid: TimeGrid,
-    t_grid: TimeGrid,
-) -> InteractionMomentum:
-    """F(x,t) = int_{t0}^{t} d_x V(x,tau) dtau, taken row by row as stations are read.
-
-    The running trapezoid of `cumulative_integral` makes F 2nd order in dt.
-    An anchor t0 off t_grid raises GridError at the first row read.
-    """
-    return InteractionMomentum(v, t0, x_grid, t_grid)
 
 
 def gauge_reduce(
@@ -197,12 +191,16 @@ def evolve_interacting(
     Kinetic half of the stencil is the exact spectral multiplier; the
     potential phase exp(-i F dx / hbar) is applied in half steps at the cell
     edges.  Unitary for real F; second order in the step size.  An
-    InteractionMomentum must be sampled on phi0's own t grid, else ValueError.
+    InteractionMomentum must be sampled on phi0's own t grid and cover x0 and
+    x_end, else ValueError before the first step.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if isinstance(F, InteractionMomentum) and F.t_grid != phi0.grid:
-        raise ValueError(f"F is sampled on {F.t_grid}, phi0 on {phi0.grid}")
+    if isinstance(F, InteractionMomentum):
+        if F.t_grid != phi0.grid:
+            raise ValueError(f"F is sampled on {F.t_grid}, phi0 on {phi0.grid}")
+        F._check_station(x0)
+        F._check_station(x_end)
     t = phi0.grid.times
     h = (x_end - x0) / n_steps
 

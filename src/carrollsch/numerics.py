@@ -6,15 +6,15 @@ m fft(samples), the inverse transform, which a chain of free x-steps takes
 only where its samples are read, and the spectral multiplier that composes
 the two, so every FFT of the package is taken here; the kinetic multiplier
 exp(-i beta h w^2), built once per (grid, beta, h) and returned read-only,
-with one entry kept; the not-a-knot cubic spline; the unit phase
-exp(i theta), cos and sin in one complex buffer; the RK4 stage abscissae and
-the checked up-front sample of a coefficient on them, whose first bad value
-is reported in stepping order;
+with one entry kept; the package's one interpolant, the cubic Hermite of
+values and slopes; the unit phase exp(i theta), cos and sin in one complex
+buffer; the RK4 stage abscissae and the checked up-front sample of a
+coefficient on them, whose first bad value is reported in stepping order;
 the one scalar RK4 loop, for a' = -b/d, b' = slope(c, a), and its array twin
 for a slope that reads no state, as two running sums; the fundamental pair
 of y'' + q y = 0, two chains of that loop; finite-difference stencils along
-any axis, the Schwarzian from the first three derivatives and of sampled
-functions, the anchored cumulative integral and the interior slice.
+any axis, the slope and Schwarzian of sampled functions, the anchored
+cumulative integral and the interior slice.
 Everything here is a pure function of its inputs (the one cache returns an
 array equal to a fresh build), and this module, like the package, loads
 numpy only.
@@ -130,101 +130,38 @@ def unit_phase(theta: np.ndarray) -> np.ndarray:
     return z
 
 
-def cubic_spline(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The not-a-knot cubic spline of y at x along axis 0, as a callable.
+def cubic_hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The cubic Hermite interpolant of values y and slopes dydx at x, as a callable.
 
-    The slopes solve scipy's CubicSpline system, with the same not-a-knot end
-    rows, by cyclic reduction; the trailing axes of y ride along as columns
-    of one solve.  The pieces take scipy's cubic Hermite coefficients, and a
-    call finds each piece with np.searchsorted and sums it by Horner's rule:
-    it returns shape xv.shape + y.shape[1:], and past the ends the end pieces
-    extrapolate.  Fewer than 4 samples, an x that is not finite and strictly
-    increasing, a y of another length or a non-finite y raise ValueError.
+    Each piece is the cubic of its two nodes' values and slopes: local, with no
+    linear system.  A call finds the pieces with np.searchsorted (the end ones
+    past the ends) and sums each as the nearer node's value plus a correction
+    in s = (xv - x_i)/(x_{i+1} - x_i), so s = 0 or 1 gives the node value bit
+    for bit.  An x that is not 1-D, finite and strictly increasing with 2 or
+    more samples, or a y or dydx not finite and of x's shape, raise ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    y = y.astype(np.result_type(y.dtype, float), copy=False)
-    if x.ndim != 1 or len(x) < 4:
-        raise ValueError(f"need a 1-D x of at least 4 samples, got shape {x.shape}")
-    if y.shape[:1] != x.shape:
-        raise ValueError(f"y has {y.shape[:1]} samples along axis 0, x has {x.shape}")
+    x, y, d = np.asarray(x, dtype=float), np.asarray(y), np.asarray(dydx)
+    if x.ndim != 1 or len(x) < 2:
+        raise ValueError(f"need a 1-D x of at least 2 samples, got shape {x.shape}")
+    if y.shape != x.shape or d.shape != x.shape:
+        raise ValueError(f"y and dydx must have the shape of x {x.shape}, got {y.shape} and {d.shape}")
     dx = np.diff(x)
     if not (np.all(np.isfinite(x)) and np.all(dx > 0)):
         raise ValueError("x must be finite and strictly increasing")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y contains non-finite entries")
-    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / dxr
-    # the slope system: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = r[i] inside,
-    # and the not-a-knot end rows dx[1] s[0] + d0 s[1] = r[0], d1 s[-2] + dx[-2] s[-1] = r[-1]
-    r = np.empty_like(y)
-    r[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    r[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
-    r[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-    # the end rows subtracted from their neighbours leave a diagonally dominant system in s[1:-1]
-    lo, di, up = dxr[1:].copy(), 2 * (dxr[:-1] + dxr[1:]), dxr[:-1].copy()
-    lo[0], up[-1] = 0.0, 0.0
-    di[0] -= d0
-    di[-1] -= d1
-    rhs = r[1:-1]
-    rhs[0] -= r[0]
-    rhs[-1] -= r[-1]
-    s = np.empty_like(y)
-    s[1:-1] = _cyclic_reduction(lo, di, up, rhs)
-    s[0] = (r[0] - d0 * s[1]) / dxr[1]
-    s[-1] = (r[-1] - d1 * s[-2]) / dxr[-2]
-    # scipy's Hermite coefficients, highest power first: t / dx, (slope - s) / dx - t, s, y
-    # with t = (s[:-1] + s[1:] - 2 slope) / dx, built in one array
-    c = np.empty((4,) + slope.shape, dtype=y.dtype)
-    t = np.add(s[:-1], s[1:], out=c[0])
-    t -= 2 * slope
-    t /= dxr
-    np.subtract(slope, s[:-1], out=c[1])
-    c[1] /= dxr
-    c[1] -= t
-    t /= dxr
-    c[2] = s[:-1]
-    c[3] = y[:-1]
-    columns = (1,) * (y.ndim - 1)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(d))):
+        raise ValueError("y or dydx contains non-finite entries")
 
-    def spline(xv: np.ndarray) -> np.ndarray:
+    def hermite(xv: np.ndarray) -> np.ndarray:
         xv = np.asarray(xv, dtype=float)
         i = np.searchsorted(x[1:-1], xv, side="right")  # the piece of xv, end pieces past the ends
-        h = (xv - x[i]).reshape(xv.shape + columns)
-        c3, c2, c1, c0 = c.take(i, axis=1)
-        return ((c3 * h + c2) * h + c1) * h + c0
+        h = dx[i]
+        s = (xv - x[i]) / h
+        r = 1 - s
+        dy = y[i + 1] - y[i]
+        bend = s * r * ((h * d[i] - dy) * r - (h * d[i + 1] - dy) * s)  # the cubic less the chord
+        return np.where(s < 0.5, y[i] + (s * dy + bend), y[i + 1] - (r * dy - bend))
 
-    return spline
-
-
-def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """s with lo[i] s[i-1] + di[i] s[i] + up[i] s[i+1] = d[i] (lo[0] = up[-1] = 0).
-
-    The coefficients broadcast against d, whose trailing axes are columns of
-    one solve.  Each level folds the even rows into the odd ones, recurses on
-    those, and recovers the even rows from them: log2 n levels of array
-    passes, stable for a diagonally dominant system.
-    """
-    if len(di) == 1:
-        return d / di
-    k = (len(di) - 1) // 2  # odd rows with an even row below them
-    k1 = lo[1::2] / di[:-1:2]
-    k2 = up[1::2][:k] / di[2::2]
-    lo2, di2, up2 = -k1 * lo[:-1:2], di[1::2] - k1 * up[:-1:2], np.zeros_like(k1)
-    di2[:k] -= k2 * lo[2::2]
-    up2[:k] = -k2 * up[2::2]
-    d2 = d[1::2] - k1 * d[:-1:2]
-    d2[:k] -= k2 * d[2::2]
-    s_odd = _cyclic_reduction(lo2, di2, up2, d2)
-    s = np.empty_like(d)
-    s[1::2] = s_odd
-    even = s[::2]
-    even[...] = d[::2]
-    even[1:] -= lo[2::2] * s_odd[: len(even) - 1]
-    even[: len(s_odd)] -= up[:-1:2] * s_odd
-    even /= di[::2]
-    return s
+    return hermite
 
 
 @dataclass(frozen=True)
@@ -394,14 +331,16 @@ def deriv_uniform(values: np.ndarray, dx: float, order: int = 1, axis: int = 0) 
     return out.swapaxes(0, axis)
 
 
+def slope_and_schwarzian(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f1, {f, x}) of samples f at spacing dx, from the stencils f1, f2, f3 of
+    orders 1, 2, 3 as {f, x} = f3/f1 - 1.5 (f2/f1)^2; trustworthy on interior points only."""
+    f1, f2, f3 = (deriv_uniform(values, dx, k) for k in (1, 2, 3))
+    return f1, f3 / f1 - 1.5 * (f2 / f1) ** 2
+
+
 def schwarzian_samples(values: np.ndarray, dx: float) -> np.ndarray:
     """Schwarzian of a sampled function; trustworthy on interior points only."""
-    return schwarzian(*(deriv_uniform(values, dx, k) for k in (1, 2, 3)))
-
-
-def schwarzian(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
-    """The Schwarzian f3/f1 - 1.5 (f2/f1)^2 from the first three derivatives f1, f2, f3."""
-    return f3 / f1 - 1.5 * (f2 / f1) ** 2
+    return slope_and_schwarzian(values, dx)[1]
 
 
 def cumulative_integral(

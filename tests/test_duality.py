@@ -19,7 +19,7 @@ from carrollsch import (
     vsch_from_vcar,
 )
 from carrollsch import cli, duality, numerics
-from carrollsch.numerics import cubic_spline, deriv_uniform, schwarzian_samples
+from carrollsch.numerics import cubic_hermite, deriv_uniform, schwarzian_samples
 
 TARGETS = [
     ("free", PotentialSpec.zero(), 0.0, (0.0, 2.0), 1e-6),
@@ -99,19 +99,31 @@ class TestInverseTau:
         delta = CubicSpline(dmap.delta_t, dmap.delta)
         assert float(delta(dmap.tau_at(mid))) == pytest.approx(mid, abs=1e-8)
 
-    def test_tau_at_builds_one_spline(self, monkeypatch):
-        dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 2.0))
-        builds = []
+    @pytest.mark.parametrize("E0, consts", SCALES)
+    @pytest.mark.parametrize("n, bound", [(512, 4e-12), (2048, 2e-14), (8192, 2e-15)])
+    def test_free_delta_is_the_cotangent(self, n, bound, E0, consts):
+        # tau = (hbar/E0) arctan(1/x) inverts to delta(t) = cot(E0 t / hbar); the
+        # error (3.6e-12, 1.4e-14) falls 256-fold per 4-fold n until it meets
+        # roundoff (9e-16) at n = 8192
+        dmap = inverse_tau(PotentialSpec.zero(), 0.0, E0, (0.0, 2.0), consts, n=n)
+        assert np.max(np.abs(dmap.delta - 1 / np.tan(E0 * dmap.delta_t / consts.hbar))) <= bound
 
-        def counting(x, y):
-            builds.append(len(x))
-            return cubic_spline(x, y)
+    @pytest.mark.parametrize("E0, consts", SCALES)
+    def test_tau_prime_is_the_slope_of_the_free_angle(self, E0, consts):
+        # tau = (hbar/E0) arctan(1/x), so tau' = -(hbar/E0) / (1 + x^2)
+        dmap = inverse_tau(PotentialSpec.zero(), 0.0, E0, (0.0, 2.0), consts)
+        want = -(consts.hbar / E0) / (1 + dmap.x**2)
+        np.testing.assert_allclose(dmap.tau_prime, want, rtol=1e-13, atol=0)
 
-        monkeypatch.setattr(duality, "cubic_spline", counting)
-        first, second = dmap.tau_at(1.0), dmap.tau_at(0.5)
-        assert builds == [len(dmap.x)]
-        assert first == float(cubic_spline(dmap.x, dmap.tau)(1.0))
-        assert second == float(cubic_spline(dmap.x, dmap.tau)(0.5))
+    @pytest.mark.parametrize("target", ["free", "harmonic", "coulomb-like"])
+    def test_tau_at_is_tau_at_the_nodes_and_a_cubic_between(self, target):
+        from scipy.interpolate import CubicSpline
+
+        dmap = _cli_map(target=target)
+        assert all(dmap.tau_at(x) == t for x, t in zip(dmap.x, dmap.tau))
+        mid = 0.5 * (dmap.x[:-1] + dmap.x[1:])
+        got = np.array([dmap.tau_at(x) for x in mid[::8]])
+        np.testing.assert_allclose(got, CubicSpline(dmap.x, dmap.tau)(mid[::8]), rtol=0, atol=1e-12)
 
     def test_tau_outside_interval_rejected(self):
         dmap = inverse_tau(PotentialSpec.zero(), 0.0, 1.0, (0.0, 2.0))
@@ -199,18 +211,22 @@ class TestResiduals:
         [
             (schwarzian_residual, {"tau": 3}),
             (lambda d: roundtrip_residual(d, PotentialSpec.space_profile(lambda x: 0.5 * x**2)), {"tau": 3}),
-            (lambda d: duality._identity_residual(d, 0.01), {"tau": 3, "delta": 3}),
+            (lambda d: duality._identity_residual(d, 0.01), {"tau": 3, "delta": 3, "{tau,x}": 1}),
         ],
         ids=["schwarzian", "roundtrip", "identity"],
     )
     def test_three_stencils_per_differentiated_function(self, monkeypatch, residual, per_call):
         # f' is taken once and shared by the slope and the Schwarzian, so each
-        # function a residual differentiates costs orders 1, 2 and 3 once each
+        # function a residual differentiates costs orders 1, 2 and 3 once each;
+        # the identity's pull-back adds the slope of {tau,x}
         dmap = _cli_map(target="harmonic")
-        calls = {"tau": 0, "delta": 0}
+        calls = {"tau": 0, "delta": 0, "{tau,x}": 0}
 
         def counted(values, *args, **kwargs):
-            calls["tau" if np.shares_memory(values, dmap.tau) else "delta"] += 1
+            if np.shares_memory(values, dmap.tau):
+                calls["tau"] += 1
+            else:
+                calls["delta" if np.shares_memory(values, dmap.delta) else "{tau,x}"] += 1
             return deriv_uniform(values, *args, **kwargs)
 
         monkeypatch.setattr(duality, "deriv_uniform", counted)
@@ -242,11 +258,13 @@ class TestWholeInterval:
         xs = pair.x[2:-2]
         sigma = pair.y1[2:-2] / pair.y2[2:-2]
         tau = (hbar / E0) * np.arctan(sigma)
+        y1, y2, y1p, y2p = (a[2:-2] for a in (pair.y1, pair.y2, pair.y1_prime, pair.y2_prime))
+        tau_prime = (hbar / E0) * (y1p * y2 - y1 * y2p) / (y1**2 + y2**2)
         order = np.argsort(tau)
         delta_t = np.linspace(tau.min(), tau.max(), len(xs))
-        delta = cubic_spline(tau[order], xs[order])(delta_t)
+        delta = cubic_hermite(tau[order], xs[order], 1 / tau_prime[order])(delta_t)
         assert np.array_equal(dmap.x, xs) and np.array_equal(dmap.sigma, sigma)
-        assert np.array_equal(dmap.tau, tau)
+        assert np.array_equal(dmap.tau, tau) and np.array_equal(dmap.tau_prime, tau_prime)
         assert np.array_equal(dmap.delta_t, delta_t) and np.array_equal(dmap.delta, delta)
 
     @pytest.mark.parametrize(

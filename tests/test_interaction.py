@@ -194,6 +194,28 @@ class TestInteractionMomentum:
             evolve_interacting(phi0, F, 0.0, 0.5, 8)
         assert steps == []
 
+    @pytest.mark.parametrize("x0, x_end, bad", [(0.0, 2.0, 2.0), (-0.5, 0.5, -0.5)])
+    def test_stations_past_the_range_raise_before_any_step(self, monkeypatch, x0, x_end, bad):
+        # x_grid's samples run from 0 to 0.9375: x0 and x_end are checked before
+        # the first step, not station by station after 31 of 64 steps
+        xg, tg = TimeGrid(0.0, 1.0, 16), TimeGrid(-10.0, 10.0, 128)
+        F = interaction_momentum(self._packet_potential(), tg.t_min, xg, tg)
+        steps = []
+        monkeypatch.setattr(interaction, "spectral_multiply", lambda *a: steps.append(a))
+        phi0 = gaussian_exact(GaussianParams(sigma=1.0), 0.0, tg)
+        with pytest.raises(ValueError, match=re.escape(f"x = {bad} outside the sampled range")):
+            evolve_interacting(phi0, F, x0, x_end, 64)
+        assert steps == []
+
+    def test_one_row_read_per_station(self, monkeypatch):
+        xg, tg = TimeGrid(0.0, 1.0, 16), TimeGrid(-10.0, 10.0, 128)
+        F = interaction_momentum(self._packet_potential(), tg.t_min, xg, tg)
+        stations = []
+        at_x = InteractionMomentum.at_x
+        monkeypatch.setattr(InteractionMomentum, "at_x", lambda self, x: stations.append(x) or at_x(self, x))
+        evolve_interacting(gaussian_exact(GaussianParams(sigma=1.0), 0.0, tg), F, 0.0, 0.9, 8)
+        assert len(stations) == 9
+
     def test_at_x_out_of_range(self):
         """Stations past the x samples raise; an overshoot by roundoff does not."""
         xg, tg = self._grids()

@@ -9,7 +9,7 @@ from carrollsch import PhysicalConstants, PotentialSpec, trace_ray
 from carrollsch.numerics import (
     GridError,
     TimeGrid,
-    cubic_spline,
+    cubic_hermite,
     cumulative_integral,
     deriv_uniform,
     integrate_fundamental_pair,
@@ -18,8 +18,8 @@ from carrollsch.numerics import (
     kinetic_multiplier,
     rk4,
     rk4_sums,
-    schwarzian,
     schwarzian_samples,
+    slope_and_schwarzian,
     spectral_multiply,
     spectral_product,
     unit_phase,
@@ -121,8 +121,9 @@ class TestSchwarzian:
         h = x[1] - x[0]
         f = np.arctan(1.0 / x)
         f1, f2, f3 = (deriv_uniform(f, h, k) for k in (1, 2, 3))
-        assert np.array_equal(schwarzian(f1, f2, f3), f3 / f1 - 1.5 * (f2 / f1) ** 2)
-        assert np.array_equal(schwarzian_samples(f, h), schwarzian(f1, f2, f3))
+        slope, s = slope_and_schwarzian(f, h)
+        assert np.array_equal(slope, f1) and np.array_equal(s, f3 / f1 - 1.5 * (f2 / f1) ** 2)
+        assert np.array_equal(schwarzian_samples(f, h), s)
 
 
 class TestFundamentalPair:
@@ -429,61 +430,52 @@ def _abscissae(rng, n):
     return -3.0 + np.cumsum(rng.uniform(0.1, 1.0, n))
 
 
-class TestCubicSpline:
-    @pytest.mark.parametrize("n", [4, 5, 17, 256])
+class TestCubicHermite:
+    @pytest.mark.parametrize("n", [2, 3, 17, 256])
     def test_reproduces_cubics(self, n):
-        """Not-a-knot: a cubic through the samples is its own spline, on and past the ends."""
+        """Given a cubic's values and exact slopes, every piece is that cubic, on and past the ends."""
         rng = np.random.default_rng(n)
         x = _abscissae(rng, n)
-        cubics = [np.polynomial.Polynomial(rng.normal(size=4)) for _ in range(3)]
-        xv = np.concatenate((rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200), x))
-        want = np.stack([p(xv) for p in cubics], axis=-1)
-        bound = 1e-12 * np.max(np.abs(want))
-        y = np.stack([p(x) for p in cubics], axis=-1)
-        np.testing.assert_allclose(cubic_spline(x, y)(xv), want, rtol=0, atol=bound)
-        np.testing.assert_allclose(cubic_spline(x, y[:, 1])(xv), want[:, 1], rtol=0, atol=bound)
+        for p in (np.polynomial.Polynomial(rng.normal(size=4)) for _ in range(3)):
+            xv = np.concatenate((rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200), x))
+            want = p(xv)
+            got = cubic_hermite(x, p(x), p.deriv()(x))(xv)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("n, columns", [(4, ()), (64, ()), (2048, ()), (8189, ()), (64, (1024,))])
-    def test_agrees_with_scipy(self, n, columns):
-        """Within 1e-13 of max |scipy| on random abscissae, at the knots, between and just past them."""
-        from scipy.interpolate import CubicSpline
-
-        rng = np.random.default_rng(n + len(columns))
+    @pytest.mark.parametrize("n", [2, 5, 64, 2048])
+    def test_node_values_are_bit_exact(self, n):
+        """At every node s is 0 or 1, so the basis sum is the node value itself."""
+        rng = np.random.default_rng(n)
         x = _abscissae(rng, n)
-        y = rng.normal(size=(n, *columns))
-        xv = np.concatenate((x, rng.uniform(x[0] - 0.05, x[-1] + 0.05, 1000)))
-        want = CubicSpline(x, y)(xv)
-        got = cubic_spline(x, y)(xv)
-        assert got.shape == want.shape == (len(xv), *columns)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        y, d = rng.normal(size=n), 1e3 * rng.normal(size=n)
+        hermite = cubic_hermite(x, y, d)
+        assert np.array_equal(hermite(x), y)
+        assert all(hermite(xk) == yk for xk, yk in zip(x, y))
 
     def test_output_shape(self):
         x = np.arange(6.0)
-        y = np.arange(18.0).reshape(6, 3)
-        spline = cubic_spline(x, y)
-        assert spline(2.5).shape == (3,)
-        assert spline(np.ones((4, 2))).shape == (4, 2, 3)
-        assert isinstance(float(cubic_spline(x, y[:, 0])(2.5)), float)
-        np.testing.assert_allclose(spline(x), y, rtol=0, atol=1e-13)
+        hermite = cubic_hermite(x, x**2, 2 * x)
+        assert hermite(np.ones((4, 2))).shape == (4, 2)
+        assert hermite(2.5) == 6.25 and isinstance(float(hermite(2.5)), float)
 
     @pytest.mark.parametrize(
-        "x, y, match",
+        "x, y, d, match",
         [
-            (np.arange(3.0), np.arange(3.0), "at least 4 samples"),
-            (np.zeros((4, 2)), np.zeros(4), "at least 4 samples"),
-            ([0.0, 1.0, 1.0, 2.0], np.zeros(4), "strictly increasing"),
-            ([0.0, 2.0, 1.0, 3.0], np.zeros(4), "strictly increasing"),
-            ([0.0, 1.0, np.nan, 3.0], np.zeros(4), "strictly increasing"),
-            ([0.0, 1.0, 2.0, np.inf], np.zeros(4), "strictly increasing"),
-            (np.arange(4.0), np.zeros(5), "samples along axis 0"),
-            (np.arange(4.0), np.zeros((3, 4)), "samples along axis 0"),
-            (np.arange(4.0), [0.0, np.nan, 0.0, 0.0], "non-finite"),
-            (np.arange(4.0), [[0.0], [np.inf], [0.0], [0.0]], "non-finite"),
+            (np.arange(1.0), np.zeros(1), np.zeros(1), "at least 2 samples"),
+            (np.zeros((4, 2)), np.zeros(4), np.zeros(4), "at least 2 samples"),
+            ([0.0, 1.0, 1.0, 2.0], np.zeros(4), np.zeros(4), "strictly increasing"),
+            ([0.0, 2.0, 1.0, 3.0], np.zeros(4), np.zeros(4), "strictly increasing"),
+            ([0.0, 1.0, np.nan, 3.0], np.zeros(4), np.zeros(4), "strictly increasing"),
+            ([0.0, 1.0, 2.0, np.inf], np.zeros(4), np.zeros(4), "strictly increasing"),
+            (np.arange(4.0), np.zeros(5), np.zeros(4), "shape of x"),
+            (np.arange(4.0), np.zeros(4), np.zeros((4, 1)), "shape of x"),
+            (np.arange(4.0), [0.0, np.nan, 0.0, 0.0], np.zeros(4), "non-finite"),
+            (np.arange(4.0), np.zeros(4), [0.0, 0.0, np.inf, 0.0], "non-finite"),
         ],
     )
-    def test_rejects_bad_input(self, x, y, match):
+    def test_rejects_bad_input(self, x, y, d, match):
         with pytest.raises(ValueError, match=match):
-            cubic_spline(x, y)
+            cubic_hermite(x, y, d)
 
 
 class TestCumulativeTrapezoid:

@@ -14,7 +14,10 @@ command can bypass it.  Every phase factor of `interaction` comes from
 `numerics.unit_phase`, so it forms no complex exponential of its own.  Every
 forward and inverse FFT is taken in `numerics`, so a chain of free x-steps,
 which carries its spectrum from one step to the next, has no second
-transform path beside it in `propagator`, `interaction` or `currents`.
+transform path beside it in `propagator`, `interaction` or `currents`.  The
+package's one interpolant, the cubic Hermite, lives in `numerics`: no other
+module looks up a piece with `searchsorted`, and interaction's `CubicSpline`
+is that interpolant under the name the benchmark's tracer patches.
 """
 from __future__ import annotations
 
@@ -129,3 +132,14 @@ def _fft_uses(path: Path) -> list[int]:
 def test_transforms_only_in_numerics():
     homes = sorted(p.name for p in PACKAGE.glob("*.py") if _fft_uses(p))
     assert homes == ["numerics.py"], f"np.fft.fft/ifft used outside numerics.py: {homes}"
+
+
+def test_one_interpolant_in_numerics():
+    homes = sorted(p.name for p in PACKAGE.glob("*.py") if "searchsorted" in p.read_text())
+    assert homes == ["numerics.py"], f"searchsorted used outside numerics.py: {homes}"
+
+
+def test_interaction_spline_alias_is_the_hermite():
+    from carrollsch import interaction, numerics
+
+    assert interaction.CubicSpline is numerics.cubic_hermite
