@@ -1,18 +1,19 @@
 """Bridging the two continuity equations.
 
 The Carroll continuity law turns into the Schrodinger one after two moves:
-a unitary gauge factor strips the explicit potential from the density, and
-the coordinate inversion (x, ct) -> (ct, x) swaps the roles of the axes.
-Both moves are exact at the level of samples (unit-modulus phase, index
-transpose), so the only numerics left is the derivative residual itself.
+the gauge factor exp(-i Lambda), Lambda = (1/hbar) int V dt, strips the
+potential, and the coordinate inversion (x, ct) -> (ct, x) swaps the axes.
+rho is gauge invariant and d_x' Lambda = V / (hbar c) after the inversion,
+so the gauge acts on the current in closed form: J[phi] = J[psi] - V rho / (m c).
+The inversion is an index transpose and no integral is taken, so the only
+numerics left is the derivative residual itself.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .interaction import gauge_reduce
-from .numerics import GridError, TimeGrid, deriv_uniform, interior
+from .numerics import GridError, TimeGrid, deriv_uniform, interior, real_samples
 from .operators import MARGIN, Field2D
 from .potentials import PotentialSpec
 
@@ -62,16 +63,17 @@ def continuity_equivalence(
 ) -> float:
     """Schrodinger-form continuity residual of a transformed Carroll field.
 
-    Strips v_car, when given, with `interaction.gauge_reduce`, applies the
-    coordinate inversion, then evaluates max |d_t' rho + d_x' J| without the
-    `MARGIN` edge ring, with rho, J from schrodinger_density_current.
-    Converges to zero under refinement when psi_car solves the Carroll equation.
+    Inverts the coordinates and returns max |d_t' rho + d_x' J| off the `MARGIN`
+    edge ring, rho and J from schrodinger_density_current, J - V rho / (m c)
+    with V = v_car on psi_car's grid when given.  It converges to zero when
+    psi_car solves the Carroll equation.  t0 is unused: the gauge anchor only
+    shifts Lambda by a constant; the keyword stays for callers that pass it.
     """
-    f = psi_car
-    if v_car is not None:
-        f = gauge_reduce(f, v_car, psi_car.t_grid.t_min if t0 is None else t0, constants)
-    f = coordinate_inversion(f, constants)
+    f = coordinate_inversion(psi_car, constants)
     rho, j = schrodinger_density_current(f, constants)
+    if v_car is not None:
+        V = real_samples(v_car.v_grid(psi_car.x_grid.times, psi_car.t_grid.times), "potential")
+        j -= V.T * rho / (constants.m * constants.c)
     res = deriv_uniform(rho, f.t_grid.dt, 1, axis=1)
     res += deriv_uniform(j, f.x_grid.dt, 1, axis=0)
     return float(np.max(np.abs(interior(res, MARGIN))))

@@ -129,10 +129,7 @@ def gauge_reduce(
     solution of the interacting equation factors as exp[+(i/hbar) int V]
     times a solution of the reduced one, so the reduction strips that phase.
 
-    The phase integral is the running trapezoid, 2nd order in dt.  With a
-    t-dependent V (a b sin t packet) the continuity bridge through this
-    reduction converges at ratios 6.0, 4.8 and 4.2 per halving of dt up to
-    n = 1024, while apply_F on the same field converges at 4th order.
+    The phase integral is the running trapezoid, 2nd order in dt.
     """
     V = real_samples(v.v_xt(psi.x_grid.times, psi.t_grid.times), "potential")
     I = cumulative_integral(V, psi.t_grid, t0, axis=1)

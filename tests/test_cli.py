@@ -107,6 +107,16 @@ class TestExitCodes:
         assert cli.main(["gaussian", "--config", cfg, "--out", str(out)]) == 2
         assert sorted(os.listdir(out)) == ["gaussian_field.csv", "gaussian_summary.csv"]
 
+    @pytest.mark.parametrize(
+        "block",
+        [{"t0": 500.0}, {"stations": [-5.0, 0.0], "omega0": 30.0, "n": 8192}],
+        ids=["late-packet", "negative-stations"],
+    )
+    def test_gaussian_window_follows_the_packet(self, tmp_path, block):
+        """The window is centred on the packet's path between the outer stations, wherever it runs."""
+        cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "gaussian": block})
+        assert cli.main(["gaussian", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     def test_bad_parameter(self, tmp_path):
         cfg = _write_config(
             tmp_path, {"schema": cli.SCHEMA, "gaussian": {"sigma": -1.0}}

@@ -16,6 +16,7 @@ from carrollsch import (
     continuity_equivalence,
     gauge_reduce,
     gaussian_exact,
+    gaussian_field,
     schrodinger_density_current,
 )
 from carrollsch.numerics import GridError, deriv_uniform
@@ -37,6 +38,21 @@ def _free_carroll_field(n: int) -> Field2D:
     xg = TimeGrid(-12.0, 12.0, n)
     vals = np.stack([gaussian_exact(params, x, tg).values for x in xg.times])
     return Field2D(xg, tg, vals)
+
+
+def _dressed(f: Field2D, phase) -> Field2D:
+    """exp(i phase) f: f dressed with a gauge phase that broadcasts to its grid."""
+    return Field2D(f.x_grid, f.t_grid, np.exp(1j * phase) * f.values)
+
+
+def _sine_dressed_free_field(n: int) -> Field2D:
+    """The free field dressed with the exact phase int_{t0}^t sin of V = sin t."""
+    f = _free_carroll_field(n)
+    t = f.t_grid.times
+    return _dressed(f, np.cos(t[0]) - np.cos(t))
+
+
+SINE = PotentialSpec.time_profile(np.sin, np.cos)
 
 
 class TestSchrodingerDensityCurrent:
@@ -158,16 +174,57 @@ class TestContinuityEquivalence:
         assert np.array_equal(f.values, before)
 
     def test_gauge_path_matches_free(self):
-        # dress the free solution with the exact potential phase; removing the
-        # same trapezoid integral cancels bit-for-bit
+        """J - V rho / (m c) takes the exact phase of V = sin t off the free field in
+        closed form, so the residual converges at 4th order as the free one does;
+        the gauge route through gauge_reduce's trapezoid, the oracle, is 2nd order."""
+        covariant, oracle = [], []
+        for n in (128, 256, 512):
+            f = _sine_dressed_free_field(n)
+            t0 = f.t_grid.t_min
+            covariant.append(continuity_equivalence(f, v_car=SINE, t0=t0))
+            oracle.append(continuity_equivalence(gauge_reduce(f, SINE, t0)))
+        for cov, ref in zip(covariant, oracle):
+            assert cov < ref
+        for coarse, fine in zip(covariant, covariant[1:]):
+            assert coarse / fine >= 12.0
+        for coarse, fine in zip(oracle, oracle[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    @pytest.mark.parametrize(
+        "consts", [PhysicalConstants(), PhysicalConstants(hbar=0.7, m=1.3, c=2.0)], ids=["natural", "scaled"]
+    )
+    def test_x_dependent_potential_converges_at_fourth_order(self, consts):
+        """V = (1 + 0.5 sin x) 0.8 sin t on the packet dressed with its exact
+        Lambda = (1/hbar) int V dt: ratio >= 12 per doubling."""
+        def a(x):
+            return 1.0 + 0.5 * np.sin(x)
+
+        v = PotentialSpec.separable(a, lambda t: 0.8 * np.sin(t))
+        res = []
+        for n in (128, 256, 512):
+            tg = TimeGrid(-8.0, 8.0, n)
+            xg = TimeGrid(-8.0 * consts.c, 8.0 * consts.c, n)  # dx = c dt
+            f = gaussian_field(GaussianParams(sigma=1.0), xg, tg, consts)
+            lam = a(xg.times)[:, None] * (0.8 / consts.hbar) * (np.cos(tg.t_min) - np.cos(tg.times))
+            res.append(continuity_equivalence(_dressed(f, lam), consts, v_car=v))
+        for coarse, fine in zip(res, res[1:]):
+            assert coarse / fine >= 12.0
+
+    def test_zero_potential_is_no_potential(self):
         f = _free_carroll_field(128)
+        assert continuity_equivalence(f, v_car=PotentialSpec.zero()) == continuity_equivalence(f)
+
+    def test_complex_potential_rejected(self):
+        v = PotentialSpec.time_profile(lambda t: (1.0 + 0.1j) * np.sin(t))
+        with pytest.raises(ValueError, match="complex potential rejected"):
+            continuity_equivalence(_free_carroll_field(64), v_car=v)
+
+    def test_anchor_does_not_enter(self):
+        """t0 only shifts Lambda by a constant, so two anchors give the same bits."""
+        f = _sine_dressed_free_field(128)
         t = f.t_grid.times
-        phase = cumulative_trapezoid(np.sin(t), t, initial=0.0)
-        dressed = Field2D(f.x_grid, f.t_grid, np.exp(1j * phase)[None, :] * f.values)
-        v = PotentialSpec.time_profile(np.sin, np.cos)
-        r_free = continuity_equivalence(f)
-        r_gauge = continuity_equivalence(dressed, v_car=v, t0=t[0])
-        assert r_gauge == pytest.approx(r_free, rel=1e-10)
+        first = continuity_equivalence(f, v_car=SINE, t0=t[0])
+        assert continuity_equivalence(f, v_car=SINE, t0=t[len(t) // 3]) == first
 
     def test_grid_without_interior_rejected(self):
         # the residual skips MARGIN = 8 samples at each edge: 2 * 8 leaves none of 16

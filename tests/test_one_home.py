@@ -17,7 +17,9 @@ which carries its spectrum from one step to the next, has no second
 transform path beside it in `propagator`, `interaction` or `currents`.  The
 package's one interpolant, the cubic Hermite, lives in `numerics`: no other
 module looks up a piece with `searchsorted`, and interaction's `CubicSpline`
-is that interpolant under the name the benchmark's tracer patches.
+is that interpolant under the name the benchmark's tracer patches.  The
+continuity bridge in `currents` takes V off the current in closed form, so it
+imports nothing from `interaction` and forms no gauge integral or phase.
 """
 from __future__ import annotations
 
@@ -143,3 +145,24 @@ def test_interaction_spline_alias_is_the_hermite():
     from carrollsch import interaction, numerics
 
     assert interaction.CubicSpline is numerics.cubic_hermite
+
+
+def test_currents_takes_no_gauge_phase():
+    """currents.py imports nothing from interaction and calls neither cumulative_integral nor unit_phase."""
+    tree = ast.parse((PACKAGE / "currents.py").read_text())
+    imported = set()  # last component of every module and name imported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert "interaction" not in imported, "currents.py imports from interaction"
+    calls = sorted(
+        {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        & {"cumulative_integral", "unit_phase"}
+    )
+    assert calls == [], f"currents.py calls {calls}"
