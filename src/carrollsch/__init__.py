@@ -51,7 +51,6 @@ from .propagator import (
 )
 from .currents import (
     continuity_equivalence,
-    coordinate_inversion,
     schrodinger_density_current,
 )
 from .classical import (

@@ -204,9 +204,10 @@ def cmd_gaussian(b: dict, consts: PhysicalConstants):
     if not sigma > 0:
         raise ConfigError("gaussian.sigma must be positive")
 
-    half = 20.0 * propagator.effective_width(sigma, max(abs(s) for s in stations) or 1.0, consts)
+    w = propagator.effective_width(sigma, max(abs(s) for s in stations) or 1.0, consts)
     lo, hi = (propagator.carrier_center(t0, consts.hbar * omega0, x, consts) for x in (min(stations), max(stations)))
     center = (lo + hi) / 2  # midway along the packet's path between the outer stations
+    half = max(20.0 * w, abs(hi - lo) / 2 + 10.0 * w)  # the outer packets keep 10 widths of margin
     grid = TimeGrid(center - half, center + half, n)
     params = propagator.GaussianParams(sigma=sigma, t0=t0, omega0=omega0)
     vzero = PotentialSpec.zero()

@@ -5,15 +5,18 @@ the gauge factor exp(-i Lambda), Lambda = (1/hbar) int V dt, strips the
 potential, and the coordinate inversion (x, ct) -> (ct, x) swaps the axes.
 rho is gauge invariant and d_x' Lambda = V / (hbar c) after the inversion,
 so the gauge acts on the current in closed form: J[phi] = J[psi] - V rho / (m c).
-The inversion is an index transpose and no integral is taken, so the only
-numerics left is the derivative residual itself.
+The inversion only swaps the axes, so the residual is taken in psi's own
+layout, d_t' along psi's x axis and d_x' along its t axis, in row blocks of
+about `numerics.BLOCK_BYTES`; no inverted copy or full-field temporary is
+formed and no integral is taken, so the only numerics left is the derivative
+residual itself.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import GridError, TimeGrid, deriv_uniform, interior, real_samples
+from .numerics import GridError, TimeGrid, deriv_uniform, interior, real_samples, row_blocks
 from .operators import MARGIN, Field2D
 from .potentials import PotentialSpec
 
@@ -27,13 +30,31 @@ def schrodinger_density_current(
     stencil shared with the operator module, so the continuity residual of an
     exact solution converges at the scheme order.
     """
-    hbar, m = constants.hbar, constants.m
-    rho = np.abs(psi.values)
+    return _density_current(psi.values, psi.x_grid.dt, 0, constants)
+
+
+def _density_current(
+    values: np.ndarray, dx: float, axis: int, constants: PhysicalConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """rho = |values|^2 and J = (hbar/m) Im(values* d values) with d along `axis` at spacing dx."""
+    rho = np.abs(values)
     rho *= rho
-    dpsi = deriv_uniform(psi.values, psi.x_grid.dt, 1, axis=0)
-    np.multiply(np.conj(psi.values), dpsi, out=dpsi)
-    j = hbar / m * dpsi.imag
+    dpsi = deriv_uniform(values, dx, 1, axis=axis)
+    np.multiply(np.conj(values), dpsi, out=dpsi)
+    j = constants.hbar / constants.m * dpsi.imag
     return rho, j
+
+
+def _inverted_grids(field: Field2D, constants: PhysicalConstants) -> tuple[TimeGrid, TimeGrid]:
+    """The x and t grids of the inverted field; a grid that is not square with
+    dx = c dt raises, since its transpose would need interpolation."""
+    c = constants.c
+    xg, tg = field.x_grid, field.t_grid
+    if xg.n != tg.n:
+        raise GridError("coordinate inversion needs n_x = n_t")
+    if abs(xg.dt - c * tg.dt) > 1e-12 * max(xg.dt, c * tg.dt):
+        raise GridError("coordinate inversion needs dx = c dt")
+    return TimeGrid(c * tg.t_min, c * tg.t_max, tg.n), TimeGrid(xg.t_min / c, xg.t_max / c, xg.n)
 
 
 def coordinate_inversion(
@@ -44,14 +65,7 @@ def coordinate_inversion(
     Requires a square grid with dx = c dt so the transposed grid is again
     uniform and no interpolation happens.  Involutive up to the c-rescaling.
     """
-    c = constants.c
-    xg, tg = field.x_grid, field.t_grid
-    if xg.n != tg.n:
-        raise GridError("coordinate inversion needs n_x = n_t")
-    if abs(xg.dt - c * tg.dt) > 1e-12 * max(xg.dt, c * tg.dt):
-        raise GridError("coordinate inversion needs dx = c dt")
-    new_x = TimeGrid(c * tg.t_min, c * tg.t_max, tg.n)
-    new_t = TimeGrid(xg.t_min / c, xg.t_max / c, xg.n)
+    new_x, new_t = _inverted_grids(field, constants)
     return Field2D(new_x, new_t, field.values.T.copy())
 
 
@@ -63,17 +77,30 @@ def continuity_equivalence(
 ) -> float:
     """Schrodinger-form continuity residual of a transformed Carroll field.
 
-    Inverts the coordinates and returns max |d_t' rho + d_x' J| off the `MARGIN`
-    edge ring, rho and J from schrodinger_density_current, J - V rho / (m c)
-    with V = v_car on psi_car's grid when given.  It converges to zero when
-    psi_car solves the Carroll equation.  t0 is unused: the gauge anchor only
-    shifts Lambda by a constant; the keyword stays for callers that pass it.
+    Returns max |d_t' rho + d_x' J| off the `MARGIN` edge ring of the inverted
+    field, rho and J as schrodinger_density_current forms them, J - V rho / (m c)
+    with V = v_car on psi_car's grid when given.  The inverted frame differs
+    only by swapped axes, so the residual is taken in psi_car's layout: d_t'
+    is the stencil along its x axis and J and d_x' J along its t axis, at the
+    inverted grids' spacings, bit for bit the residual of the inverted copy.
+    Interior rows go in blocks of about BLOCK_BYTES, each with a 2-row halo of
+    rho, the reach of the central stencil.  It converges to zero when psi_car
+    solves the Carroll equation.  t0 is unused: the gauge anchor only shifts
+    Lambda by a constant; the keyword stays for callers that pass it.
     """
-    f = coordinate_inversion(psi_car, constants)
-    rho, j = schrodinger_density_current(f, constants)
-    if v_car is not None:
-        V = real_samples(v_car.v_grid(psi_car.x_grid.times, psi_car.t_grid.times), "potential")
-        j -= V.T * rho / (constants.m * constants.c)
-    res = deriv_uniform(rho, f.t_grid.dt, 1, axis=1)
-    res += deriv_uniform(j, f.x_grid.dt, 1, axis=0)
-    return float(np.max(np.abs(interior(res, MARGIN))))
+    new_x, new_t = _inverted_grids(psi_car, constants)
+    n = psi_car.x_grid.n
+    interior(psi_car.values, MARGIN)  # a grid without interior raises before any block
+    x, t = psi_car.x_grid.times, psi_car.t_grid.times
+    peaks = []
+    # the order-1 stencil needs 7 rows: 3 of the block's own and the halo
+    for rows in row_blocks(MARGIN, n - MARGIN, psi_car.values[0].nbytes, least=3):
+        rho, j = _density_current(psi_car.values[rows.start - 2 : rows.stop + 2], new_x.dt, 1, constants)
+        res = deriv_uniform(rho, new_t.dt, 1, axis=0)[2:-2]
+        j = j[2:-2]
+        if v_car is not None:
+            V = real_samples(v_car.v_grid(x[rows], t), "potential")
+            j -= V * rho[2:-2] / (constants.m * constants.c)
+        res += deriv_uniform(j, new_x.dt, 1, axis=1)
+        peaks.append(np.max(np.abs(res[:, MARGIN : n - MARGIN])))
+    return float(np.max(peaks))

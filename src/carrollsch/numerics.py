@@ -14,7 +14,9 @@ the one scalar RK4 loop, for a' = -b/d, b' = slope(c, a), and its array twin
 for a slope that reads no state, as two running sums; the fundamental pair
 of y'' + q y = 0, two chains of that loop; finite-difference stencils along
 any axis, the slope and Schwarzian of sampled functions, the anchored
-cumulative integral and the interior slice.
+cumulative integral, the interior slice and the split of a field's rows into
+blocks of about BLOCK_BYTES, so a kernel over a field far beyond L2 keeps
+each block's temporaries in it.
 Everything here is a pure function of its inputs (the one cache returns an
 array equal to a fresh build), and this module, like the package, loads
 numpy only.
@@ -27,6 +29,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+
+#: bytes of field rows per block: 512 KiB, so the few working arrays of a block stay near L2 size (2 MiB)
+BLOCK_BYTES = 1 << 19
 
 
 class GridError(ValueError):
@@ -385,3 +391,11 @@ def interior(values: np.ndarray, margin: int) -> np.ndarray:
     if any(n <= 2 * margin for n in values.shape):
         raise ValueError(f"grid has no interior: shape {values.shape} with margin {margin}")
     return values[tuple(slice(margin, n - margin) for n in values.shape)]
+
+
+def row_blocks(start: int, stop: int, row_nbytes: int, least: int = 1) -> list[slice]:
+    """Rows start..stop as consecutive slices of near-equal length, each of at least
+    max(least, BLOCK_BYTES // row_nbytes) rows unless fewer rows are there in all."""
+    k = max(1, (stop - start) // max(least, BLOCK_BYTES // row_nbytes))
+    bounds = [start + (stop - start) * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

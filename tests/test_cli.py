@@ -109,11 +109,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "block",
-        [{"t0": 500.0}, {"stations": [-5.0, 0.0], "omega0": 30.0, "n": 8192}],
-        ids=["late-packet", "negative-stations"],
+        [
+            {"t0": 500.0},
+            {"stations": [-5.0, 0.0], "omega0": 30.0, "n": 8192},
+            {"stations": [0.0, 5.0], "omega0": 60.0, "n": 16384},
+        ],
+        ids=["late-packet", "negative-stations", "long-path"],
     )
     def test_gaussian_window_follows_the_packet(self, tmp_path, block):
-        """The window is centred on the packet's path between the outer stations, wherever it runs."""
+        """The window is centred on the packet's path between the outer stations, wherever it
+        runs, and is wide enough to hold the packet at both ends of a path longer than 20 widths."""
         cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "gaussian": block})
         assert cli.main(["gaussian", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 

@@ -1,6 +1,8 @@
 """Tests for the continuity-equation bridge between the two pictures."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,14 +14,16 @@ from carrollsch import (
     PhysicalConstants,
     PotentialSpec,
     TimeGrid,
-    coordinate_inversion,
     continuity_equivalence,
     gauge_reduce,
     gaussian_exact,
     gaussian_field,
     schrodinger_density_current,
 )
-from carrollsch.numerics import GridError, deriv_uniform
+from carrollsch import numerics
+from carrollsch.currents import coordinate_inversion
+from carrollsch.numerics import GridError, deriv_uniform, interior, real_samples
+from carrollsch.operators import MARGIN
 
 
 def _static_gaussian_field(n: int, a: float = 1.0) -> Field2D:
@@ -231,3 +235,107 @@ class TestContinuityEquivalence:
         f = _static_gaussian_field(16)
         with pytest.raises(ValueError, match="no interior"):
             continuity_equivalence(f)
+
+
+NATURAL_AND_SCALED = pytest.mark.parametrize(
+    "consts", [PhysicalConstants(), PhysicalConstants(hbar=0.7, m=1.3, c=2.0)], ids=["natural", "scaled"]
+)
+POTENTIALS = {
+    "none": None,
+    "time-only": PotentialSpec.time_profile(lambda t: 0.8 * np.sin(t)),
+    "space-time": PotentialSpec.space_time(lambda x, t: 0.6 * np.cos(1.3 * x) * np.exp(-((t / 3.0) ** 2)) + 0.05 * x),
+}
+
+
+def _random_field(n: int, consts: PhysicalConstants, layout: str = "C") -> Field2D:
+    """Random samples on a square grid with dx = c dt, in the given memory layout."""
+    rng = np.random.default_rng(n)
+    tg = TimeGrid(-6.0, 6.0, n)
+    xg = TimeGrid(-6.0 * consts.c, 6.0 * consts.c, n)
+    vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return Field2D(xg, tg, np.asarray(vals, order=layout))
+
+
+def _whole_field_residual(psi: Field2D, consts: PhysicalConstants, v_car) -> float:
+    """The bridge as whole-field expressions: the inverted copy, rho and J on it,
+    J - V^T rho / (m c), the two stencils and the interior max."""
+    f = coordinate_inversion(psi, consts)
+    rho, j = schrodinger_density_current(f, consts)
+    if v_car is not None:
+        V = real_samples(v_car.v_grid(psi.x_grid.times, psi.t_grid.times), "potential")
+        j -= V.T * rho / (consts.m * consts.c)
+    res = deriv_uniform(rho, f.t_grid.dt, 1, axis=1)
+    res += deriv_uniform(j, f.x_grid.dt, 1, axis=0)
+    return float(np.max(np.abs(interior(res, MARGIN))))
+
+
+class TestBlockedBridge:
+    """The residual taken in psi's layout, in row blocks, has the bits of the whole-field one."""
+
+    @NATURAL_AND_SCALED
+    @pytest.mark.parametrize("v_name", list(POTENTIALS))
+    @pytest.mark.parametrize("n", [32, 64, 256, 1024])
+    def test_is_the_whole_field_residual(self, n, v_name, consts):
+        psi = _random_field(n, consts)
+        v_car = POTENTIALS[v_name]
+        assert continuity_equivalence(psi, consts, v_car=v_car) == _whole_field_residual(psi, consts, v_car)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("rows", [1, 3, 5, 7, 17])
+    def test_any_block_rows(self, monkeypatch, rows, layout):
+        """Blocks of a few rows, a short or a long last one, and either layout of psi."""
+        consts = PhysicalConstants(hbar=0.7, m=1.3, c=2.0)
+        psi = _random_field(64, consts, layout)
+        v_car = POTENTIALS["space-time"]
+        expected = _whole_field_residual(psi, consts, v_car)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", rows * psi.values[0].nbytes)
+        assert continuity_equivalence(psi, consts, v_car=v_car) == expected
+
+    def test_nan_potential_gives_nan(self):
+        """A NaN in one block's V reaches the returned max, as it reaches the whole-field one."""
+        f = _free_carroll_field(256)
+        v = PotentialSpec.space_time(lambda x, t: np.where((x > 5.0) & (np.abs(t) < 1.0), np.nan, 0.0))
+        assert np.isnan(continuity_equivalence(f, v_car=v))
+
+
+class TestBridgeErrors:
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            (TimeGrid(-4.0, 4.0, 64), TimeGrid(-4.0, 4.0, 32)),
+            (TimeGrid(-4.0, 4.0, 64), TimeGrid(-2.0, 2.0, 64)),
+        ],
+        ids=["rectangular", "anisotropic"],
+    )
+    def test_grid_error_is_the_inversion_one(self, grids):
+        xg, tg = grids
+        f = Field2D(xg, tg, np.ones((xg.n, tg.n)))
+        with pytest.raises(GridError) as inverted:
+            coordinate_inversion(f)
+        with pytest.raises(GridError) as bridged:
+            continuity_equivalence(f)
+        assert str(bridged.value) == str(inverted.value)
+
+    def test_complex_potential_in_the_last_block_rejected(self, monkeypatch):
+        f = _free_carroll_field(64)
+        x_last = f.x_grid.times[64 - MARGIN - 2]  # a row of the last interior block
+        v = PotentialSpec.space_time(lambda x, t: 0.1 * np.sin(t) + 1e-3j * (x >= x_last))
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 8 * f.values[0].nbytes)
+        assert len(numerics.row_blocks(MARGIN, 64 - MARGIN, f.values[0].nbytes, least=3)) == 6
+        with pytest.raises(ValueError, match="complex potential rejected"):
+            continuity_equivalence(f, v_car=v)
+
+
+def test_bridge_working_set_stays_small():
+    """At 1024^2 with a space-time V the bridge holds no full-field temporary:
+    its traced peak is at most 8 MiB, where one complex copy of psi is 16 MiB."""
+    grid = TimeGrid(-12.0, 12.0, 1024)
+    psi = Field2D(grid, grid, np.ones((1024, 1024), dtype=complex))
+    v_car = POTENTIALS["space-time"]
+    tracemalloc.start()
+    try:
+        continuity_equivalence(psi, v_car=v_car)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

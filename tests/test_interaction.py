@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from carrollsch import (
     interaction_momentum,
     quantized_modes,
 )
-from carrollsch import interaction
-from carrollsch.numerics import cumulative_integral, deriv_uniform, kinetic_multiplier, unit_phase
+from carrollsch import interaction, numerics
+from carrollsch.numerics import cumulative_integral, deriv_uniform, kinetic_multiplier, real_samples, unit_phase
 
 
 class TestQuantizedModes:
@@ -268,13 +269,23 @@ class TestGaugeReduce:
     @pytest.mark.parametrize(
         "consts", [PhysicalConstants(), PhysicalConstants(hbar=1.0546, m=0.7, c=1.3), PhysicalConstants(hbar=0.3)]
     )
-    @pytest.mark.parametrize("anchor", [0, 40, -1])
-    def test_phase_is_the_complex_exponential(self, consts, anchor):
+    @pytest.mark.parametrize(
+        "anchor, n_x, block_rows",
+        [
+            pytest.param(anchor, n_x, rows, id=f"{anchor}{suffix}")
+            for n_x, rows, suffix in [(32, None, ""), (2048, None, "-four-blocks"), (32, 3, "-blocks-of-3-and-4")]
+            for anchor in (0, 40, -1)
+        ],
+    )
+    def test_phase_is_the_complex_exponential(self, monkeypatch, consts, anchor, n_x, block_rows):
         """The phase filled by unit_phase, times psi, is np.exp(-1j / hbar * I) * psi bit
-        for bit: every value and every sign of zero in both parts."""
+        for bit: every value and every sign of zero in both parts.  At 64 samples in t a
+        default block holds 512 rows; 3-row blocks split 32 rows unevenly."""
+        if block_rows is not None:
+            monkeypatch.setattr(numerics, "BLOCK_BYTES", block_rows * 64 * 16)
         rng = np.random.default_rng(anchor % 7)
-        xg, tg = TimeGrid(-3.0, 3.0, 32), TimeGrid(-4.0, 4.0, 64)
-        vals = rng.standard_normal((32, 64)) + 1j * rng.standard_normal((32, 64))
+        xg, tg = TimeGrid(-3.0, 3.0, n_x), TimeGrid(-4.0, 4.0, 64)
+        vals = rng.standard_normal((n_x, 64)) + 1j * rng.standard_normal((n_x, 64))
         vals[0, :4] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
         vals[:, anchor] = complex(-0.0, 0.0)  # zero phase times zero samples
         psi = Field2D(xg, tg, vals)
@@ -292,6 +303,57 @@ class TestGaugeReduce:
         psi = Field2D(g, g, np.ones((16, 16), dtype=complex))
         with pytest.raises(ValueError, match="complex potential"):
             gauge_reduce(psi, PotentialSpec.time_profile(lambda t: 1j * t, lambda t: 1j + 0 * t), 0.0)
+
+    def test_complex_potential_in_the_last_block_rejected(self, monkeypatch):
+        g = TimeGrid(0.0, 2.0, 64)
+        psi = Field2D(g, g, np.ones((64, 64), dtype=complex))
+        x_last = g.times[54]
+        v = PotentialSpec.space_time(lambda x, t: 0.1 * np.sin(t) + 1e-3j * (x >= x_last))
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 8 * psi.values[0].nbytes)
+        assert len(numerics.row_blocks(0, 64, psi.values[0].nbytes)) == 8
+        with pytest.raises(ValueError, match="complex potential rejected"):
+            gauge_reduce(psi, v, 0.0)
+
+    @pytest.mark.parametrize(
+        "consts", [PhysicalConstants(), PhysicalConstants(hbar=0.7, m=1.3, c=2.0)], ids=["natural", "scaled"]
+    )
+    @pytest.mark.parametrize(
+        "v",
+        [
+            PotentialSpec.zero(),
+            PotentialSpec.time_profile(lambda t: 0.8 * np.sin(t)),
+            PotentialSpec.space_time(lambda x, t: 0.6 * np.cos(1.3 * x) * np.exp(-((t / 3.0) ** 2)) + 0.05 * x),
+        ],
+        ids=["zero", "time-only", "space-time"],
+    )
+    @pytest.mark.parametrize("n", [32, 64, 256, 1024])
+    def test_is_the_whole_field_expression(self, n, v, consts):
+        """The row blocks give the bits of V, its trapezoid, the scaled phase and the
+        product formed over the whole field at once."""
+        rng = np.random.default_rng(n)
+        tg = TimeGrid(-6.0, 6.0, n)
+        xg = TimeGrid(-6.0 * consts.c, 6.0 * consts.c, n)
+        psi = Field2D(xg, tg, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        t0 = tg.times[n // 3]
+        I = cumulative_integral(real_samples(v.v_xt(xg.times, tg.times), "potential"), tg, t0, axis=1)
+        I *= -1.0 / consts.hbar
+        expected = unit_phase(I)
+        expected *= psi.values
+        assert gauge_reduce(psi, v, t0, consts).values.tobytes() == expected.tobytes()
+
+    def test_working_set_is_the_output_and_a_block(self):
+        """At 1024^2 with a space-time V the traced peak is at most 24 MiB: the 16 MiB
+        output and one block's temporaries, no full-field V, integral or phase."""
+        grid = TimeGrid(-12.0, 12.0, 1024)
+        psi = Field2D(grid, grid, np.ones((1024, 1024), dtype=complex))
+        v = PotentialSpec.space_time(lambda x, t: 0.5 * np.cos(1.2 * x) * np.exp(-((t / 3.0) ** 2)))
+        tracemalloc.start()
+        try:
+            gauge_reduce(psi, v, grid.t_min)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
     def test_quantized_mode_reduces_to_free_solution(self):
         # a dressed separated mode strips to plane wave x sine, which must

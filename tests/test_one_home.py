@@ -19,7 +19,9 @@ package's one interpolant, the cubic Hermite, lives in `numerics`: no other
 module looks up a piece with `searchsorted`, and interaction's `CubicSpline`
 is that interpolant under the name the benchmark's tracer patches.  The
 continuity bridge in `currents` takes V off the current in closed form, so it
-imports nothing from `interaction` and forms no gauge integral or phase.
+imports nothing from `interaction` and forms no gauge integral or phase.  The
+row-block size is one module constant, `numerics.BLOCK_BYTES`: no other module
+sets one, and the blocked kernels take no parameter for it.
 """
 from __future__ import annotations
 
@@ -166,3 +168,15 @@ def test_currents_takes_no_gauge_phase():
         & {"cumulative_integral", "unit_phase"}
     )
     assert calls == [], f"currents.py calls {calls}"
+
+
+def test_block_size_only_in_numerics():
+    import inspect
+
+    from carrollsch import continuity_equivalence, gauge_reduce
+
+    homes = sorted(p.name for p in PACKAGE.glob("*.py") if re.search(r"^BLOCK_BYTES\s*=", p.read_text(), re.M))
+    assert homes == ["numerics.py"], f"BLOCK_BYTES assigned in {homes}"
+    for kernel in (continuity_equivalence, gauge_reduce):
+        names = set(inspect.signature(kernel).parameters)
+        assert not any("block" in name for name in names), f"{kernel.__name__} takes {names}"
