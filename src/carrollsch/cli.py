@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 validation error (bad config or arguments),
 2 numerical failure (a gated value outside its interval in `TOLERANCES`, NaN
 included, or a kernel raised BranchError or an ArithmeticError such as an
 overflow).  `DEFAULTS` is the config schema: an unknown block or key, a value
-of the wrong type, or an empty list is a validation error.
+of the wrong type, a NaN or infinite number, or an empty list is a validation
+error.
 """
 from __future__ import annotations
 
@@ -128,10 +129,12 @@ def load_config(path: str | None) -> dict:
 
 
 def _cast(value, where: str, cast: type):
-    """A JSON number as float or, for cast=int, as an integer; `where` names it."""
+    """A finite JSON number as float or, for cast=int, as an integer; `where` names it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    if cast is int and not (math.isfinite(value) and value == int(value)):
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    if cast is int and value != int(value):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return cast(value)
 

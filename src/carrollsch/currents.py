@@ -7,9 +7,9 @@ rho is gauge invariant and d_x' Lambda = V / (hbar c) after the inversion,
 so the gauge acts on the current in closed form: J[phi] = J[psi] - V rho / (m c).
 The inversion only swaps the axes, so the residual is taken in psi's own
 layout, d_t' along psi's x axis and d_x' along its t axis, in row blocks of
-about `numerics.BLOCK_BYTES`; no inverted copy or full-field temporary is
-formed and no integral is taken, so the only numerics left is the derivative
-residual itself.
+about `numerics.BLOCK_BYTES`: rho on the block and its 2-row halo, J on the
+block's own rows.  No inverted copy or full-field temporary is formed and no
+integral is taken, so the only numerics left is the derivative residual itself.
 """
 from __future__ import annotations
 
@@ -30,19 +30,13 @@ def schrodinger_density_current(
     stencil shared with the operator module, so the continuity residual of an
     exact solution converges at the scheme order.
     """
-    return _density_current(psi.values, psi.x_grid.dt, 0, constants)
+    return np.abs(psi.values) ** 2, _current(psi.values, psi.x_grid.dt, 0, constants)
 
 
-def _density_current(
-    values: np.ndarray, dx: float, axis: int, constants: PhysicalConstants
-) -> tuple[np.ndarray, np.ndarray]:
-    """rho = |values|^2 and J = (hbar/m) Im(values* d values) with d along `axis` at spacing dx."""
-    rho = np.abs(values)
-    rho *= rho
+def _current(values: np.ndarray, dx: float, axis: int, constants: PhysicalConstants) -> np.ndarray:
+    """J = (hbar/m) Im(values* d values) with d along `axis` at spacing dx."""
     dpsi = deriv_uniform(values, dx, 1, axis=axis)
-    np.multiply(np.conj(values), dpsi, out=dpsi)
-    j = constants.hbar / constants.m * dpsi.imag
-    return rho, j
+    return constants.hbar / constants.m * np.imag(np.conj(values) * dpsi)
 
 
 def _inverted_grids(field: Field2D, constants: PhysicalConstants) -> tuple[TimeGrid, TimeGrid]:
@@ -84,7 +78,8 @@ def continuity_equivalence(
     is the stencil along its x axis and J and d_x' J along its t axis, at the
     inverted grids' spacings, bit for bit the residual of the inverted copy.
     Interior rows go in blocks of about BLOCK_BYTES, each with a 2-row halo of
-    rho, the reach of the central stencil.  It converges to zero when psi_car
+    rho, the reach of the central stencil; J, whose stencils run along the
+    rows, is formed on the block's own rows.  It converges to zero when psi_car
     solves the Carroll equation.  t0 is unused: the gauge anchor only shifts
     Lambda by a constant; the keyword stays for callers that pass it.
     """
@@ -95,9 +90,9 @@ def continuity_equivalence(
     peaks = []
     # the order-1 stencil needs 7 rows: 3 of the block's own and the halo
     for rows in row_blocks(MARGIN, n - MARGIN, psi_car.values[0].nbytes, least=3):
-        rho, j = _density_current(psi_car.values[rows.start - 2 : rows.stop + 2], new_x.dt, 1, constants)
+        rho = np.abs(psi_car.values[rows.start - 2 : rows.stop + 2]) ** 2
         res = deriv_uniform(rho, new_t.dt, 1, axis=0)[2:-2]
-        j = j[2:-2]
+        j = _current(psi_car.values[rows], new_x.dt, 1, constants)
         if v_car is not None:
             V = real_samples(v_car.v_grid(x[rows], t), "potential")
             j -= V * rho[2:-2] / (constants.m * constants.c)

@@ -13,10 +13,11 @@ coefficient on them, whose first bad value is reported in stepping order;
 the one scalar RK4 loop, for a' = -b/d, b' = slope(c, a), and its array twin
 for a slope that reads no state, as two running sums; the fundamental pair
 of y'' + q y = 0, two chains of that loop; finite-difference stencils along
-any axis, the slope and Schwarzian of sampled functions, the anchored
-cumulative integral, the interior slice and the split of a field's rows into
-blocks of about BLOCK_BYTES, so a kernel over a field far beyond L2 keeps
-each block's temporaries in it.
+any axis, each order's interior one array expression, the slope and
+Schwarzian of sampled functions, the anchored cumulative integral, scipy's
+running-trapezoid expression, the interior slice and the split of a field's
+rows into blocks of about BLOCK_BYTES, so a kernel over a field far beyond L2
+keeps each block's temporaries in it.
 Everything here is a pure function of its inputs (the one cache returns an
 array equal to a fresh build), and this module, like the package, loads
 numpy only.
@@ -312,13 +313,7 @@ def deriv_uniform(values: np.ndarray, dx: float, order: int = 1, axis: int = 0) 
         raise ValueError(f"need at least {9 if order == 3 else 7} samples")
     out = np.empty_like(v, dtype=complex if np.iscomplexobj(v) else float)
     if order == 1:
-        # ((v0 - 8 v1) + 8 v3) - v4, built in out with one temporary
-        mid, t = out[2:-2], 8 * v[1:-3]
-        np.subtract(v[:-4], t, out=mid)
-        np.multiply(8, v[3:-1], out=t)
-        mid += t
-        mid -= v[4:]
-        mid /= 12 * dx
+        out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * dx)
         out[:2] = (-3 * v[:2] + 4 * v[1:3] - v[2:4]) / (2 * dx)
         out[-2:] = (3 * v[-2:] - 4 * v[-3:-1] + v[-4:-2]) / (2 * dx)
     elif order == 2:
@@ -357,7 +352,7 @@ def cumulative_integral(
     The anchor must be a grid point; `grid` may be a TimeGrid or any
     monotone abscissae, increasing or decreasing.  The running sum takes the
     operations, in their order, of scipy.integrate's running trapezoid with
-    initial=0, in one preallocated array, so with the anchor at the first
+    initial=0, as its whole-array expression, so with the anchor at the first
     sample the result is bit-identical to scipy's.  The running trapezoid is
     2nd order in the spacing, below the 4th order of the stencils; every
     caller inherits it.
@@ -370,14 +365,8 @@ def cumulative_integral(
     if abs(ts[idx] - anchor) > 1e-9 * max(1.0, abs(anchor)):
         raise GridError(f"anchor {anchor} is not a grid point")
     y = np.moveaxis(np.asarray(values), axis, -1)
-    dts = np.diff(ts)
-    F = np.empty(y.shape, dtype=np.result_type(dts, y))
-    steps = F[..., 1:]
-    np.add(y[..., 1:], y[..., :-1], out=steps)
-    steps *= dts
-    steps /= 2.0
-    np.cumsum(steps, axis=-1, out=steps)
-    F[..., 0] = 0.0
+    F = np.cumsum((y[..., 1:] + y[..., :-1]) * np.diff(ts) / 2.0, axis=-1)
+    F = np.concatenate((np.zeros(y.shape[:-1] + (1,), F.dtype), F), axis=-1)
     if idx:  # anchored at the first sample, F already vanishes there
         F -= F[..., idx : idx + 1]
     return np.moveaxis(F, -1, axis)

@@ -166,7 +166,7 @@ class TestExitCodes:
         [
             ({"gaussian": []}, "'gaussian' must be a JSON object"),
             ({"gaussian": {"stations": 5}}, "gaussian.stations must be a list"),
-            ({"gaussian": {"sigma": float("nan")}}, "gaussian.sigma must be positive"),
+            ({"gaussian": {"sigma": float("nan")}}, "gaussian.sigma must be finite, got nan"),
             ({"commutator": {"sizes": [48]}}, "power of two"),
             ({"gaussian": {"sigma": None}}, "gaussian.sigma must be a number"),
             ({"currents": {"sizes": [128.9, 256]}}, "currents.sizes must be an integer"),
@@ -198,6 +198,13 @@ class TestExitCodes:
             ({"currents": {"sizes": [128, 128]}}, "currents.sizes needs at least two sizes, each double"),
             ({"currents": {"sizes": [128, 512]}}, "currents.sizes needs at least two sizes, each double"),
             ({"currents": {"sizes": [128]}}, "currents.sizes needs at least two sizes, each double"),
+            ({"duality": {"target": "velocity-profile", "E_sch": float("nan")}}, "duality.E_sch must be finite"),
+            ({"duality": {"target": "harmonic", "E0": float("nan")}}, "duality.E0 must be finite"),
+            ({"rays": {"q0": float("nan")}}, "rays.q0 must be finite"),
+            ({"dyson": {"eps": [0.01, float("nan")]}}, "entry of dyson.eps must be finite"),
+            ({"gaussian": {"omega0": float("inf")}}, "gaussian.omega0 must be finite, got inf"),
+            ({"currents": {"sizes": [128, float("-inf")]}}, "entry of currents.sizes must be finite, got -inf"),
+            ({"rays": {"n_steps": float("inf")}}, "rays.n_steps must be finite"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):
@@ -205,6 +212,13 @@ class TestExitCodes:
         sub = next(iter(payload))
         assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
+
+    def test_non_finite_number_writes_no_csv(self, tmp_path, capsys):
+        """A NaN that the kernels would carry into a CSV is a validation error before any write."""
+        payload = {"schema": cli.SCHEMA, "duality": {"target": "velocity-profile", "E_sch": float("nan")}}
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main(["duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "sub, payload",

@@ -20,7 +20,7 @@ from carrollsch import (
     gaussian_field,
     schrodinger_density_current,
 )
-from carrollsch import numerics
+from carrollsch import currents, numerics
 from carrollsch.currents import coordinate_inversion
 from carrollsch.numerics import GridError, deriv_uniform, interior, real_samples
 from carrollsch.operators import MARGIN
@@ -101,7 +101,7 @@ class TestDensityCurrentBits:
     @pytest.mark.parametrize("consts", [PhysicalConstants(), PhysicalConstants(hbar=1.0546, m=0.7)])
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_is_the_one_expression(self, consts, layout):
-        """rho and J built in their own buffers equal |psi|**2 and (hbar/m) Im(conj(psi) dpsi)."""
+        """rho and J are |psi|**2 and (hbar/m) Im(conj(psi) dpsi), bit for bit."""
         f = _free_carroll_field(64)
         psi = Field2D(f.x_grid, f.t_grid, np.asarray(f.values, order=layout))
         rho, j = schrodinger_density_current(psi, consts)
@@ -290,6 +290,25 @@ class TestBlockedBridge:
         expected = _whole_field_residual(psi, consts, v_car)
         monkeypatch.setattr(numerics, "BLOCK_BYTES", rows * psi.values[0].nbytes)
         assert continuity_equivalence(psi, consts, v_car=v_car) == expected
+
+    def test_current_is_formed_on_the_interior_rows_only(self, monkeypatch):
+        """J's stencil, the one complex stencil of the bridge, sees each interior row
+        of psi once and no halo row: only rho is read on the halo."""
+        consts = PhysicalConstants(hbar=0.7, m=1.3, c=2.0)
+        psi = _random_field(64, consts)
+        v_car = POTENTIALS["space-time"]
+        expected = _whole_field_residual(psi, consts, v_car)
+        seen = []
+
+        def recording(values, dx, order=1, axis=0):
+            if np.iscomplexobj(values):
+                seen.extend(next(i for i, r in enumerate(psi.values) if np.array_equal(row, r)) for row in values)
+            return deriv_uniform(values, dx, order, axis)
+
+        monkeypatch.setattr(currents, "deriv_uniform", recording)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 8 * psi.values[0].nbytes)
+        assert continuity_equivalence(psi, consts, v_car=v_car) == expected
+        assert seen == list(range(MARGIN, 64 - MARGIN))
 
     def test_nan_potential_gives_nan(self):
         """A NaN in one block's V reaches the returned max, as it reaches the whole-field one."""

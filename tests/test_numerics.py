@@ -340,8 +340,8 @@ class TestDerivUniform:
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_first_order_is_the_one_expression(self, dtype, axis, layout):
-        """The in-place interior leaves every bit of the array expression, on
-        either layout along either axis, signed zeros included."""
+        """The interior is the one array expression, as for orders 2 and 3: the
+        bits of the reference, on either layout along either axis, signed zeros included."""
         rng = np.random.default_rng(3)
         v = rng.standard_normal((40, 33)).astype(dtype)
         if dtype is complex:
@@ -402,27 +402,34 @@ class TestCumulativeIntegral:
         """The anchored running trapezoid as whole-array expressions."""
         y = np.moveaxis(values, axis, -1)
         F = np.cumsum(np.diff(ts) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
-        F = np.concatenate((np.zeros_like(F[..., :1]), F), axis=-1)
+        F = np.concatenate((np.zeros(y.shape[:-1] + (1,), F.dtype), F), axis=-1)
         return np.moveaxis(F - F[..., idx : idx + 1], -1, axis)
 
     @pytest.mark.parametrize("axis", [0, -1])
     @pytest.mark.parametrize("decreasing", [False, True])
-    @pytest.mark.parametrize("idx", [0, 17, 40])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_in_place_build_is_the_one_expression(self, dtype, idx, decreasing, axis):
-        """The sum built in one preallocated array leaves every bit of the
-        whole-array expressions: anchor first, interior and last."""
+    @pytest.mark.parametrize(
+        "n, idx", [(41, 0), (41, 17), (41, 40), (1, 0), (2, 0), (2, 1)], ids=["0", "17", "40", "n1-0", "n2-0", "n2-1"]
+    )
+    @pytest.mark.parametrize("dtype", [float, complex, int])
+    def test_in_place_build_is_the_one_expression(self, dtype, n, idx, decreasing, axis):
+        """The sum is scipy's whole-array expression with its leading zero, bit
+        for bit: anchor first, interior and last, on 1 and 2 samples too, and
+        float for integer samples."""
         rng = np.random.default_rng(idx)
-        ts = np.sort(rng.uniform(-2.0, 3.0, 41))[:: -1 if decreasing else 1]
-        y = rng.standard_normal((5, 41)).astype(dtype)
+        ts = np.sort(rng.uniform(-2.0, 3.0, n))[:: -1 if decreasing else 1]
+        y = rng.standard_normal((5, n)) * 100
         if dtype is complex:
-            y = y + 1j * rng.standard_normal((5, 41))
+            y = y + 1j * rng.standard_normal((5, n))
+        y = y.astype(dtype)
         y[1] = -0.0
-        y = np.moveaxis(y, -1, axis)
-        F = cumulative_integral(y, ts, ts[idx], axis=axis)
-        assert F.dtype == y.dtype
-        assert F.tobytes() == self._one_expression(y, ts, idx, axis).tobytes()
+        values = np.moveaxis(y, -1, axis)
+        F = cumulative_integral(values, ts, ts[idx], axis=axis)
+        assert F.dtype == np.result_type(dtype, float)
+        assert F.tobytes() == self._one_expression(values, ts, idx, axis).tobytes()
         assert np.all(np.take(F, idx, axis=axis) == 0.0)
+        if n <= 2:  # F is [0] or [0, h (y0 + y1) / 2], less its value at the anchor
+            F0 = np.stack([np.zeros(5)] + [(ts[-1] - ts[0]) * (y[:, 0] + y[:, -1]) / 2.0] * (n - 1), axis=-1)
+            assert np.array_equal(np.moveaxis(F, axis, -1), F0 - F0[:, idx : idx + 1])
 
 
 def _abscissae(rng, n):
