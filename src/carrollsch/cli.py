@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 validation error (bad config or arguments),
 2 numerical failure (a gated value outside its interval in `TOLERANCES`, NaN
 included, or a kernel raised BranchError or an ArithmeticError such as an
 overflow).  `DEFAULTS` is the config schema: an unknown block or key, a value
-of the wrong type, a NaN or infinite number, or an empty list is a validation
-error.
+of the wrong type, a NaN or infinite number, an integer too large for a
+float, or an empty list is a validation error.
 """
 from __future__ import annotations
 
@@ -132,7 +132,11 @@ def _cast(value, where: str, cast: type):
     """A finite JSON number as float or, for cast=int, as an integer; `where` names it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{where} must be finite, got an integer too large for a float") from None
+    if not finite:
         raise ConfigError(f"{where} must be finite, got {value!r}")
     if cast is int and value != int(value):
         raise ConfigError(f"{where} must be an integer, got {value!r}")

@@ -13,13 +13,17 @@ coefficient on them, whose first bad value is reported in stepping order;
 the one scalar RK4 loop, for a' = -b/d, b' = slope(c, a), and its array twin
 for a slope that reads no state, as two running sums; the fundamental pair
 of y'' + q y = 0, two chains of that loop; finite-difference stencils along
-any axis, each order's interior one array expression, the slope and
+any axis, each order's interior one array expression, a complex sum scaled
+by its scale's exact complex reciprocal, which has the division's bits (see
+`_scaled`: numpy divides by a real scalar on Smith's branch, whose two
+products the complex multiply forms in SIMD), the slope and
 Schwarzian of sampled functions, the anchored cumulative integral, scipy's
 running-trapezoid expression, the interior slice and the split of a field's
 rows into blocks of about BLOCK_BYTES, so a kernel over a field far beyond L2
 keeps each block's temporaries in it.
 Everything here is a pure function of its inputs (the one cache returns an
-array equal to a fresh build), and this module, like the package, loads
+array equal to a fresh build; `_scaled` overwrites only the fresh sum it is
+handed), and this module, like the package, loads
 numpy only.
 """
 from __future__ import annotations
@@ -300,11 +304,35 @@ def rk4_samples(
     return [v.astype(float) for v in samples]
 
 
+def _scaled(num: np.ndarray, den: float) -> np.ndarray:
+    """num / den, bit for bit; a complex128 num over a positive float den is scaled in place.
+
+    numpy divides a complex z by the complex den + 0i on Smith's branch,
+    ((zr + zi*0) * r, (zi - zr*0) * r) with r = 1/den, through a scalar loop.
+    z * complex(r, -0.0) forms the same two products in the SIMD multiply but
+    adds the signed zero after the product, not before, which differs only
+    where a nonzero part's product rounds to zero: that needs r <= 1/2 and a
+    part below 2**-1073 den, so such a num divides.  The plain real factor
+    z * r flips signed zeros, and for a negative den no complex factor
+    matches, so those divide too, as do a real num, which must not move, and
+    any other dtype.
+    """
+    if num.dtype == complex and isinstance(den, float) and den > 0:
+        r = 1.0 / den
+        if r > 0.5 or np.min(np.abs(num.ravel("K").view(float)), initial=np.inf) >= 2.0**-1073 * den:
+            num *= complex(r, -0.0)
+            return num
+    return num / den
+
+
 def deriv_uniform(values: np.ndarray, dx: float, order: int = 1, axis: int = 0) -> np.ndarray:
     """Derivative of values sampled uniformly along `axis`.
 
     4th-order central differences in the interior, one-sided 2nd-order at the
-    edges.  Supports order 1, 2, 3.
+    edges.  Supports order 1, 2, 3.  Each region is its stencil sum over its
+    scale (12 dx, 2 dx, dx^2, ...), a real sum divided as written and a complex
+    one multiplied by the scale's exact complex reciprocal, which gives the
+    division's bits; `_scaled` divides where the product could differ.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
@@ -313,22 +341,22 @@ def deriv_uniform(values: np.ndarray, dx: float, order: int = 1, axis: int = 0) 
         raise ValueError(f"need at least {9 if order == 3 else 7} samples")
     out = np.empty_like(v, dtype=complex if np.iscomplexobj(v) else float)
     if order == 1:
-        out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * dx)
-        out[:2] = (-3 * v[:2] + 4 * v[1:3] - v[2:4]) / (2 * dx)
-        out[-2:] = (3 * v[-2:] - 4 * v[-3:-1] + v[-4:-2]) / (2 * dx)
+        out[2:-2] = _scaled(v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:], 12 * dx)
+        out[:2] = _scaled(-3 * v[:2] + 4 * v[1:3] - v[2:4], 2 * dx)
+        out[-2:] = _scaled(3 * v[-2:] - 4 * v[-3:-1] + v[-4:-2], 2 * dx)
     elif order == 2:
-        out[2:-2] = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * dx * dx)
-        out[:2] = (2 * v[:2] - 5 * v[1:3] + 4 * v[2:4] - v[3:5]) / (dx * dx)
-        out[-2:] = (2 * v[-2:] - 5 * v[-3:-1] + 4 * v[-4:-2] - v[-5:-3]) / (dx * dx)
+        out[2:-2] = _scaled(-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:], 12 * dx * dx)
+        out[:2] = _scaled(2 * v[:2] - 5 * v[1:3] + 4 * v[2:4] - v[3:5], dx * dx)
+        out[-2:] = _scaled(2 * v[-2:] - 5 * v[-3:-1] + 4 * v[-4:-2] - v[-5:-3], dx * dx)
     else:
-        out[3:-3] = (
-            v[:-6] - 8 * v[1:-5] + 13 * v[2:-4] - 13 * v[4:-2] + 8 * v[5:-1] - v[6:]
-        ) / (8 * dx**3)
+        out[3:-3] = _scaled(
+            v[:-6] - 8 * v[1:-5] + 13 * v[2:-4] - 13 * v[4:-2] + 8 * v[5:-1] - v[6:], 8 * dx**3
+        )
         # 2nd-order one-sided third derivative
-        out[:3] = (-2.5 * v[:3] + 9 * v[1:4] - 12 * v[2:5] + 7 * v[3:6] - 1.5 * v[4:7]) / dx**3
-        out[-3:] = (
-            2.5 * v[-3:] - 9 * v[-4:-1] + 12 * v[-5:-2] - 7 * v[-6:-3] + 1.5 * v[-7:-4]
-        ) / dx**3
+        out[:3] = _scaled(-2.5 * v[:3] + 9 * v[1:4] - 12 * v[2:5] + 7 * v[3:6] - 1.5 * v[4:7], dx**3)
+        out[-3:] = _scaled(
+            2.5 * v[-3:] - 9 * v[-4:-1] + 12 * v[-5:-2] - 7 * v[-6:-3] + 1.5 * v[-7:-4], dx**3
+        )
     return out.swapaxes(0, axis)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import TimeGrid, complex_samples, deriv_uniform, interior
+from .numerics import TimeGrid, _scaled, complex_samples, deriv_uniform, interior, unit_phase
 from .potentials import PotentialSpec
 
 #: boundary ring (per side, per axis) excluded from operator norms
@@ -61,10 +61,11 @@ def _h(u, V, u_xx, u_t, consts: PhysicalConstants) -> np.ndarray:
 
 def _f(u, V, u_x, u_t, dt: float, consts: PhysicalConstants) -> np.ndarray:
     """F u from u, its potential V and its stencils u_x and u_t; a(a(u)),
-    a(v) = -i hbar v_t - V v, is applied literally twice."""
+    a(v) = -i hbar v_t - V v, is applied literally twice and scaled by
+    1/(2 m c^2) through `numerics._scaled`, bit for bit the division."""
     hbar, m, c = consts.hbar, consts.m, consts.c
     au = -1j * hbar * u_t - V * u
-    aau = (-1j * hbar * deriv_uniform(au, dt, 1, axis=1) - V * au) / (2 * m * c**2)
+    aau = _scaled(-1j * hbar * deriv_uniform(au, dt, 1, axis=1) - V * au, 2 * m * c**2)
     del au  # before out exists: one field fewer at the shared pass's peak
     out = u_x * (c * 1j * hbar)
     out -= aau
@@ -112,7 +113,7 @@ def gaussian_probes(x_grid: TimeGrid, t_grid: TimeGrid) -> list[Field2D]:
     probes = []
     for x0, t0, sx, st, kx, kt in specs:
         vals = np.exp(-((X - x0) ** 2) / (2 * sx**2) - ((T - t0) ** 2) / (2 * st**2))
-        vals = vals * np.exp(1j * (kx * X + kt * T))
+        vals = vals * unit_phase(kx * X + kt * T)
         probes.append(Field2D(x_grid, t_grid, vals))
     return probes
 

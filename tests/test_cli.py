@@ -205,6 +205,8 @@ class TestExitCodes:
             ({"gaussian": {"omega0": float("inf")}}, "gaussian.omega0 must be finite, got inf"),
             ({"currents": {"sizes": [128, float("-inf")]}}, "entry of currents.sizes must be finite, got -inf"),
             ({"rays": {"n_steps": float("inf")}}, "rays.n_steps must be finite"),
+            ({"rays": {"n_steps": 10**400}}, "rays.n_steps must be finite, got an integer too large for a float"),
+            ({"gaussian": {"sigma": 10**400}}, "gaussian.sigma must be finite, got an integer too large for a float"),
         ],
     )
     def test_config_fault_exit_code(self, tmp_path, capsys, payload, message):

@@ -353,6 +353,68 @@ class TestDerivUniform:
         assert d.dtype == v.dtype
         assert d.tobytes() == self._one_expression(v, self.h, axis).tobytes()
 
+    @staticmethod
+    def _divided(v, dx, order, axis):
+        """Orders 2 and 3 with each region's sum divided by its scale, as written."""
+        u = np.swapaxes(v, axis, 0)
+        out = np.empty_like(u)
+        if order == 2:
+            out[2:-2] = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * dx * dx)
+            out[:2] = (2 * u[:2] - 5 * u[1:3] + 4 * u[2:4] - u[3:5]) / (dx * dx)
+            out[-2:] = (2 * u[-2:] - 5 * u[-3:-1] + 4 * u[-4:-2] - u[-5:-3]) / (dx * dx)
+        else:
+            out[3:-3] = (u[:-6] - 8 * u[1:-5] + 13 * u[2:-4] - 13 * u[4:-2] + 8 * u[5:-1] - u[6:]) / (8 * dx**3)
+            out[:3] = (-2.5 * u[:3] + 9 * u[1:4] - 12 * u[2:5] + 7 * u[3:6] - 1.5 * u[4:7]) / dx**3
+            out[-3:] = (2.5 * u[-3:] - 9 * u[-4:-1] + 12 * u[-5:-2] - 7 * u[-6:-3] + 1.5 * u[-7:-4]) / dx**3
+        return np.swapaxes(out, 0, axis)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_complex_higher_orders_are_the_division(self, order, axis, layout):
+        """A complex stencil scaled by its exact complex reciprocal has the bits of
+        the division, on either layout along either axis, signed zeros included."""
+        rng = np.random.default_rng(order)
+        v = rng.standard_normal((40, 33)) + 1j * rng.standard_normal((40, 33))
+        v[10:17] = -0.0
+        v[:, 20:26] = -v[:, 20:26] * 0.0
+        v = np.asarray(v, order=layout)
+        d = deriv_uniform(v, self.h, order, axis=axis)
+        assert d.tobytes() == self._divided(v, self.h, order, axis).tobytes()
+
+    @pytest.mark.parametrize("dx", [0.125, 1.7, 40.0])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_underflowing_parts_keep_their_signs(self, order, dx):
+        """Scales of 2 and more (12 dx = 20.4, dx**3 = 64000) shrink the far tail of a
+        phase-dressed Gaussian below the smallest subnormal; there the complex
+        product would lose the sign of zero that the division keeps."""
+        x = np.linspace(-30.0, 30.0, 64, endpoint=False)
+        v = np.exp(-x[:, None] ** 2 - x**2 / 2) * np.exp(1j * (0.3 * x[:, None] - 0.7 * x))
+        for axis in (0, 1):
+            d = deriv_uniform(v, dx, order, axis=axis)
+            expected = self._divided(v, dx, order, axis) if order > 1 else self._one_expression(v, dx, axis)
+            assert d.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_infinite_samples_are_the_division(self, order):
+        """With +-inf samples the values equal the division's (NaN where it has NaN)
+        and every non-NaN entry has its sign; a NaN's sign and payload are free."""
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((30, 20)) + 1j * rng.standard_normal((30, 20))
+        v[12, 3] = np.inf
+        v[4, 9] = complex(-np.inf, 1.0)
+        v[20, 15] = complex(0.5, np.inf)
+        v[25, 0] = complex(-np.inf, -np.inf)
+        with np.errstate(invalid="ignore"):
+            d = deriv_uniform(v, self.h, order, axis=0)
+            expected = self._divided(v, self.h, order, 0) if order > 1 else self._one_expression(v, self.h, 0)
+        assert np.isnan(expected).any() and np.isinf(expected.view(float)).any()
+        assert np.array_equal(d, expected, equal_nan=True)
+        d, expected = d.view(float), expected.view(float)
+        real = ~np.isnan(expected)
+        assert np.array_equal(np.isnan(d), ~real)
+        assert np.array_equal(np.signbit(d[real]), np.signbit(expected[real]))
+
 
 class TestUnitPhase:
     def test_is_the_exponential_of_the_imaginary_phase(self):

@@ -10,10 +10,14 @@ array twin `rk4_sums` are the only places that form the weighted sum, so
 the stage order and the weights have one home.  No module imports
 scipy: the package runs on numpy alone, and scipy is a test-time
 reference.  In `cli`, one runner writes the CSVs and checks the gates, so no
-command can bypass it.  Every phase factor of `interaction` comes from
-`numerics.unit_phase`, so it forms no complex exponential of its own.  Every
-forward and inverse FFT is taken in `numerics`, so a chain of free x-steps,
-which carries its spectrum from one step to the next, has no second
+command can bypass it.  Every phase factor of `interaction`, and the
+carrier of the commutator's probes in `operators`, comes from
+`numerics.unit_phase`, so neither forms a complex exponential of its own.
+A complex stencil, and F's 1/(2 m c^2), is scaled by its exact complex
+reciprocal in one helper, `numerics._scaled`, whose guard keeps the bits of
+the division; no other module writes that factor or divides F by its scale.
+Every forward and inverse FFT is taken in `numerics`, so a chain of free
+x-steps, which carries its spectrum from one step to the next, has no second
 transform path beside it in `propagator`, `interaction` or `currents`.  The
 package's one interpolant, the cubic Hermite, lives in `numerics`: no other
 module looks up a piece with `searchsorted`, and interaction's `CubicSpline`
@@ -106,11 +110,9 @@ def test_cli_writes_and_gates_in_one_runner():
         assert callers == ["_command"], f"{callee} called from {callers}"
 
 
-def test_interaction_takes_phases_from_unit_phase():
-    """interaction.py calls no np.exp: its gauge, mode and split-step phases are numerics.unit_phase."""
-    tree = ast.parse((PACKAGE / "interaction.py").read_text())
-    exps = [
-        node.lineno
+def _np_exp_calls(tree: ast.AST) -> list[ast.Call]:
+    return [
+        node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
@@ -118,7 +120,40 @@ def test_interaction_takes_phases_from_unit_phase():
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "np"
     ]
+
+
+def test_interaction_takes_phases_from_unit_phase():
+    """interaction.py calls no np.exp: its gauge, mode and split-step phases are numerics.unit_phase."""
+    tree = ast.parse((PACKAGE / "interaction.py").read_text())
+    exps = [node.lineno for node in _np_exp_calls(tree)]
     assert exps == [], f"np.exp called in interaction.py at lines {exps}"
+
+
+def test_operators_takes_phases_from_unit_phase():
+    """No np.exp call in operators.py has an imaginary literal in its argument:
+    the probes' carrier is numerics.unit_phase."""
+    tree = ast.parse((PACKAGE / "operators.py").read_text())
+    imaginary = [
+        call.lineno
+        for call in _np_exp_calls(tree)
+        if any(isinstance(node, ast.Constant) and isinstance(node.value, complex) for node in ast.walk(call))
+    ]
+    assert imaginary == [], f"np.exp of an imaginary argument in operators.py at lines {imaginary}"
+
+
+def test_complex_scale_only_in_numerics():
+    """The complex reciprocal, complex(r, -0.0), is built in numerics._scaled
+    alone, and operators.py does not divide F by 2 m c**2."""
+    homes = sorted(
+        f"{p.name}:{getattr(top, 'name', '<module>')}"
+        for p in PACKAGE.glob("*.py")
+        for top in ast.parse(p.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "complex"
+    )
+    assert homes == ["numerics.py:_scaled"], f"complex(...) built in {homes}"
+    operators = (PACKAGE / "operators.py").read_text()
+    assert not re.search(r"/\s*\(\s*2\s*\*\s*m\s*\*\s*c", operators), "operators.py divides by 2 m c**2"
 
 
 def _fft_uses(path: Path) -> list[int]:

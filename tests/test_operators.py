@@ -221,3 +221,20 @@ class TestGaussianProbes:
         b = gaussian_probes(g, g)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.values, pb.values)
+
+    @pytest.mark.parametrize("half", [4.0, 30.0])
+    @pytest.mark.parametrize("n", [16, 64, 256, 512])
+    def test_carrier_is_the_complex_exponential(self, n, half):
+        """The carrier from unit_phase has the bits of np.exp(1j * (kx X + kt T))."""
+        g = TimeGrid(-half, half, n)
+        X, T = np.meshgrid(g.times, g.times, indexing="ij")
+        l, c = 2 * half, 0.0
+        specs = [
+            (c, c, 0.10 * l, 0.10 * l, 0.3, -0.2),
+            (c - 0.08 * l, c + 0.05 * l, 0.07 * l, 0.12 * l, -0.5, 0.4),
+            (c + 0.06 * l, c - 0.09 * l, 0.12 * l, 0.08 * l, 0.2, 0.7),
+        ]
+        for probe, (x0, t0, sx, st, kx, kt) in zip(gaussian_probes(g, g), specs):
+            envelope = np.exp(-((X - x0) ** 2) / (2 * sx**2) - ((T - t0) ** 2) / (2 * st**2))
+            expected = envelope * np.exp(1j * (kx * X + kt * T))
+            assert probe.values.tobytes() == expected.tobytes()
