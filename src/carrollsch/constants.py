@@ -5,6 +5,7 @@ the symbols so that a non-trivial record can be threaded through unchanged.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -15,8 +16,8 @@ class PhysicalConstants:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.hbar > 0 and self.m > 0 and self.c > 0):
-            raise ValueError("hbar, m, c must all be strictly positive")
+        if not all(0 < v < math.inf for v in (self.hbar, self.m, self.c)):
+            raise ValueError("hbar, m, c must all be finite and strictly positive")
 
     @property
     def beta(self) -> float:

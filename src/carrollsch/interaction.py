@@ -29,7 +29,7 @@ import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
 from .numerics import (
-    TimeGrid, cumulative_integral, kinetic_multiplier, real_samples, row_blocks, spectral_multiply, unit_phase,
+    TimeGrid, cumulative_integral, kinetic_multiplier, real_samples, spectral_multiply, unit_phase,
     cubic_hermite as CubicSpline,  # unused in the package: only perfbench/tracer.py reads it
 )
 from .operators import Field2D
@@ -129,18 +129,12 @@ def gauge_reduce(
     solution of the interacting equation factors as exp[+(i/hbar) int V]
     times a solution of the reduced one, so the reduction strips that phase.
 
-    The phase integral is the running trapezoid, 2nd order in dt.  Rows of
-    psi are independent along t, so V, the integral, the phase and the
-    product run in row blocks of about `numerics.BLOCK_BYTES` into the one
-    output array, with the bits of the whole-field expressions.
+    The phase integral is the running trapezoid, 2nd order in dt.
     """
-    x, t = psi.x_grid.times, psi.t_grid.times
-    out = np.empty(psi.values.shape, dtype=complex)
-    for rows in row_blocks(0, len(x), psi.values[0].nbytes):
-        I = cumulative_integral(real_samples(v.v_xt(x[rows], t), "potential"), psi.t_grid, t0, axis=1)
-        I *= -1.0 / constants.hbar
-        np.multiply(unit_phase(I), psi.values[rows], out=out[rows])
-    return Field2D(psi.x_grid, psi.t_grid, out)
+    V = real_samples(v.v_xt(psi.x_grid.times, psi.t_grid.times), "potential")
+    I = cumulative_integral(V, psi.t_grid, t0, axis=1)
+    I *= -1.0 / constants.hbar
+    return Field2D(psi.x_grid, psi.t_grid, unit_phase(I) * psi.values)
 
 
 def _split_step(

@@ -19,8 +19,8 @@ by its scale's exact complex reciprocal, which has the division's bits (see
 products the complex multiply forms in SIMD), the slope and
 Schwarzian of sampled functions, the anchored cumulative integral, scipy's
 running-trapezoid expression, the interior slice and the split of a field's
-rows into blocks of about BLOCK_BYTES, so a kernel over a field far beyond L2
-keeps each block's temporaries in it.
+rows into blocks of about BLOCK_BYTES, so the continuity bridge over a field
+far beyond L2 keeps each block's temporaries in it.
 Everything here is a pure function of its inputs (the one cache returns an
 array equal to a fresh build; `_scaled` overwrites only the fresh sum it is
 handed), and this module, like the package, loads
@@ -44,10 +44,6 @@ class GridError(ValueError):
     """Invalid grid construction or use."""
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform periodic-convention grid: samples t_k = t_min + k dt, k < n.
@@ -60,10 +56,16 @@ class TimeGrid:
     n: int
 
     def __post_init__(self) -> None:
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise GridError(f"n must be an integer, got {self.n!r}") from None
         if not (self.t_max > self.t_min):
             raise GridError(f"degenerate interval [{self.t_min}, {self.t_max}]")
-        if self.n < 8 or not _is_power_of_two(self.n):
-            raise GridError(f"n must be a power of two >= 8, got {self.n}")
+        if n < 8 or n & (n - 1):
+            raise GridError(f"n must be a power of two >= 8, got {n}")
+        if not 0 < self.dt < np.inf:  # an infinite bound, or a width that over- or underflows
+            raise GridError(f"spacing dt = {self.dt} of [{self.t_min}, {self.t_max}] not positive and finite")
 
     @property
     def dt(self) -> float:
@@ -410,7 +412,7 @@ def interior(values: np.ndarray, margin: int) -> np.ndarray:
     return values[tuple(slice(margin, n - margin) for n in values.shape)]
 
 
-def row_blocks(start: int, stop: int, row_nbytes: int, least: int = 1) -> list[slice]:
+def row_blocks(start: int, stop: int, row_nbytes: int, least: int) -> list[slice]:
     """Rows start..stop as consecutive slices of near-equal length, each of at least
     max(least, BLOCK_BYTES // row_nbytes) rows unless fewer rows are there in all."""
     k = max(1, (stop - start) // max(least, BLOCK_BYTES // row_nbytes))

@@ -129,8 +129,8 @@ def commutator_residuals(
 ) -> list[float]:
     """commutator_residual of every (v_sch, v_car) case, in one shared pass.
 
-    Cases that hold the same potential object share its V and the inner
-    field it makes.  Per probe each stencil of each field is taken once: the
+    Cases that hold equal potentials share one V and the inner field it
+    makes.  Per probe each stencil of each field is taken once: the
     stencils of psi feed every inner F psi and H psi, those of an inner F psi
     every H(F psi), those of an inner H psi every F(H psi).  A field is
     dropped after its last reader; H(F psi) waits as its case's difference
@@ -153,14 +153,11 @@ def commutator_residuals(
             )
     dx, dt = x_grid.dt, t_grid.dt
 
-    specs = list({id(v): v for pair in cases for v in pair}.values())
-    slot = {id(v): i for i, v in enumerate(specs)}
-    pairs = [(slot[id(vs)], slot[id(vc)]) for vs, vc in cases]
-    V = [v.v_grid(x_grid.times, t_grid.times) for v in specs]
-    sch = list(dict.fromkeys(s for s, _ in pairs))
-    car = list(dict.fromkeys(c for _, c in pairs))
+    V = {v: v.v_grid(x_grid.times, t_grid.times) for v in dict.fromkeys(v for pair in cases for v in pair)}
+    sch = list(dict.fromkeys(vs for vs, _ in cases))
+    car = list(dict.fromkeys(vc for _, vc in cases))
 
-    worst = [0.0] * len(pairs)
+    worst = [0.0] * len(cases)
     for psi in probes:
         u = psi.values
         norm = _interior_norm(u, dx, dt)
@@ -179,7 +176,7 @@ def commutator_residuals(
             w = f_u.pop(c)
             w_xx = deriv_uniform(w, dx, 2, axis=0)
             w_t = deriv_uniform(w, dt, 1, axis=1)
-            for k, (s, kc) in enumerate(pairs):
+            for k, (s, kc) in enumerate(cases):
                 if kc == c:
                     diffs[k] = _h(w, V[s], w_xx, w_t, constants)
             del w, w_xx, w_t
@@ -188,7 +185,7 @@ def commutator_residuals(
             w = h_u.pop(s)
             w_x = deriv_uniform(w, dx, 1, axis=0)
             w_t = deriv_uniform(w, dt, 1, axis=1)
-            for k, (ks, c) in enumerate(pairs):
+            for k, (ks, c) in enumerate(cases):
                 if ks == s:
                     diff = diffs.pop(k)
                     diff -= _f(w, V[c], w_x, w_t, dt, constants)

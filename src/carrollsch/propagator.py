@@ -84,8 +84,8 @@ class GaussianParams:
     omega0: float = 0.0  # carrier frequency, E0 = hbar * omega0
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not (self.sigma > 0 and np.isfinite((self.sigma, self.t0, self.omega0)).all()):
+            raise ValueError("sigma must be positive, and sigma, t0 and omega0 finite")
 
 
 def evolve_free(

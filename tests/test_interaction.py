@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from carrollsch import (
     interaction_momentum,
     quantized_modes,
 )
-from carrollsch import interaction, numerics
+from carrollsch import interaction
 from carrollsch.numerics import cumulative_integral, deriv_uniform, kinetic_multiplier, real_samples, unit_phase
 
 
@@ -270,19 +269,16 @@ class TestGaugeReduce:
         "consts", [PhysicalConstants(), PhysicalConstants(hbar=1.0546, m=0.7, c=1.3), PhysicalConstants(hbar=0.3)]
     )
     @pytest.mark.parametrize(
-        "anchor, n_x, block_rows",
+        "anchor, n_x",
         [
-            pytest.param(anchor, n_x, rows, id=f"{anchor}{suffix}")
-            for n_x, rows, suffix in [(32, None, ""), (2048, None, "-four-blocks"), (32, 3, "-blocks-of-3-and-4")]
+            pytest.param(anchor, n_x, id=f"{anchor}{suffix}")
+            for n_x, suffix in [(32, ""), (2048, "-2048-rows")]
             for anchor in (0, 40, -1)
         ],
     )
-    def test_phase_is_the_complex_exponential(self, monkeypatch, consts, anchor, n_x, block_rows):
+    def test_phase_is_the_complex_exponential(self, consts, anchor, n_x):
         """The phase filled by unit_phase, times psi, is np.exp(-1j / hbar * I) * psi bit
-        for bit: every value and every sign of zero in both parts.  At 64 samples in t a
-        default block holds 512 rows; 3-row blocks split 32 rows unevenly."""
-        if block_rows is not None:
-            monkeypatch.setattr(numerics, "BLOCK_BYTES", block_rows * 64 * 16)
+        for bit: every value and every sign of zero in both parts."""
         rng = np.random.default_rng(anchor % 7)
         xg, tg = TimeGrid(-3.0, 3.0, n_x), TimeGrid(-4.0, 4.0, 64)
         vals = rng.standard_normal((n_x, 64)) + 1j * rng.standard_normal((n_x, 64))
@@ -298,19 +294,17 @@ class TestGaugeReduce:
         for part in (np.real, np.imag):
             assert np.array_equal(np.signbit(part(out.values)), np.signbit(part(expected)))
 
-    def test_complex_potential_rejected(self):
-        g = TimeGrid(0.0, 2.0, 16)
-        psi = Field2D(g, g, np.ones((16, 16), dtype=complex))
-        with pytest.raises(ValueError, match="complex potential"):
-            gauge_reduce(psi, PotentialSpec.time_profile(lambda t: 1j * t, lambda t: 1j + 0 * t), 0.0)
-
-    def test_complex_potential_in_the_last_block_rejected(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "v",
+        [
+            PotentialSpec.time_profile(lambda t: 1j * t, lambda t: 1j + 0 * t),
+            PotentialSpec.space_time(lambda x, t: 0.1 * np.sin(t) + 1e-3j * (x >= 54 / 32)),
+        ],
+        ids=["time-profile", "last-rows"],
+    )
+    def test_complex_potential_rejected(self, v):
         g = TimeGrid(0.0, 2.0, 64)
         psi = Field2D(g, g, np.ones((64, 64), dtype=complex))
-        x_last = g.times[54]
-        v = PotentialSpec.space_time(lambda x, t: 0.1 * np.sin(t) + 1e-3j * (x >= x_last))
-        monkeypatch.setattr(numerics, "BLOCK_BYTES", 8 * psi.values[0].nbytes)
-        assert len(numerics.row_blocks(0, 64, psi.values[0].nbytes)) == 8
         with pytest.raises(ValueError, match="complex potential rejected"):
             gauge_reduce(psi, v, 0.0)
 
@@ -328,8 +322,8 @@ class TestGaugeReduce:
     )
     @pytest.mark.parametrize("n", [32, 64, 256, 1024])
     def test_is_the_whole_field_expression(self, n, v, consts):
-        """The row blocks give the bits of V, its trapezoid, the scaled phase and the
-        product formed over the whole field at once."""
+        """The bits of V, its trapezoid, the scaled phase and the product over the whole
+        field, written out, for a zero, a time-only and a space-time V."""
         rng = np.random.default_rng(n)
         tg = TimeGrid(-6.0, 6.0, n)
         xg = TimeGrid(-6.0 * consts.c, 6.0 * consts.c, n)
@@ -340,20 +334,6 @@ class TestGaugeReduce:
         expected = unit_phase(I)
         expected *= psi.values
         assert gauge_reduce(psi, v, t0, consts).values.tobytes() == expected.tobytes()
-
-    def test_working_set_is_the_output_and_a_block(self):
-        """At 1024^2 with a space-time V the traced peak is at most 24 MiB: the 16 MiB
-        output and one block's temporaries, no full-field V, integral or phase."""
-        grid = TimeGrid(-12.0, 12.0, 1024)
-        psi = Field2D(grid, grid, np.ones((1024, 1024), dtype=complex))
-        v = PotentialSpec.space_time(lambda x, t: 0.5 * np.cos(1.2 * x) * np.exp(-((t / 3.0) ** 2)))
-        tracemalloc.start()
-        try:
-            gauge_reduce(psi, v, grid.t_min)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * 2**20
 
     def test_quantized_mode_reduces_to_free_solution(self):
         # a dressed separated mode strips to plane wave x sine, which must

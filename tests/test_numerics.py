@@ -1,6 +1,8 @@
 """Unit tests for grids, transforms, stencils and quadrature."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +48,21 @@ class TestTimeGrid:
     def test_rejects_degenerate_interval(self):
         with pytest.raises(GridError):
             TimeGrid(1.0, 1.0, 8)
+
+    @pytest.mark.parametrize(
+        "t_min, t_max, n",
+        [
+            (0.0, math.inf, 8), (-math.inf, 0.0, 8), (-1e308, 1e308, 8), (0.0, 5e-324, 8),
+            (0.0, 1.0, 8.0), (0.0, 1.0, "8"),
+        ],
+        ids=["infinite-end", "infinite-start", "overflowing-width", "zero-spacing", "float-n", "str-n"],
+    )
+    def test_rejects_bad_spacing_and_non_integer_n(self, t_min, t_max, n):
+        with pytest.raises(GridError):
+            TimeGrid(t_min, t_max, n)
+
+    def test_numpy_integer_n(self):
+        assert TimeGrid(0.0, 1.0, np.int64(8)).times.tolist() == TimeGrid(0.0, 1.0, 8).times.tolist()
 
     def test_omegas_wraparound_order(self):
         g = TimeGrid(0.0, 2 * np.pi, 8)

@@ -25,7 +25,8 @@ is that interpolant under the name the benchmark's tracer patches.  The
 continuity bridge in `currents` takes V off the current in closed form, so it
 imports nothing from `interaction` and forms no gauge integral or phase.  The
 row-block size is one module constant, `numerics.BLOCK_BYTES`: no other module
-sets one, and the blocked kernels take no parameter for it.
+sets one, and the one blocked kernel, the continuity bridge, takes no
+parameter for it.
 """
 from __future__ import annotations
 
@@ -208,10 +209,9 @@ def test_currents_takes_no_gauge_phase():
 def test_block_size_only_in_numerics():
     import inspect
 
-    from carrollsch import continuity_equivalence, gauge_reduce
+    from carrollsch import continuity_equivalence
 
     homes = sorted(p.name for p in PACKAGE.glob("*.py") if re.search(r"^BLOCK_BYTES\s*=", p.read_text(), re.M))
     assert homes == ["numerics.py"], f"BLOCK_BYTES assigned in {homes}"
-    for kernel in (continuity_equivalence, gauge_reduce):
-        names = set(inspect.signature(kernel).parameters)
-        assert not any("block" in name for name in names), f"{kernel.__name__} takes {names}"
+    names = set(inspect.signature(continuity_equivalence).parameters)
+    assert not any("block" in name for name in names), f"continuity_equivalence takes {names}"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -304,6 +305,18 @@ class TestGaussianExact:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             GaussianParams(sigma=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "record, field",
+        [(GaussianParams, name) for name in ("sigma", "t0", "omega0")]
+        + [(PhysicalConstants, name) for name in ("hbar", "m", "c")],
+        ids=lambda p: p if isinstance(p, str) else p.__name__,
+    )
+    def test_non_finite_field_rejected(self, record, field, value):
+        base = {"sigma": 1.0} if record is GaussianParams else {}
+        with pytest.raises(ValueError, match="finite"):
+            record(**{**base, field: value})
 
     @settings(max_examples=25, deadline=None)
     @given(
