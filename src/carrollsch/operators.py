@@ -6,22 +6,17 @@ E = +i hbar d/dt) and the Carroll constraint F = c p~ - (E~ - V_car)^2 / 2mc^2
 differences.  The squared operator is applied literally twice, so the cross
 term i hbar (dV_car/dt) appears automatically.
 
-With E~ = -i hbar d/dt the commuting time-profile pair is V_car = -V_sch + C:
-then V_sch - i hbar d/dt = (E~ - V_car) + C, and the discrete H and F commute
-exactly.  Their interior commutator residual is roundoff, which grows with n,
-not truncation error.
-
-Each operator expression has one home: `_h` and `_f` take the field, its
-potential and its stencils.  `apply_H` and `apply_F` take the stencils and
-call them once; `commutator_residuals` runs all its cases in one pass per
-probe, which takes each stencil of each field once and shares it between
-every case that reads it (16 stencils per probe for the CLI's three cases,
-against 30 for three separate compositions), and which keeps each field
-only until its last reader.
-
-Boundary rings polluted by the stencils are excluded from all norms by
-`numerics.interior`; the `MARGIN` constant below is wide enough for the
-doubly-applied operators.
+With A = E~ - V_car, W = V_sch + V_car, K = -(hbar^2/2m) d^2/dx^2 and
+P = i hbar c d/dx, H = K + A + W and F = P - A^2/2mc^2.  Stencils along x
+and along t commute exactly (tensor products), and d^2/dx^2 and d/dx commute
+at every sample at least 4 from an edge, inside the `MARGIN` ring that all
+norms exclude (`numerics.interior`).  There the commutator is the reduced
+identity [H, F] = [V_sch, P] - ([K, A^2] + [W, A^2]) / 2mc^2, whose terms
+are the paper's conditions: V_sch free of x, V_car free of x, W free of t.
+`commutator_residuals` forms each bracket literally and skips [V_sch, P] or
+[K, A^2] when V_sch or V_car has no x extent, where it is exactly zero: 12
+stencils per probe for the CLI's three cases.  The matched time profiles
+V_car = -V_sch + C make W the constant C, so their residual is roundoff.
 """
 from __future__ import annotations
 
@@ -53,23 +48,10 @@ def _check_stencil_grid(x_grid: TimeGrid, t_grid: TimeGrid) -> None:
         raise ValueError("grid too coarse for 4th-order stencils (need n >= 16)")
 
 
-def _h(u, V, u_xx, u_t, consts: PhysicalConstants) -> np.ndarray:
-    """H u from u, its potential V and its stencils u_xx and u_t."""
-    hbar, m = consts.hbar, consts.m
-    return -(hbar**2) / (2 * m) * u_xx + V * u - 1j * hbar * u_t
-
-
-def _f(u, V, u_x, u_t, dt: float, consts: PhysicalConstants) -> np.ndarray:
-    """F u from u, its potential V and its stencils u_x and u_t; a(a(u)),
-    a(v) = -i hbar v_t - V v, is applied literally twice and scaled by
-    1/(2 m c^2) through `numerics._scaled`, bit for bit the division."""
-    hbar, m, c = consts.hbar, consts.m, consts.c
-    au = -1j * hbar * u_t - V * u
-    aau = _scaled(-1j * hbar * deriv_uniform(au, dt, 1, axis=1) - V * au, 2 * m * c**2)
-    del au  # before out exists: one field fewer at the shared pass's peak
-    out = u_x * (c * 1j * hbar)
-    out -= aau
-    return out
+def _a2(v, V, dt: float, hbar: float, v_t=None) -> np.ndarray:
+    """A^2 v, A v = -i hbar v_t - V v applied literally twice; v_t is taken unless given."""
+    av = -1j * hbar * (deriv_uniform(v, dt, 1, axis=1) if v_t is None else v_t) - V * v
+    return -1j * hbar * deriv_uniform(av, dt, 1, axis=1) - V * av
 
 
 def apply_H(
@@ -77,11 +59,12 @@ def apply_H(
 ) -> Field2D:
     """H psi = -(hbar^2/2m) psi_xx + V_sch psi - i hbar psi_t."""
     _check_stencil_grid(psi.x_grid, psi.t_grid)
+    hbar, m = constants.hbar, constants.m
     u = psi.values
     V = v_sch.v_grid(psi.x_grid.times, psi.t_grid.times)
     u_xx = deriv_uniform(u, psi.x_grid.dt, 2, axis=0)
     u_t = deriv_uniform(u, psi.t_grid.dt, 1, axis=1)
-    return Field2D(psi.x_grid, psi.t_grid, _h(u, V, u_xx, u_t, constants))
+    return Field2D(psi.x_grid, psi.t_grid, -(hbar**2) / (2 * m) * u_xx + V * u - 1j * hbar * u_t)
 
 
 def apply_F(
@@ -89,14 +72,16 @@ def apply_F(
 ) -> Field2D:
     """F psi = c (i hbar psi_x) - (E~ - V_car)^2 psi / (2 m c^2).
 
-    (E~ - V_car) psi = -i hbar psi_t - V_car psi, applied literally twice.
+    (E~ - V_car) psi = -i hbar psi_t - V_car psi, applied literally twice and
+    scaled by 1/(2 m c^2) through `numerics._scaled`, bit for bit the division.
     """
     _check_stencil_grid(psi.x_grid, psi.t_grid)
+    hbar, m, c = constants.hbar, constants.m, constants.c
     u, dt = psi.values, psi.t_grid.dt
     V = v_car.v_grid(psi.x_grid.times, psi.t_grid.times)
-    u_x = deriv_uniform(u, psi.x_grid.dt, 1, axis=0)
-    u_t = deriv_uniform(u, dt, 1, axis=1)
-    return Field2D(psi.x_grid, psi.t_grid, _f(u, V, u_x, u_t, dt, constants))
+    out = deriv_uniform(u, psi.x_grid.dt, 1, axis=0) * (c * 1j * hbar)
+    out -= _scaled(_a2(u, V, dt, hbar), 2 * m * c**2)
+    return Field2D(psi.x_grid, psi.t_grid, out)
 
 
 def gaussian_probes(x_grid: TimeGrid, t_grid: TimeGrid) -> list[Field2D]:
@@ -127,19 +112,17 @@ def commutator_residuals(
     probes: list[Field2D],
     constants: PhysicalConstants = NATURAL,
 ) -> list[float]:
-    """commutator_residual of every (v_sch, v_car) case, in one shared pass.
+    """commutator_residual of every (v_sch, v_car) case, from the reduced identity.
 
-    Cases that hold equal potentials share one V and the inner field it
-    makes.  Per probe each stencil of each field is taken once: the
-    stencils of psi feed every inner F psi and H psi, those of an inner F psi
-    every H(F psi), those of an inner H psi every F(H psi).  A field is
-    dropped after its last reader; H(F psi) waits as its case's difference
-    until F(H psi) is subtracted from it.  Every expression is that of
-    apply_H and apply_F, so each residual has the bits of their composition.
-    All probes must lie on one grid; a grid of at most 2 MARGIN samples on an
-    axis raises "grid has no interior" at the first probe's norm, before any
-    stencil is taken.  A non-finite inner F psi or difference
-    raises, as a non-finite Field2D would, so a NaN residual cannot pass as
+    Per probe psi_t is taken once, and each case forms its brackets
+    literally: [H, F] psi = [V_sch, P] psi + ([A^2, K] + [A^2, W]) psi / 2mc^2
+    with [A^2, W] psi = A^2 (W psi) - W A^2 psi, [A^2, K] psi = A^2 (K psi)
+    - K A^2 psi and [V_sch, P] psi = V_sch P psi - P (V_sch psi); [A^2, K] is
+    formed only if V_car varies along x, [V_sch, P] only if V_sch does.
+    Nothing else is shared between cases.  All probes must lie on one grid; a
+    grid of at most 2 MARGIN samples on an axis raises "grid has no
+    interior" at the first probe's norm, before any stencil is taken.  A
+    non-finite residual field raises, so a NaN residual cannot pass as
     max(0, nan) = 0.
     """
     if not probes:
@@ -151,48 +134,34 @@ def commutator_residuals(
                 f"probes on different grids: {(psi.x_grid, psi.t_grid)} "
                 f"differs from {(x_grid, t_grid)} of the first probe"
             )
+    hbar, m, c = constants.hbar, constants.m, constants.c
     dx, dt = x_grid.dt, t_grid.dt
 
-    V = {v: v.v_grid(x_grid.times, t_grid.times) for v in dict.fromkeys(v for pair in cases for v in pair)}
-    sch = list(dict.fromkeys(vs for vs, _ in cases))
-    car = list(dict.fromkeys(vc for _, vc in cases))
+    def K(v):
+        return -(hbar**2) / (2 * m) * deriv_uniform(v, dx, 2, axis=0)
 
+    def P(v):
+        return (c * 1j * hbar) * deriv_uniform(v, dx, 1, axis=0)
+
+    xs, ts = x_grid.times, t_grid.times
+    grids = [(vs.v_grid(xs, ts), vc.v_grid(xs, ts)) for vs, vc in cases]
     worst = [0.0] * len(cases)
     for psi in probes:
         u = psi.values
         norm = _interior_norm(u, dx, dt)
-        u_x = deriv_uniform(u, dx, 1, axis=0)
         u_t = deriv_uniform(u, dt, 1, axis=1)
-        # F psi first, and checked: the composition rejected a non-finite
-        # F psi before H could overflow hbar**2, and so does this pass
-        f_u = {c: complex_samples(_f(u, V[c], u_x, u_t, dt, constants), u.shape) for c in car}
-        del u_x
-        u_xx = deriv_uniform(u, dx, 2, axis=0)
-        h_u = {s: _h(u, V[s], u_xx, u_t, constants) for s in sch}
-        del u_xx, u_t
-
-        diffs = {}
-        for c in car:
-            w = f_u.pop(c)
-            w_xx = deriv_uniform(w, dx, 2, axis=0)
-            w_t = deriv_uniform(w, dt, 1, axis=1)
-            for k, (s, kc) in enumerate(cases):
-                if kc == c:
-                    diffs[k] = _h(w, V[s], w_xx, w_t, constants)
-            del w, w_xx, w_t
-
-        for s in sch:
-            w = h_u.pop(s)
-            w_x = deriv_uniform(w, dx, 1, axis=0)
-            w_t = deriv_uniform(w, dt, 1, axis=1)
-            for k, (ks, c) in enumerate(cases):
-                if ks == s:
-                    diff = diffs.pop(k)
-                    diff -= _f(w, V[c], w_x, w_t, dt, constants)
-                    complex_samples(diff, u.shape)  # raises on a non-finite entry
-                    worst[k] = max(worst[k], _interior_norm(diff, dx, dt) / norm)
-                    del diff
-            del w, w_x, w_t
+        for k, (Vs, Vc) in enumerate(grids):
+            W = Vs + Vc
+            a2u = _a2(u, Vc, dt, hbar, u_t)
+            r = _a2(W * u, Vc, dt, hbar) - W * a2u
+            # a grid of shape () or (1, n_t) has no x extent: its bracket is exactly zero
+            if np.shape(Vc)[:1] not in ((), (1,)):
+                r += _a2(K(u), Vc, dt, hbar) - K(a2u)
+            r = _scaled(r, 2 * m * c**2)
+            if np.shape(Vs)[:1] not in ((), (1,)):
+                r += Vs * P(u) - P(Vs * u)
+            complex_samples(r, u.shape)  # raises on a non-finite entry
+            worst[k] = max(worst[k], _interior_norm(r, dx, dt) / norm)
     return worst
 
 

@@ -106,7 +106,7 @@ class TestOneBuffer:
 
     @pytest.mark.parametrize("v, consts", CASES)
     def test_apply_H(self, v, consts):
-        # pins the order of _h, which the shared commutator pass reuses
+        # pins the order of apply_H's one expression
         g = TimeGrid(-4.0, 4.0, 32)
         psi = gaussian_probes(g, g)[2]
         hbar, m = consts.hbar, consts.m
@@ -163,15 +163,27 @@ def _cli_cases() -> list[tuple[PotentialSpec, PotentialSpec]]:
     return [(v_t, v_t_shift), (v_t, v_t_neg), (v_x, v_t_shift)]
 
 
+def _x_cases() -> list[tuple[PotentialSpec, PotentialSpec]]:
+    """Four (v_sch, v_car) cases whose potentials both depend on x."""
+    return [
+        (PotentialSpec.space_time(lambda x, t: 0.2 * np.sin(x + t)), PotentialSpec.space_time(lambda x, t: 0.3 * np.cos(x - 0.5 * t))),
+        (PotentialSpec.separable(np.sin, np.cos, np.cos), PotentialSpec.separable(lambda x: 0.5 * x, np.sin, lambda x: np.full_like(x, 0.5))),
+        (PotentialSpec.space_profile(lambda x: 0.1 * x**2, lambda x: 0.2 * x), PotentialSpec.separable(np.cos, lambda t: 1 + 0.1 * t, lambda x: -np.sin(x))),
+        (PotentialSpec.space_time(lambda x, t: 0.2 * np.sin(x + t)), PotentialSpec.separable(np.cos, np.sin, lambda x: -np.sin(x))),
+    ]
+
+
 class TestSharedPass:
-    """The shared pass has the bits of the composition, from fewer stencils."""
+    """One call for every case, from the reduced identity, against the literal
+    apply_H/apply_F composition, and the stencils it takes."""
 
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize("consts", [PhysicalConstants(), PhysicalConstants(hbar=1.0546, m=0.7, c=1.3)])
     def test_bits_of_the_composition(self, n, consts):
+        # the identity is exact on the interior, so the two differ by roundoff:
+        # relative for the non-commuting cases, absolute for the matched pair
         g = TimeGrid(-4.0, 4.0, n)
         probes = gaussian_probes(g, g)
-        cases = _cli_cases()
 
         def composed(vs, vc):
             worst = 0.0
@@ -182,7 +194,14 @@ class TestSharedPass:
                 worst = max(worst, r)
             return worst
 
-        assert commutator_residuals(cases, probes, consts) == [composed(vs, vc) for vs, vc in cases]
+        cli = _cli_cases()
+        plus, minus, space = commutator_residuals(cli, probes, consts)
+        for got, (vs, vc) in [(plus, cli[0]), (space, cli[2])]:
+            assert got == pytest.approx(composed(vs, vc), rel=1e-13, abs=0)
+        assert minus <= 1e-10 and composed(*cli[1]) <= 1e-10
+        cases = _x_cases()
+        for got, (vs, vc) in zip(commutator_residuals(cases, probes, consts), cases):
+            assert got == pytest.approx(composed(vs, vc), rel=1e-13, abs=0)
 
     def test_one_case_is_the_batch_of_one(self):
         g = TimeGrid(-4.0, 4.0, 64)
@@ -190,8 +209,12 @@ class TestSharedPass:
         for vs, vc in _cli_cases():
             assert commutator_residual(vs, vc, probes) == commutator_residuals([(vs, vc)], probes)[0]
 
-    @pytest.mark.parametrize("n_cases, per_probe", [(3, 16), (1, 9)])
-    def test_stencils_per_probe(self, monkeypatch, n_cases, per_probe):
+    @pytest.mark.parametrize(
+        "cases, per_probe",
+        [(_cli_cases(), 12), (_cli_cases()[:1], 4), (_x_cases()[:1], 10)],
+        ids=["cli", "time_profile", "both_in_x"],
+    )
+    def test_stencils_per_probe(self, monkeypatch, cases, per_probe):
         calls = []
 
         def counted(*args, **kwargs):
@@ -201,8 +224,19 @@ class TestSharedPass:
         monkeypatch.setattr(operators, "deriv_uniform", counted)
         g = TimeGrid(-4.0, 4.0, 32)
         probes = gaussian_probes(g, g)
-        commutator_residuals(_cli_cases()[:n_cases], probes)
+        commutator_residuals(cases, probes)
         assert len(calls) == per_probe * len(probes)
+
+    def test_matched_roundoff_grows_like_the_reduced_form(self):
+        # W is constant for the matched pair, so only [A^2, W] psi is left, at
+        # roundoff of A^2 psi (about 4x per doubling of n); the composition's
+        # cancels H F psi against F H psi and grows about 16x
+        v_sch, v_car = _cli_cases()[1]
+        res = []
+        for n in (64, 128, 256):
+            g = TimeGrid(-4.0, 4.0, n)
+            res.append(commutator_residual(v_sch, v_car, gaussian_probes(g, g)))
+        assert all(0 < b < 8 * a for a, b in zip(res, res[1:])), res
 
 
 class TestGaussianProbes:
