@@ -83,24 +83,28 @@ DEFAULTS = {
 }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return "%.17g" % float(value)
+@functools.cache
+def _template(kinds: tuple) -> str:
+    """The %-template of a CSV row of these value types: an int or numpy
+    integer as `%d`, a str as itself, anything else as `%.17g` of its float."""
+    fmts = ("%d" if issubclass(k, (int, np.integer)) else "%s" if issubclass(k, str) else "%.17g" for k in kinds)
+    return ",".join(fmts) + "\n"
 
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:
-    """Atomic CSV write: temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    """Atomic CSV write (temp file in the target directory, then rename), one `%`
+    per row; the file's mode is 0o666 less the umask, as `open` would give it."""
+    directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-csv-")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
+            os.umask(umask := os.umask(0))  # reads the umask, which mkstemp's 0o600 ignores
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                row = tuple(row)
+                fh.write(_template(tuple(map(type, row))) % row)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -13,10 +13,11 @@ at every sample at least 4 from an edge, inside the `MARGIN` ring that all
 norms exclude (`numerics.interior`).  There the commutator is the reduced
 identity [H, F] = [V_sch, P] - ([K, A^2] + [W, A^2]) / 2mc^2, whose terms
 are the paper's conditions: V_sch free of x, V_car free of x, W free of t.
-`commutator_residuals` forms each bracket literally and skips [V_sch, P] or
-[K, A^2] when V_sch or V_car has no x extent, where it is exactly zero: 12
-stencils per probe for the CLI's three cases.  The matched time profiles
-V_car = -V_sch + C make W the constant C, so their residual is roundoff.
+`commutator_residuals` forms each bracket literally, skips [V_sch, P] or
+[K, A^2] when V_sch or V_car has no x extent (there it is exactly zero), and
+takes A^2 psi once per V_car: 11 stencils per probe for the CLI's three
+cases.  The matched time profiles V_car = -V_sch + C make W the constant C,
+so their residual is roundoff.
 """
 from __future__ import annotations
 
@@ -114,16 +115,16 @@ def commutator_residuals(
 ) -> list[float]:
     """commutator_residual of every (v_sch, v_car) case, from the reduced identity.
 
-    Per probe psi_t is taken once, and each case forms its brackets
-    literally: [H, F] psi = [V_sch, P] psi + ([A^2, K] + [A^2, W]) psi / 2mc^2
-    with [A^2, W] psi = A^2 (W psi) - W A^2 psi, [A^2, K] psi = A^2 (K psi)
-    - K A^2 psi and [V_sch, P] psi = V_sch P psi - P (V_sch psi); [A^2, K] is
-    formed only if V_car varies along x, [V_sch, P] only if V_sch does.
-    Nothing else is shared between cases.  All probes must lie on one grid; a
-    grid of at most 2 MARGIN samples on an axis raises "grid has no
-    interior" at the first probe's norm, before any stencil is taken.  A
-    non-finite residual field raises, so a NaN residual cannot pass as
-    max(0, nan) = 0.
+    Each case forms its brackets literally: [H, F] psi = [V_sch, P] psi +
+    ([A^2, K] + [A^2, W]) psi / 2mc^2 with [A^2, W] psi = A^2 (W psi) -
+    W A^2 psi, [A^2, K] psi = A^2 (K psi) - K A^2 psi and [V_sch, P] psi =
+    V_sch P psi - P (V_sch psi); [A^2, K] only if V_car varies along x,
+    [V_sch, P] only if V_sch does.  Per probe, psi_t is taken once and A^2 psi
+    once per distinct (==) V_car; nothing else is shared between cases.  All
+    probes must lie on one grid; a grid of at most 2 MARGIN samples on an axis
+    raises "grid has no interior" at the first probe's norm, before any
+    stencil is taken.  A non-finite residual field raises, so a NaN residual
+    cannot pass as max(0, nan) = 0.
     """
     if not probes:
         raise ValueError("empty probe set")
@@ -145,23 +146,29 @@ def commutator_residuals(
 
     xs, ts = x_grid.times, t_grid.times
     grids = [(vs.v_grid(xs, ts), vc.v_grid(xs, ts)) for vs, vc in cases]
+    v_cars = [vc for _, vc in cases]
+    groups = {}  # the first case of each distinct (==) V_car -> every case of it
+    for k, vc in enumerate(v_cars):
+        groups.setdefault(v_cars.index(vc), []).append(k)
     worst = [0.0] * len(cases)
     for psi in probes:
         u = psi.values
         norm = _interior_norm(u, dx, dt)
         u_t = deriv_uniform(u, dt, 1, axis=1)
-        for k, (Vs, Vc) in enumerate(grids):
-            W = Vs + Vc
-            a2u = _a2(u, Vc, dt, hbar, u_t)
-            r = _a2(W * u, Vc, dt, hbar) - W * a2u
-            # a grid of shape () or (1, n_t) has no x extent: its bracket is exactly zero
-            if np.shape(Vc)[:1] not in ((), (1,)):
-                r += _a2(K(u), Vc, dt, hbar) - K(a2u)
-            r = _scaled(r, 2 * m * c**2)
-            if np.shape(Vs)[:1] not in ((), (1,)):
-                r += Vs * P(u) - P(Vs * u)
-            complex_samples(r, u.shape)  # raises on a non-finite entry
-            worst[k] = max(worst[k], _interior_norm(r, dx, dt) / norm)
+        for first, group in groups.items():  # one A^2 psi alive at a time
+            a2u = _a2(u, grids[first][1], dt, hbar, u_t)
+            for k in group:
+                Vs, Vc = grids[k]
+                W = Vs + Vc
+                r = _a2(W * u, Vc, dt, hbar) - W * a2u
+                # a grid of shape () or (1, n_t) has no x extent: its bracket is exactly zero
+                if np.shape(Vc)[:1] not in ((), (1,)):
+                    r += _a2(K(u), Vc, dt, hbar) - K(a2u)
+                r = _scaled(r, 2 * m * c**2)
+                if np.shape(Vs)[:1] not in ((), (1,)):
+                    r += Vs * P(u) - P(Vs * u)
+                complex_samples(r, u.shape)  # raises on a non-finite entry
+                worst[k] = max(worst[k], _interior_norm(r, dx, dt) / norm)
     return worst
 
 

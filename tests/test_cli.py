@@ -4,7 +4,9 @@ from __future__ import annotations
 import filecmp
 import glob
 import json
+import math
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -401,6 +403,50 @@ class TestCsvFormat:
         path = tmp_path / "t.csv"
         cli.write_csv(str(path), ["a"], [(1.0,)])
         assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+    @staticmethod
+    def _old_rule(value) -> str:
+        """The per-value rule the row templates replace."""
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, str):
+            return value
+        return "%.17g" % float(value)
+
+    KINDS = [
+        True, np.True_, False, 7, np.int64(-3), np.uint64(2**64 - 1), "label", 0.1, np.float64(-0.0),
+        np.float32(0.1), math.nan, -math.inf, 5e-324, np.array(2.5), np.longdouble("0.1"),
+    ]
+
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_bytes_of_the_per_value_rule(self, tmp_path, as_generator):
+        rows = [
+            list(self.KINDS),
+            self.KINDS[::-1],
+            self.KINDS[:3],  # ragged
+            [],
+            [1, "a"],
+            [1.5, "a"],  # the first column's kind changes from int to float to str
+            ["x", "a"],
+        ]
+        path = tmp_path / "t.csv"
+        cli.write_csv(str(path), ["a", "b"], (iter(r) for r in rows) if as_generator else rows)
+        expected = "a,b\n" + "".join(",".join(map(self._old_rule, r)) + "\n" for r in rows)
+        assert path.read_bytes() == expected.encode()
+
+    def test_complex_raises_and_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli.write_csv(str(tmp_path / "t.csv"), ["a"], [(1.0,), (1j,)])
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_follows_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            cli.write_csv(str(tmp_path / "t.csv"), ["a"], [(1,)])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "t.csv").st_mode) == 0o666 & ~umask
 
     def test_determinism(self, tmp_path):
         for tag in ("a", "b"):

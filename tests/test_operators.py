@@ -173,6 +173,13 @@ def _x_cases() -> list[tuple[PotentialSpec, PotentialSpec]]:
     ]
 
 
+def _one_v_car_cases() -> list[tuple[PotentialSpec, PotentialSpec]]:
+    """Three cases holding one V_car object, no potential depending on x."""
+    v_car = PotentialSpec.time_profile(np.cos, lambda t: -np.sin(t))
+    return [(PotentialSpec.time_profile(lambda t, a=a: a * np.sin(t), lambda t, a=a: a * np.cos(t)), v_car)
+            for a in (0.5, 1.0, 2.0)]
+
+
 class TestSharedPass:
     """One call for every case, from the reduced identity, against the literal
     apply_H/apply_F composition, and the stencils it takes."""
@@ -211,8 +218,8 @@ class TestSharedPass:
 
     @pytest.mark.parametrize(
         "cases, per_probe",
-        [(_cli_cases(), 12), (_cli_cases()[:1], 4), (_x_cases()[:1], 10)],
-        ids=["cli", "time_profile", "both_in_x"],
+        [(_cli_cases(), 11), (_cli_cases()[:1], 4), (_x_cases()[:1], 10), (_one_v_car_cases(), 2 + 2 * 3)],
+        ids=["cli", "time_profile", "both_in_x", "one_v_car"],
     )
     def test_stencils_per_probe(self, monkeypatch, cases, per_probe):
         calls = []
