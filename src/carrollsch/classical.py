@@ -14,10 +14,11 @@ with q = p_t + V_car and p_x = q^2/(2 m c^3) by construction: the system
 a' = -b/d, b' = slope of `numerics.rk4`, with (a, b) = (t, q), d = m c^3 and
 the slope d_x V(x, t).  `trace_ray` takes its classical RK4 steps there.
 For a V of x alone (`in_t` False) or of t alone (`f_t` given, so d_x V = 0)
-the gradient does not read t: it is sampled once on each stage array, up
-front, and `numerics.rk4_sums`, the loop's array twin, takes the steps as
-two running sums, bit-identical to it.  Sign convention:
-p_x = -d_x S throughout, opposite to the usual Schrodinger habit.
+the gradient does not read t: it is sampled once on each of
+`numerics.rk4_abscissae`'s stage arrays, up front, and `numerics.rk4_sums`,
+the loop's array twin, takes the steps as two running sums, bit-identical
+to it.  Sign convention: p_x = -d_x S throughout, opposite to the usual
+Schrodinger habit.
 """
 from __future__ import annotations
 
@@ -91,8 +92,7 @@ def trace_ray(
         raise ValueError("n_steps must be at least 16")
     mc3 = constants.mc3
     h = (x_end - x0) / n_steps
-    xs, mids, ends = rk4_abscissae(x0, h, n_steps)
-    stages = (xs[:-1], mids, ends)  # the last node starts no step
+    xs, stages = rk4_abscissae(x0, h, n_steps)
     fault = "potential gradient non-finite at x = {x}"
 
     def slope(x: float, t: float) -> float:
@@ -106,7 +106,7 @@ def trace_ray(
         dvs = rk4_samples(lambda u: v_car.dvdx_at(u, t0), stages, fault)
         t, q = rk4_sums(dvs, t0, q0, h, mc3)
     else:
-        t, q = rk4(slope, [u.tolist() for u in stages], float(t0), float(q0), h, mc3)
+        t, q = rk4(slope, stages, float(t0), float(q0), h, mc3)
     return RaySolution(x=xs, t=t, q=q, p_x=q**2 / (2 * mc3))
 
 

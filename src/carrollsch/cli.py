@@ -2,17 +2,18 @@
 
 JSON config in, CSV out.  Each `cmd_<sub>` body computes from its config
 block and the constants and returns its tables and gated values; one runner,
-`_command`, writes every table and then checks every gate.  Output is
-deterministic for a fixed config; files are written atomically (temp +
-rename) with LF line endings and 17-significant-digit floats so golden files
-diff cleanly.
+`_command`, enters it in `COMMANDS` under `<sub>`, writes every table and
+then checks every gate.  Output is deterministic for a fixed config; files
+are written atomically (temp + rename) with LF line endings and
+17-significant-digit floats so golden files diff cleanly.
 
-Exit codes: 0 success, 1 validation error (bad config or arguments),
-2 numerical failure (a gated value outside its interval in `TOLERANCES`, NaN
-included, or a kernel raised BranchError or an ArithmeticError such as an
-overflow).  `DEFAULTS` is the config schema: an unknown block or key, a value
-of the wrong type, a NaN or infinite number, an integer too large for a
-float, or an empty list is a validation error.
+Exit codes: 0 success, 1 validation error (bad config or arguments) or an
+output that cannot be written, 2 numerical failure (a gated value outside
+its interval in `TOLERANCES`, NaN included, or a kernel raised BranchError
+or an ArithmeticError such as an overflow).  `DEFAULTS` is the config
+schema: an unknown block or key, a value of the wrong type, a NaN or
+infinite number, an integer too large for a float, or an empty list is a
+validation error.
 """
 from __future__ import annotations
 
@@ -185,13 +186,18 @@ def _gate(tol: dict, key: str, value: float, where: str) -> None:
         raise ToleranceBreach(f"{key} = {value} outside [{lo}, {hi}] {where}")
 
 
-def _command(body):
-    """The `COMMANDS` entry `(cfg, out, tol)` that runs `body` and writes and gates its results.
+#: subcommand -> its runner `(cfg, out, tol)`; `_command` enters each `cmd_<sub>` as it wraps it
+COMMANDS = {}
 
-    `body(block, constants)` reads `cfg[<sub>]`, `<sub>` being its name after
-    `cmd_`, and returns `(tables, gates)`: file name -> (header, rows), and a
-    list of (key, value, where).  Every table is written to `out` before the
-    first gate is checked, so a breach still leaves every CSV behind.
+
+def _command(body):
+    """Wrap `body` as the runner `(cfg, out, tol)` that writes and gates its
+    results, and enter it in `COMMANDS` under `<sub>`, its name after `cmd_`.
+
+    `body(block, constants)` reads `cfg[<sub>]` and returns `(tables, gates)`:
+    file name -> (header, rows), and a list of (key, value, where).  Every
+    table is written to `out` before the first gate is checked, so a breach
+    still leaves every CSV behind.
     """
     sub = body.__name__[len("cmd_"):]
 
@@ -203,6 +209,7 @@ def _command(body):
         for key, value, where in gates:
             _gate(tol, key, value, where)
 
+    COMMANDS[sub] = command
     return command
 
 
@@ -303,12 +310,7 @@ def cmd_duality(block: dict, consts: PhysicalConstants):
     return {
         "duality_map.csv": (
             ["x", "tau", "sigma=y1/y2", "V_sch_target", "q=(2m/hbar^2)(V_sch-E_sch)"],
-            [
-                (x, t, s, v, q)
-                for x, t, s, v, q in zip(
-                    dmap.x, np.real(dmap.tau), np.real(dmap.sigma), v_sch.v_x(dmap.x), dmap.q
-                )
-            ],
+            list(zip(dmap.x, dmap.tau, dmap.sigma, v_sch.v_x(dmap.x), dmap.q)),
         ),
         "duality_delta.csv": (["t", "delta=tau^{-1}(t)"], list(zip(dmap.delta_t, dmap.delta))),
         "duality_residuals.csv": (
@@ -358,7 +360,8 @@ def cmd_currents(b: dict, consts: PhysicalConstants):
     prev = None
     for n in sizes:
         t_grid = TimeGrid(-12.0, 12.0, n)
-        x_grid = TimeGrid(-12.0 * consts.c, 12.0 * consts.c, n)  # dx = c dt for the inversion
+        # dx = c dt fixes the CSV's bytes; the inversion takes any grid
+        x_grid = TimeGrid(-12.0 * consts.c, 12.0 * consts.c, n)
         field = propagator.gaussian_field(params, x_grid, t_grid, consts)
         res = currents.continuity_equivalence(field, consts)
         ratio = prev / res if prev is not None else float("nan")
@@ -376,30 +379,31 @@ def cmd_currents(b: dict, consts: PhysicalConstants):
 def cmd_rays(b: dict, consts: PhysicalConstants):
     kind, x_end, n_steps, q0, t0 = b["potential"], b["x_end"], b["n_steps"], b["q0"], b["t0"]
 
+    # the exact ray is the free line t0 - q0 x / mc^3 less the potential's bend
     if kind == "time-only":
         v = PotentialSpec.time_profile(np.cos, lambda t: -np.sin(t))
 
-        def t_exact(x):
-            return t0 - q0 * x / consts.mc3
+        def bend(x):
+            return 0.0
 
     elif kind == "linear":
         alpha = b["alpha"]
         v = PotentialSpec.space_profile(lambda x: alpha * x, lambda x: alpha * np.ones_like(x))
 
-        def t_exact(x):
-            return t0 - q0 * x / consts.mc3 - alpha * x**2 / (2 * consts.mc3)
+        def bend(x):
+            return alpha * x**2 / (2 * consts.mc3)
 
     else:  # quadratic
         kappa = b["kappa"]
         v = PotentialSpec.space_profile(lambda x: 0.5 * kappa * x**2, lambda x: kappa * x)
 
-        def t_exact(x):
-            return t0 - q0 * x / consts.mc3 - kappa * x**3 / (6 * consts.mc3)
+        def bend(x):
+            return kappa * x**3 / (6 * consts.mc3)
 
     ray = classical.trace_ray(v, 0.0, t0, q0, x_end, n_steps, consts)
     _, picard = classical.picard_iterate(v, 0.0, t0, q0, x_end, 1, n_samples=n_steps, constants=consts)
     rows = [
-        (x, t, q, p, t_exact(x), pi)
+        (x, t, q, p, t0 - q0 * x / consts.mc3 - bend(x), pi)
         for x, t, q, p, pi in zip(ray.x, ray.t, ray.q, ray.p_x, picard[1])
     ]
     header = ["x", "t (dt/dx=-q/mc^3)", "q=p_t+V_car", "p_x=q^2/(2mc^3)", "t_exact_if_available", "picard_1"]
@@ -473,17 +477,6 @@ def cmd_dyson(b: dict, consts: PhysicalConstants):
 # -------------------------------------------------------------------- main
 
 
-COMMANDS = {
-    "commutator": cmd_commutator,
-    "duality": cmd_duality,
-    "gaussian": cmd_gaussian,
-    "currents": cmd_currents,
-    "rays": cmd_rays,
-    "quantize": cmd_quantize,
-    "dyson": cmd_dyson,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports bad arguments as a ConfigError (exit 1)."""
 
@@ -512,6 +505,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ToleranceBreach as exc:
         print(f"tolerance breach: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,9 +5,10 @@ the gauge factor exp(-i Lambda), Lambda = (1/hbar) int V dt, strips the
 potential, and the coordinate inversion (x, ct) -> (ct, x) swaps the axes.
 rho is gauge invariant and d_x' Lambda = V / (hbar c) after the inversion,
 so the gauge acts on the current in closed form: J[phi] = J[psi] - V rho / (m c).
-The inversion only swaps the axes, so the residual is taken in psi's own
-layout, d_t' along psi's x axis and d_x' along its t axis, in row blocks of
-about `numerics.BLOCK_BYTES`: rho on the block and its 2-row halo, J on the
+The inversion only swaps the axes, onto the grids c t and x / c, which are
+uniform for any grid, so the residual is taken in psi's own layout, d_t'
+along psi's x axis and d_x' along its t axis, in row blocks of about
+`numerics.BLOCK_BYTES`: rho on the block and its 2-row halo, J on the
 block's own rows.  No inverted copy or full-field temporary is formed and no
 integral is taken, so the only numerics left is the derivative residual itself.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
-from .numerics import GridError, TimeGrid, deriv_uniform, interior, real_samples, row_blocks
+from .numerics import TimeGrid, deriv_uniform, interior, real_samples, row_blocks
 from .operators import MARGIN, Field2D
 from .potentials import PotentialSpec
 
@@ -40,14 +41,9 @@ def _current(values: np.ndarray, dx: float, axis: int, constants: PhysicalConsta
 
 
 def _inverted_grids(field: Field2D, constants: PhysicalConstants) -> tuple[TimeGrid, TimeGrid]:
-    """The x and t grids of the inverted field; a grid that is not square with
-    dx = c dt raises, since its transpose would need interpolation."""
+    """The x and t grids of the inverted field, c t and x / c: uniform for any grid."""
     c = constants.c
     xg, tg = field.x_grid, field.t_grid
-    if xg.n != tg.n:
-        raise GridError("coordinate inversion needs n_x = n_t")
-    if abs(xg.dt - c * tg.dt) > 1e-12 * max(xg.dt, c * tg.dt):
-        raise GridError("coordinate inversion needs dx = c dt")
     return TimeGrid(c * tg.t_min, c * tg.t_max, tg.n), TimeGrid(xg.t_min / c, xg.t_max / c, xg.n)
 
 
@@ -56,8 +52,8 @@ def coordinate_inversion(
 ) -> Field2D:
     """(x, ct) -> (ct, x): exact index transpose onto the rescaled grids.
 
-    Requires a square grid with dx = c dt so the transposed grid is again
-    uniform and no interpolation happens.  Involutive up to the c-rescaling.
+    The rescaled grids are uniform for any n_x, n_t and spacings, so no
+    interpolation happens.  Involutive up to the c-rescaling.
     """
     new_x, new_t = _inverted_grids(field, constants)
     return Field2D(new_x, new_t, field.values.T.copy())
@@ -84,12 +80,12 @@ def continuity_equivalence(
     Lambda by a constant; the keyword stays for callers that pass it.
     """
     new_x, new_t = _inverted_grids(psi_car, constants)
-    n = psi_car.x_grid.n
+    n_x, n_t = psi_car.x_grid.n, psi_car.t_grid.n
     interior(psi_car.values, MARGIN)  # a grid without interior raises before any block
     x, t = psi_car.x_grid.times, psi_car.t_grid.times
     peaks = []
     # the order-1 stencil needs 7 rows: 3 of the block's own and the halo
-    for rows in row_blocks(MARGIN, n - MARGIN, psi_car.values[0].nbytes, least=3):
+    for rows in row_blocks(MARGIN, n_x - MARGIN, psi_car.values[0].nbytes, least=3):
         rho = np.abs(psi_car.values[rows.start - 2 : rows.stop + 2]) ** 2
         res = deriv_uniform(rho, new_t.dt, 1, axis=0)[2:-2]
         j = _current(psi_car.values[rows], new_x.dt, 1, constants)
@@ -97,5 +93,5 @@ def continuity_equivalence(
             V = real_samples(v_car.v_grid(x[rows], t), "potential")
             j -= V * rho[2:-2] / (constants.m * constants.c)
         res += deriv_uniform(j, new_x.dt, 1, axis=1)
-        peaks.append(np.max(np.abs(res[:, MARGIN : n - MARGIN])))
+        peaks.append(np.max(np.abs(res[:, MARGIN : n_t - MARGIN])))
     return float(np.max(peaks))

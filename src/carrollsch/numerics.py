@@ -8,8 +8,8 @@ the two, so every FFT of the package is taken here; the kinetic multiplier
 exp(-i beta h w^2), built once per (grid, beta, h) and returned read-only,
 with one entry kept; the package's one interpolant, the cubic Hermite of
 values and slopes; the unit phase exp(i theta), cos and sin in one complex
-buffer; the RK4 stage abscissae and the checked up-front sample of a
-coefficient on them, whose first bad value is reported in stepping order;
+buffer; the RK4 stage layout and the checked up-front sample of a
+coefficient on it, whose first bad value is reported in stepping order;
 the one scalar RK4 loop, for a' = -b/d, b' = slope(c, a), and its array twin
 for a slope that reads no state, as two running sums; the fundamental pair
 of y'' + q y = 0, two chains of that loop; finite-difference stencils along
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -205,9 +205,9 @@ def integrate_fundamental_pair(
     """Integrate y'' + q(x) y = 0 with n fixed steps of classical RK4.
 
     Returns n + 1 samples on [x_lo, x_hi] inclusive; n < 1 raises ValueError.
-    q is called once on each of three arrays: the nodes, the step midpoints
-    and the step ends.  It may return a scalar; a complex or non-finite value
-    raises ValueError naming the first such x.  y1 and y2 are two `rk4`
+    q is called once on each of the three stage arrays, only where RK4 reads
+    it.  It may return a scalar; a non-finite value or a nonzero imaginary
+    part raises ValueError naming the first such x.  y1 and y2 are two `rk4`
     chains on (y, y') with d = -1 and slope -q y: -y' / -1 is y' bit for bit.
     """
     if n < 1:
@@ -215,30 +215,26 @@ def integrate_fundamental_pair(
     if not x_hi > x_lo:
         raise ValueError("x_hi must exceed x_lo")
     h = (x_hi - x_lo) / n
-    x_stages = rk4_abscissae(x_lo, h, n)
-    qs = rk4_samples(q, x_stages, "q must be real and finite, got {v} at x = {x}")
-    c = [(-v).tolist() for v in qs]
+    nodes, stages = rk4_abscissae(x_lo, h, n)
+    c = [-v for v in rk4_samples(q, stages, "q must be real and finite, got {v} at x = {x}")]
     y1, y1_prime = rk4(operator.mul, c, 1.0, 0.0, h, -1.0)
     y2, y2_prime = rk4(operator.mul, c, 0.0, 1.0, h, -1.0)
-    return FundamentalPair(x=x_stages[0], y1=y1, y2=y2, y1_prime=y1_prime, y2_prime=y2_prime)
+    return FundamentalPair(x=nodes, y1=y1, y2=y2, y1_prime=y1_prime, y2_prime=y2_prime)
 
 
 def rk4(
-    slope: Callable[[float, float], float], c: list[list[float]], a: float, b: float, h: float, d: float
+    slope: Callable[[float, float], float], c: Sequence[np.ndarray], a: float, b: float, h: float, d: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 for a' = -b / d, b' = slope(c, a): the n + 1 values of a and of b.
 
-    c holds a coefficient per stage and step, indexed [stage][k] as
-    `rk4_samples` returns them: at the node x_k (stage 0, for k1), the
-    midpoint x_k + h/2 (stage 1, for k2 and k3) and the step end x_k + h
-    (stage 2, for k4); the shortest list sets n, so c[0] may hold the last
-    node, which starts no step.  This is the one scalar RK4 loop: the
-    fundamental pair (d = -1, slope -q y) and a ray in a V(x, t) (d = m c^3,
-    slope d_x V(x, t)) both step through it.
+    c holds the coefficient on each of `rk4_abscissae`'s three stage arrays,
+    as `rk4_samples` returns them; the loop reads them as float lists.  This
+    is the one scalar RK4 loop: the fundamental pair (d = -1, slope -q y) and
+    a ray in a V(x, t) (d = m c^3, slope d_x V(x, t)) both step through it.
     """
     h2, h6 = 0.5 * h, h / 6.0
     av, bv = [a], [b]
-    for c1, c2, c3 in zip(*c):
+    for c1, c2, c3 in zip(*(np.asarray(u, dtype=float).tolist() for u in c)):
         ka1, kb1 = -b / d, slope(c1, a)
         a2, b2 = a + h2 * ka1, b + h2 * kb1
         ka2, kb2 = -b2 / d, slope(c2, a2)
@@ -258,12 +254,12 @@ def rk4_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`rk4` with a slope that reads no state, dq/dx = g: the n + 1 values of t and of q.
 
-    It equals `rk4(lambda g, a: g, [u.tolist() for u in g], t0, q0, h, d)`
-    bit for bit, evaluated as arrays.  g holds the samples on
-    `rk4_abscissae`'s stages, as `rk4_samples` returns them: the n nodes that
-    start a step, the midpoints and the step ends.  q is one running sum of
-    its RK4 increments, and t a second one of the stage slopes -q_j / d;
-    `np.cumsum` adds in stepping order, as the loop does.
+    It equals `rk4(lambda g, a: g, g, t0, q0, h, d)` bit for bit, evaluated
+    as arrays.  g holds the samples on `rk4_abscissae`'s stages, as
+    `rk4_samples` returns them: the n nodes that start a step, the midpoints
+    and the step ends.  q is one running sum of its RK4 increments, and t a
+    second one of the stage slopes -q_j / d; `np.cumsum` adds in stepping
+    order, as the loop does.
     """
     g0, g1, g2 = g
     h2, h6 = 0.5 * h, h / 6.0
@@ -275,12 +271,12 @@ def rk4_sums(
     return t, q
 
 
-def rk4_abscissae(x0: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The abscissae of `rk4`'s stages over n steps of size h from x0: the
-    n + 1 nodes x_k (stage 0), the midpoints x_k + h/2 (stage 1) and the
-    step ends x_k + h (stage 2).  h may be negative."""
+def rk4_abscissae(x0: float, h: float, n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The n + 1 nodes x_k = x0 + k h of n RK4 steps and the three stage arrays
+    of n each that the steps read: the nodes that start a step, the
+    midpoints x_k + h/2 and the step ends x_k + h.  h may be negative."""
     xs = x0 + h * np.arange(n + 1)
-    return xs, xs[:-1] + 0.5 * h, xs[:-1] + h
+    return xs, (xs[:-1], xs[:-1] + 0.5 * h, xs[:-1] + h)
 
 
 def rk4_samples(
@@ -288,22 +284,22 @@ def rk4_samples(
 ) -> list[np.ndarray]:
     """f on each stage array, as float arrays indexed [stage][k].
 
-    f is called once per array and may return a scalar.  A complex or
-    non-finite sample raises ValueError(fault.format(x=..., v=...)) for the
-    first one in stepping order, (k, stage) ascending: the bad x that `rk4`
-    would reach first, the smallest of an upward run, the largest of a
-    downward one.
+    f is called once per array and may return a scalar.  A non-finite sample,
+    or one with a nonzero imaginary part (the rule of `real_samples`), raises
+    ValueError(fault.format(x=..., v=...)) for the first one in stepping
+    order, (k, stage) ascending: the bad x that `rk4` would reach first, the
+    smallest of an upward run, the largest of a downward one.
     """
     samples = [np.broadcast_to(f(u), u.shape) for u in x_stages]
     bad = [
         (i, stage)
         for stage, v in enumerate(samples)
-        for i in np.flatnonzero(np.iscomplexobj(v) | ~np.isfinite(v))[:1]
+        for i in np.flatnonzero((np.imag(v) != 0) | ~np.isfinite(v))[:1]
     ]
     if bad:
         i, stage = min(bad)
         raise ValueError(fault.format(x=x_stages[stage][i], v=samples[stage][i]))
-    return [v.astype(float) for v in samples]
+    return [np.real(v).astype(float) for v in samples]
 
 
 def _scaled(num: np.ndarray, den: float) -> np.ndarray:

@@ -15,9 +15,9 @@ identity [H, F] = [V_sch, P] - ([K, A^2] + [W, A^2]) / 2mc^2, whose terms
 are the paper's conditions: V_sch free of x, V_car free of x, W free of t.
 `commutator_residuals` forms each bracket literally, skips [V_sch, P] or
 [K, A^2] when V_sch or V_car has no x extent (there it is exactly zero), and
-takes A^2 psi once per V_car: 11 stencils per probe for the CLI's three
-cases.  The matched time profiles V_car = -V_sch + C make W the constant C,
-so their residual is roundoff.
+evaluates each distinct potential once and takes A^2 psi once per V_car:
+11 stencils per probe for the CLI's three cases.  The matched time profiles
+V_car = -V_sch + C make W the constant C, so their residual is roundoff.
 """
 from __future__ import annotations
 
@@ -119,11 +119,11 @@ def commutator_residuals(
     ([A^2, K] + [A^2, W]) psi / 2mc^2 with [A^2, W] psi = A^2 (W psi) -
     W A^2 psi, [A^2, K] psi = A^2 (K psi) - K A^2 psi and [V_sch, P] psi =
     V_sch P psi - P (V_sch psi); [A^2, K] only if V_car varies along x,
-    [V_sch, P] only if V_sch does.  Per probe, psi_t is taken once and A^2 psi
-    once per distinct (==) V_car; nothing else is shared between cases.  All
-    probes must lie on one grid; a grid of at most 2 MARGIN samples on an axis
-    raises "grid has no interior" at the first probe's norm, before any
-    stencil is taken.  A non-finite residual field raises, so a NaN residual
+    [V_sch, P] only if V_sch does.  Each distinct (==) spec is evaluated once;
+    per probe, psi_t is taken once and A^2 psi once per distinct V_car;
+    nothing else is shared between cases.  All probes must lie on one grid; a
+    grid of at most 2 MARGIN samples on an axis raises "grid has no interior"
+    at the first probe's norm, before any stencil is taken.  A non-finite residual field raises, so a NaN residual
     cannot pass as max(0, nan) = 0.
     """
     if not probes:
@@ -144,21 +144,21 @@ def commutator_residuals(
     def P(v):
         return (c * 1j * hbar) * deriv_uniform(v, dx, 1, axis=0)
 
-    xs, ts = x_grid.times, t_grid.times
-    grids = [(vs.v_grid(xs, ts), vc.v_grid(xs, ts)) for vs, vc in cases]
-    v_cars = [vc for _, vc in cases]
-    groups = {}  # the first case of each distinct (==) V_car -> every case of it
-    for k, vc in enumerate(v_cars):
-        groups.setdefault(v_cars.index(vc), []).append(k)
+    # each distinct (==) spec on the grid, and each distinct V_car -> the cases of it
+    values = {v: v.v_grid(x_grid.times, t_grid.times) for v in dict.fromkeys(v for case in cases for v in case)}
+    groups = {}
+    for k, (_, vc) in enumerate(cases):
+        groups.setdefault(vc, []).append(k)
     worst = [0.0] * len(cases)
     for psi in probes:
         u = psi.values
         norm = _interior_norm(u, dx, dt)
         u_t = deriv_uniform(u, dt, 1, axis=1)
-        for first, group in groups.items():  # one A^2 psi alive at a time
-            a2u = _a2(u, grids[first][1], dt, hbar, u_t)
+        for vc, group in groups.items():  # one A^2 psi alive at a time
+            Vc = values[vc]
+            a2u = _a2(u, Vc, dt, hbar, u_t)
             for k in group:
-                Vs, Vc = grids[k]
+                Vs = values[cases[k][0]]
                 W = Vs + Vc
                 r = _a2(W * u, Vc, dt, hbar) - W * a2u
                 # a grid of shape () or (1, n_t) has no x extent: its bracket is exactly zero

@@ -33,7 +33,8 @@ import numpy as np
 
 from .constants import PhysicalConstants, NATURAL
 from .numerics import (
-    TimeGrid, complex_samples, inverse_transform, kinetic_multiplier, spectral_multiply, spectral_product,
+    TimeGrid, complex_samples, inverse_transform, kinetic_multiplier, real_samples, spectral_multiply,
+    spectral_product,
 )
 from .operators import Field2D
 from .potentials import PotentialSpec
@@ -190,13 +191,14 @@ def carroll_density_current(
     rho_car = (i hbar / 2 m c^3)(psi* dt psi - psi dt psi*) + |psi|^2 V/(m c^3),
     j_t     = (hbar / m c^3) Im(psi* dt psi).
     With V = 0 the two coincide up to sign (rho_car = -j_t); both are exposed
-    because the potential term lives only in rho_car.
+    because the potential term lives only in rho_car.  V must be real: a
+    nonzero imaginary part raises, by `numerics.real_samples`' rule.
     """
     hbar = constants.hbar
     mc3 = constants.mc3
     dpsi = spectral_multiply(psi.values, 1j * psi.grid.omegas)  # the spectral d/dt
     im = np.imag(np.conj(psi.values) * dpsi)
     j_t = hbar / mc3 * im
-    V = v_car.v_t(psi.grid.times)
+    V = real_samples(v_car.v_t(psi.grid.times), "potential")
     rho = -hbar / mc3 * im + psi.density() * V / mc3
-    return np.real(rho), np.real(j_t)
+    return rho, j_t

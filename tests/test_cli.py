@@ -124,6 +124,16 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "gaussian": block})
         assert cli.main(["gaussian", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("below", [False, True], ids=["out-is-a-file", "out-below-a-file"])
+    def test_unwritable_out_is_an_error_without_traceback(self, tmp_path, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        proc = _run_python(["-m", "carrollsch.cli", "rays", "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write output:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_parameter(self, tmp_path):
         cfg = _write_config(
             tmp_path, {"schema": cli.SCHEMA, "gaussian": {"sigma": -1.0}}
@@ -387,6 +397,21 @@ class TestCommandTable:
         assert entry is getattr(cli, f"cmd_{sub}")
         assert entry.__name__ == f"cmd_{sub}"
         assert entry.__module__ == "carrollsch.cli"
+
+
+def test_commutator_evaluates_each_distinct_potential_once_per_size(tmp_path, monkeypatch):
+    """The three cases hold four distinct specs: v_t twice and v_t_shift twice."""
+    calls = []
+    v_grid = PotentialSpec.v_grid
+
+    def counted(self, x, t):
+        calls.append(len(x))
+        return v_grid(self, x, t)
+
+    monkeypatch.setattr(PotentialSpec, "v_grid", counted)
+    cfg = _write_config(tmp_path, {"schema": cli.SCHEMA, "commutator": {"sizes": [32, 64]}})
+    assert cli.main(["commutator", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == [32] * 4 + [64] * 4
 
 
 class TestCsvFormat:

@@ -24,9 +24,12 @@ from carrollsch import (
     gauge_reduce,
     gaussian_exact,
     interaction_momentum,
+    measured_moments,
     quantized_modes,
+    trace_ray,
 )
 from carrollsch import interaction
+from carrollsch.propagator import _packet
 from carrollsch.numerics import cumulative_integral, deriv_uniform, kinetic_multiplier, real_samples, unit_phase
 
 
@@ -424,6 +427,85 @@ class TestEvolveInteracting:
         dense = evolve_interacting(phi0, f, 0.0, 1.0, 2048)
         err = np.sqrt(phi0.grid.dt * np.sum(np.abs(coarse.values - dense.values) ** 2))
         assert err <= 1e-6
+
+
+class TestAvronHerbst:
+    """V_car = a x gives F = a t, and the x-evolution with a linear potential in t
+    is solved exactly: phi = exp[-i (a x t / hbar + a^2 x^3 / (6 hbar M))]
+    phi_free(x, t + a x^2 / (2 M)), M = m c^3."""
+
+    A = 0.8
+    PARAMS = GaussianParams(sigma=1.0, omega0=0.5)
+    GRID = TimeGrid(-30.0, 30.0, 2048)
+
+    def _errors(self, F, consts, steps=(32, 64, 128)):
+        """max |phi - closed form| at x = 1 after each number of steps from x = 0."""
+        hbar, M, a, t, x = consts.hbar, consts.mc3, self.A, self.GRID.times, 1.0
+        exact = unit_phase(-(a * x * t / hbar + a**2 * x**3 / (6 * hbar * M))) * _packet(
+            self.PARAMS, x, t + a * x**2 / (2 * M), consts
+        )
+        phi0 = gaussian_exact(self.PARAMS, 0.0, self.GRID, consts)
+        return [np.max(np.abs(evolve_interacting(phi0, F, 0.0, x, n, consts).values - exact)) for n in steps]
+
+    @pytest.mark.parametrize(
+        "consts", [PhysicalConstants(), PhysicalConstants(hbar=0.7, m=1.3, c=1.1)], ids=["natural", "scaled"]
+    )
+    def test_strang_converges_to_the_closed_form_at_second_order(self, consts):
+        # 1.6e-5, 4.1e-6, 1.0e-6 at 32, 64, 128 steps in natural units
+        errs = self._errors(lambda x, t: self.A * t, consts)
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.8 <= coarse / fine <= 4.2
+        # F of the wrong sign misses by 0.71 (natural) and 0.90 (scaled)
+        assert min(self._errors(lambda x, t: -self.A * t, consts, steps=(128,))) > 0.1
+
+    def test_sampled_momentum_is_the_callable(self):
+        # anchored at the grid point t = 0, the trapezoid of the constant d_x V = a is a t
+        consts = PhysicalConstants(hbar=0.7, m=1.3, c=1.1)
+        v = PotentialSpec.space_profile(lambda x: self.A * x, lambda x: self.A * np.ones_like(x))
+        F = interaction_momentum(v, 0.0, TimeGrid(0.0, 8 / 7, 8), self.GRID)
+        phi0 = gaussian_exact(self.PARAMS, 0.0, self.GRID, consts)
+        sampled = evolve_interacting(phi0, F, 0.0, 1.0, 64, consts).values
+        closed = evolve_interacting(phi0, lambda x, t: self.A * t, 0.0, 1.0, 64, consts).values
+        np.testing.assert_allclose(sampled, closed, rtol=0, atol=1e-13)
+
+
+class TestClassicalLimit:
+    """As hbar -> 0 the centroid of a packet with carrier -q0/hbar and width
+    0.7 sqrt(hbar) follows `trace_ray` from (0, t0 = 0, q0): the reduced
+    x-evolution's Hamilton equations are the ray's, with q = -P, and the gap
+    is an O(hbar) Ehrenfest term."""
+
+    Q0 = 0.5
+    T_GRID = TimeGrid(-8.0, 8.0, 1024)
+
+    @staticmethod
+    def _v(sign: float = 1.0) -> PotentialSpec:
+        def f(x, t):
+            return 0.8 * np.sin(2 * x) * np.exp(-(((t - 0.3) / 1.5) ** 2))
+
+        def f_x(x, t):
+            return sign * 1.6 * np.cos(2 * x) * np.exp(-(((t - 0.3) / 1.5) ** 2))
+
+        return PotentialSpec(f, f_x)
+
+    def _centroid(self, hbar: float, v: PotentialSpec) -> float:
+        consts = PhysicalConstants(hbar=hbar)
+        params = GaussianParams(sigma=0.7 * np.sqrt(hbar), omega0=-self.Q0 / hbar)
+        phi0 = gaussian_exact(params, 0.0, self.T_GRID, consts)
+        F = interaction_momentum(v, self.T_GRID.t_min, TimeGrid(0.0, 8 / 7, 8), self.T_GRID)
+        return measured_moments(evolve_interacting(phi0, F, 0.0, 1.0, 64, consts))[1]
+
+    def test_centroid_follows_the_ray_at_first_order_in_hbar(self):
+        t_ray = trace_ray(self._v(), 0.0, 0.0, self.Q0, 1.0, 1024).t[-1]  # -1.0101
+        hbars = (0.1, 0.05, 0.025, 0.0125)
+        # 5.1e-3, 2.6e-3, 1.3e-3, 6.2e-4
+        misses = [abs(self._centroid(hbar, self._v()) - t_ray) for hbar in hbars]
+        for coarse, fine in zip(misses, misses[1:]):
+            assert coarse / fine >= 1.8
+        # a flipped d_x V on the packet side misses by 1.04, a flipped q0 on the ray side by 0.96
+        assert abs(self._centroid(hbars[-1], self._v(-1.0)) - t_ray) > 0.5
+        t_flipped = trace_ray(self._v(), 0.0, 0.0, -self.Q0, 1.0, 1024).t[-1]
+        assert abs(self._centroid(hbars[-1], self._v()) - t_flipped) > 0.5
 
 
 def _two_evaluation_strang(phi0, F, x0, x_end, n_steps, constants):

@@ -195,6 +195,13 @@ class TestFundamentalPair:
         with pytest.raises(ValueError, match=r"got \(1\+0\.5j\) at x = 0\.0$"):
             integrate_fundamental_pair(lambda x: (1 + 0.5j) * np.ones_like(x), 0.0, 1.0, 32)
 
+    def test_complex_q_with_zero_imaginary_part_is_the_real_q(self):
+        # the one rule of real_samples: only a nonzero imaginary part is rejected
+        pair = integrate_fundamental_pair(lambda x: (2 + 0j) * np.ones_like(x), 0.0, 2.0, 256)
+        ref = integrate_fundamental_pair(lambda x: 2.0 * np.ones_like(x), 0.0, 2.0, 256)
+        for name in ("y1", "y1_prime", "y2", "y2_prime"):
+            assert np.array_equal(getattr(pair, name), getattr(ref, name))
+
     def test_scalar_q_is_broadcast(self):
         pair = integrate_fundamental_pair(lambda x: 1.0, 0.0, 2.0, 256)
         ref = integrate_fundamental_pair(lambda x: np.ones_like(x), 0.0, 2.0, 256)

@@ -4,13 +4,15 @@ The kinetic multiplier exp(-i beta h w^2) is built by `numerics` alone; a
 second copy of the expression elsewhere in the package would bypass its
 cache and could drift from it.  The RK4 stage abscissae (nodes, midpoints
 x_k + h/2, step ends) are built by `numerics` alone, so every caller samples
-its coefficients at the points `rk4` steps through, and the RK4 weight h/6
+its coefficients at the points `rk4` steps through (no other module trims
+the last node or makes the loop's float lists), and the RK4 weight h/6
 is written there alone; within `numerics`, the scalar loop `rk4` and its
 array twin `rk4_sums` are the only places that form the weighted sum, so
 the stage order and the weights have one home.  No module imports
 scipy: the package runs on numpy alone, and scipy is a test-time
 reference.  In `cli`, one runner writes the CSVs and checks the gates, so no
-command can bypass it.  Every phase factor of `interaction`, and the
+command can bypass it, and it alone fills `COMMANDS`, so a subcommand's name
+is written once.  Every phase factor of `interaction`, and the
 carrier of the commutator's probes in `operators`, comes from
 `numerics.unit_phase`, so neither forms a complex exponential of its own.
 A complex stencil, and F's 1/(2 m c^2), is scaled by its exact complex
@@ -215,3 +217,38 @@ def test_block_size_only_in_numerics():
     assert homes == ["numerics.py"], f"BLOCK_BYTES assigned in {homes}"
     names = set(inspect.signature(continuity_equivalence).parameters)
     assert not any("block" in name for name in names), f"continuity_equivalence takes {names}"
+
+
+def test_rk4_stage_layout_only_in_numerics():
+    """No caller trims the last node off the stages or turns them into the loop's
+    float lists: `.tolist()` and `[:-1]` appear in numerics.py alone."""
+    layout = re.compile(r"\.tolist\(\)|\[:-1\]")
+    homes = sorted(p.name for p in PACKAGE.glob("*.py") if layout.search(p.read_text()))
+    assert homes == ["numerics.py"], f"RK4 stage layout handled outside numerics.py: {homes}"
+
+
+def test_commands_filled_only_by_the_runner():
+    """cli.COMMANDS starts as an empty dict and only `_command` writes an entry:
+    each subcommand's name is written once, in its `cmd_<sub>`."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+
+    def names(node):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+
+    literals = [
+        node.value for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign)) and "COMMANDS" in names(node)
+    ]
+    assert len(literals) == 1 and isinstance(literals[0], ast.Dict) and not literals[0].keys
+    writers = sorted(
+        {
+            getattr(top, "name", "<module>")
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "COMMANDS"
+        }
+    )
+    assert writers == ["_command"], f"COMMANDS written in {writers}"

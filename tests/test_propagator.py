@@ -354,3 +354,15 @@ class TestDensityCurrent:
         rho1, j1 = carroll_density_current(psi, PotentialSpec.constant(v0))
         np.testing.assert_array_equal(j0, j1)
         np.testing.assert_allclose(rho1 - rho0, v0 * psi.density(), atol=1e-12)
+
+    def test_complex_potential_rejected(self):
+        # its imaginary part used to be dropped from rho without a word
+        psi = gaussian_exact(GaussianParams(sigma=1.0, omega0=1.0), 1.0, TimeGrid(-30.0, 30.0, 1024))
+        with pytest.raises(ValueError, match="complex potential rejected"):
+            carroll_density_current(psi, PotentialSpec.time_profile(lambda t: 0.3 + 1j * t))
+        # a complex dtype with no imaginary part is the real V
+        real, zero_imag = (
+            carroll_density_current(psi, PotentialSpec.time_profile(f)) for f in (np.sin, lambda t: np.sin(t) + 0j)
+        )
+        for a, b in zip(real, zero_imag):
+            assert a.dtype == float and np.array_equal(a, b)
