@@ -49,10 +49,7 @@ from .propagator import (
     gaussian_field,
     measured_moments,
 )
-from .currents import (
-    continuity_equivalence,
-    schrodinger_density_current,
-)
+from .currents import continuity_equivalence
 from .classical import (
     RaySolution,
     TwoMomentum,

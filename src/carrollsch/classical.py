@@ -86,13 +86,11 @@ def trace_ray(
     of a V of x alone or of t alone does not read t, so it is sampled up
     front, one call per stage array, and `numerics.rk4_sums` takes the same
     steps as two running sums.  Either way a non-finite gradient raises
-    ValueError naming the first such x the integration reaches.
+    ValueError naming the first such x the integration reaches, and
+    n_steps < 1 raises ValueError (`numerics.rk4_abscissae`).
     """
-    if n_steps < 16:
-        raise ValueError("n_steps must be at least 16")
     mc3 = constants.mc3
-    h = (x_end - x0) / n_steps
-    xs, stages = rk4_abscissae(x0, h, n_steps)
+    h, xs, stages = rk4_abscissae(x0, x_end, n_steps)
     fault = "potential gradient non-finite at x = {x}"
 
     def slope(x: float, t: float) -> float:

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Sequence
 
 import numpy as np
@@ -94,14 +93,13 @@ def _template(kinds: tuple) -> str:
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:
     """Atomic CSV write (temp file in the target directory, then rename), one `%`
-    per row; the file's mode is 0o666 less the umask, as `open` would give it."""
+    per row; `open`'s exclusive create gives it mode 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-csv-")
+    tmp = os.path.join(directory, f".tmp-csv-{os.urandom(8).hex()}")
+    fh = open(tmp, "x", newline="\n")  # outside the try: a failed create leaves nothing to remove
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            os.umask(umask := os.umask(0))  # reads the umask, which mkstemp's 0o600 ignores
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
+        with fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 row = tuple(row)

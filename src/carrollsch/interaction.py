@@ -95,10 +95,8 @@ def quantized_modes(
 
     Mode n carries the unit-modulus gauge phase exp[(i/hbar) int_0^t V];
     its density (2/T) sin^2(n pi t/T) is therefore independent of v_time.
-    p0 is unused: no level or mode depends on it.
+    p0 is unused: no level or mode depends on it.  The TimeGrid rejects T <= 0.
     """
-    if T <= 0:
-        raise ValueError("window length T must be positive")
     if n_max < 1:
         raise ValueError("need at least one level")
     hbar = constants.hbar
@@ -141,12 +139,13 @@ def _split_step(
     values: np.ndarray,
     grid: TimeGrid,
     x0: float,
-    h: float,
+    x_end: float,
     n_steps: int,
     momentum: Callable[[float], np.ndarray] | np.ndarray,
     constants: PhysicalConstants,
 ) -> np.ndarray:
-    """Strang steps of size h from station x0, along the last axis of values.
+    """Strang steps of size h = (x_end - x0) / n_steps from station x0, along the
+    last axis of values; n_steps < 1 raises, the one check of a split-step count.
 
     The factor exp(-i h F / 2 hbar) of the real momentum row F = momentum(x)
     (a complex row raises) is applied at both cell edges around the exact
@@ -155,6 +154,9 @@ def _split_step(
     momentum given as a row, not a callable, holds at every station, so its
     factor is built once.
     """
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got n = {n_steps}")
+    h = (x_end - x0) / n_steps
     kin = kinetic_multiplier(grid, constants.beta, h)
     coef = -0.5 * h / constants.hbar
 
@@ -187,22 +189,18 @@ def evolve_interacting(
     potential phase exp(-i F dx / hbar) is applied in half steps at the cell
     edges.  Unitary for real F; second order in the step size.  An
     InteractionMomentum must be sampled on phi0's own t grid and cover x0 and
-    x_end, else ValueError before the first step.
+    x_end, else ValueError before the first step (x0 by the first row read).
     """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
     if isinstance(F, InteractionMomentum):
         if F.t_grid != phi0.grid:
             raise ValueError(f"F is sampled on {F.t_grid}, phi0 on {phi0.grid}")
-        F._check_station(x0)
         F._check_station(x_end)
     t = phi0.grid.times
-    h = (x_end - x0) / n_steps
 
     def momentum(x: float) -> np.ndarray:
         return F.at_x(x) if isinstance(F, InteractionMomentum) else np.asarray(F(x, t))
 
-    vals = _split_step(phi0.values, phi0.grid, x0, h, n_steps, momentum, constants)
+    vals = _split_step(phi0.values, phi0.grid, x0, x_end, n_steps, momentum, constants)
     return replace(phi0, x=x_end, values=vals)
 
 
@@ -245,13 +243,12 @@ def dyson_sweep(
     evolve_interacting(phi0, g(t) / c, x0, x_end, n_steps).values and I the
     trapezoid of eta over its n_steps + 1 stations.  eta(x) is a scalar there, so
     the first row is the split step with F_k = (g(t) + eps[k] eta(x)) / c to roundoff.
+    The split steps run first, so n_steps < 1 raises their ValueError.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
     g_t = real_samples(g.v_t(phi0.grid.times), "time profile g") / constants.c
+    u0 = _split_step(phi0.values, phi0.grid, x0, x_end, n_steps, g_t, constants)
     xi = np.linspace(x0, x_end, n_steps + 1)
     I_eta = cumulative_integral(np.broadcast_to(real_samples(eta(xi), "perturbation eta"), xi.shape), xi, x0)[-1]
-    u0 = _split_step(phi0.values, phi0.grid, x0, (x_end - x0) / n_steps, n_steps, g_t, constants)
     theta = np.asarray(eps, dtype=float)[:, None] * I_eta / (constants.hbar * constants.c)
     return unit_phase(-theta) * u0, (1.0 - 1j * theta) * u0
 

@@ -204,18 +204,15 @@ def integrate_fundamental_pair(
 ) -> FundamentalPair:
     """Integrate y'' + q(x) y = 0 with n fixed steps of classical RK4.
 
-    Returns n + 1 samples on [x_lo, x_hi] inclusive; n < 1 raises ValueError.
-    q is called once on each of the three stage arrays, only where RK4 reads
-    it.  It may return a scalar; a non-finite value or a nonzero imaginary
-    part raises ValueError naming the first such x.  y1 and y2 are two `rk4`
-    chains on (y, y') with d = -1 and slope -q y: -y' / -1 is y' bit for bit.
+    Returns n + 1 samples on [x_lo, x_hi] inclusive; n < 1 raises ValueError
+    (`rk4_abscissae`).  q is called once on each of the three stage arrays,
+    only where RK4 reads it.  It may return a scalar; a non-finite value or a
+    nonzero imaginary part raises ValueError naming the first such x.  y1 and
+    y2 are two `rk4` chains on (y, y') with d = -1 and slope -q y.
     """
-    if n < 1:
-        raise ValueError(f"need at least one step, got n = {n}")
     if not x_hi > x_lo:
         raise ValueError("x_hi must exceed x_lo")
-    h = (x_hi - x_lo) / n
-    nodes, stages = rk4_abscissae(x_lo, h, n)
+    h, nodes, stages = rk4_abscissae(x_lo, x_hi, n)
     c = [-v for v in rk4_samples(q, stages, "q must be real and finite, got {v} at x = {x}")]
     y1, y1_prime = rk4(operator.mul, c, 1.0, 0.0, h, -1.0)
     y2, y2_prime = rk4(operator.mul, c, 0.0, 1.0, h, -1.0)
@@ -271,12 +268,16 @@ def rk4_sums(
     return t, q
 
 
-def rk4_abscissae(x0: float, h: float, n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The n + 1 nodes x_k = x0 + k h of n RK4 steps and the three stage arrays
-    of n each that the steps read: the nodes that start a step, the
-    midpoints x_k + h/2 and the step ends x_k + h.  h may be negative."""
+def rk4_abscissae(x0: float, x1: float, n: int) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
+    """The step h = (x1 - x0) / n of n RK4 steps from x0 to x1 (n < 1 raises, the
+    one check of an RK4 step count), the n + 1 nodes x_k = x0 + k h and the
+    three stage arrays of n each that the steps read: the nodes that start a
+    step, the midpoints x_k + h/2 and the step ends x_k + h."""
+    if n < 1:
+        raise ValueError(f"need at least one step, got n = {n}")
+    h = (x1 - x0) / n
     xs = x0 + h * np.arange(n + 1)
-    return xs, (xs[:-1], xs[:-1] + 0.5 * h, xs[:-1] + h)
+    return h, xs, (xs[:-1], xs[:-1] + 0.5 * h, xs[:-1] + h)
 
 
 def rk4_samples(

@@ -100,13 +100,14 @@ class TestTraceRay:
         "a, b", [(0.0, 0.8), (1.5, 0.0), (1.5, 0.8)], ids=["linear", "quadratic", "quadratic-tilted"]
     )
     @pytest.mark.parametrize("x0, x_end", [(0.3, 1.7), (0.3, -1.1)], ids=["upward", "downward"])
-    def test_polynomial_ray_closed_form(self, a, b, x0, x_end):
+    @pytest.mark.parametrize("n_steps", [1, 3, 300])
+    def test_polynomial_ray_closed_form(self, a, b, x0, x_end, n_steps):
         # V = a x^2 + b x: q = q0 + V(x) - V(x0), and t, the exact cubic, is
         # t0 - [(q0 - V(x0)) (x - x0) + a (x^3 - x0^3) / 3 + b (x^2 - x0^2) / 2] / mc^3;
         # RK4 integrates both polynomials exactly, so only roundoff remains
         v = PotentialSpec.space_profile(lambda x: a * x**2 + b * x, lambda x: 2 * a * x + b)
         t0, q0 = 0.25, -0.6
-        ray = trace_ray(v, x0, t0, q0, x_end, 300, self.consts)
+        ray = trace_ray(v, x0, t0, q0, x_end, n_steps, self.consts)
         x, vx0 = ray.x, a * x0**2 + b * x0
         q = q0 + (a * x**2 + b * x) - vx0
         t = t0 - ((q0 - vx0) * (x - x0) + a * (x**3 - x0**3) / 3 + b * (x**2 - x0**2) / 2) / self.consts.mc3
@@ -143,9 +144,10 @@ class TestTraceRay:
         # -c p_x + q^2/(2 m c^2) = 0: p_x is recorded as q^2/(2 m c^3) at every sample
         assert np.array_equal(ray.p_x, ray.q**2 / 2.0)
 
-    def test_too_few_steps_rejected(self):
-        with pytest.raises(ValueError):
-            trace_ray(PotentialSpec.zero(), 0.0, 0.0, 0.0, 1.0, 8)
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_too_few_steps_rejected(self, n_steps):
+        with pytest.raises(ValueError, match=f"need at least one step, got n = {n_steps}"):
+            trace_ray(PotentialSpec.zero(), 0.0, 0.0, 0.0, 1.0, n_steps)
 
     def test_nonfinite_gradient_rejected(self):
         v = PotentialSpec.space_profile(lambda x: 1.0 / x, lambda x: -1.0 / x**2)

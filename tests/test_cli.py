@@ -473,6 +473,18 @@ class TestCsvFormat:
             os.umask(old)
         assert stat.S_IMODE(os.stat(tmp_path / "t.csv").st_mode) == 0o666 & ~umask
 
+    def test_umask_is_never_set(self, tmp_path, monkeypatch):
+        # reading the umask by setting it opens a window in which another thread's files get no umask
+        calls, umask = [], os.umask
+
+        def recorded(mask):
+            calls.append(mask)
+            return umask(mask)
+
+        monkeypatch.setattr(os, "umask", recorded)
+        cli.write_csv(str(tmp_path / "t.csv"), ["a"], [(1,)])
+        assert calls == []
+
     def test_determinism(self, tmp_path):
         for tag in ("a", "b"):
             assert cli.main(["rays", "--out", str(tmp_path / tag)]) == 0

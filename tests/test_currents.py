@@ -19,10 +19,9 @@ from carrollsch import (
     gauge_reduce,
     gaussian_exact,
     gaussian_field,
-    schrodinger_density_current,
 )
 from carrollsch import currents, numerics
-from carrollsch.currents import coordinate_inversion
+from carrollsch.currents import coordinate_inversion, schrodinger_density_current
 from carrollsch.numerics import GridError, deriv_uniform, interior, real_samples
 from carrollsch.operators import MARGIN, _interior_norm
 from carrollsch.propagator import _packet

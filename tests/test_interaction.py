@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from carrollsch import (
     Field2D,
@@ -641,7 +641,7 @@ class TestDysonSweep:
         ref, dy = dyson_sweep(phi0, g, eta, eps, 0.0, 1.0, n_steps, consts)
         err = np.sqrt(grid.dt * np.sum(np.abs(ref - dy) ** 2, axis=1))
         xi = np.linspace(0.0, 1.0, n_steps + 1)
-        theta = eps * np.trapezoid(eta(xi), xi) / (consts.hbar * consts.c)
+        theta = eps * trapezoid(eta(xi), xi) / (consts.hbar * consts.c)
         exact = np.abs(np.exp(-1j * theta) - 1.0 + 1j * theta) * phi0.norm()
         np.testing.assert_allclose(err, exact, rtol=1e-11, atol=0)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carrollsch import PhysicalConstants, PotentialSpec, trace_ray
+from carrollsch import PhysicalConstants, PotentialSpec, dyson_sweep, evolve_interacting, trace_ray
 from carrollsch.numerics import (
     GridError,
     TimeGrid,
@@ -207,6 +207,21 @@ class TestFundamentalPair:
         ref = integrate_fundamental_pair(lambda x: np.ones_like(x), 0.0, 2.0, 256)
         for name in ("y1", "y1_prime", "y2", "y2_prime"):
             assert np.array_equal(getattr(pair, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("kernel", ["trace_ray", "integrate_fundamental_pair", "evolve_interacting", "dyson_sweep"])
+def test_every_stepper_rejects_fewer_than_one_step(kernel, n):
+    # RK4 (rays, the pair) and the split step (x-evolution, Dyson) each check their count once, with one message
+    phi0 = Wavefunction(0.0, TimeGrid(-4.0, 4.0, 16), np.ones(16))
+    run = {
+        "trace_ray": lambda: trace_ray(PotentialSpec.zero(), 0.0, 0.0, 0.0, 1.0, n),
+        "integrate_fundamental_pair": lambda: integrate_fundamental_pair(lambda x: 0 * x, 0.0, 1.0, n),
+        "evolve_interacting": lambda: evolve_interacting(phi0, lambda x, t: 0 * t, 0.0, 1.0, n),
+        "dyson_sweep": lambda: dyson_sweep(phi0, PotentialSpec.time_profile(np.cos), np.sin, [0.1], 0.0, 1.0, n),
+    }[kernel]
+    with pytest.raises(ValueError, match=f"^need at least one step, got n = {n}$"):
+        run()
 
 
 def _array_rk4(rhs, s0, xs, h):

@@ -28,7 +28,9 @@ continuity bridge in `currents` takes V off the current in closed form, so it
 imports nothing from `interaction` and forms no gauge integral or phase.  The
 row-block size is one module constant, `numerics.BLOCK_BYTES`: no other module
 sets one, and the one blocked kernel, the continuity bridge, takes no
-parameter for it.
+parameter for it.  Each step count is checked where the stepping arithmetic
+needs it, once: "need at least one step" is raised by `numerics.rk4_abscissae`
+for every RK4 run and by `interaction._split_step` for every Strang run.
 """
 from __future__ import annotations
 
@@ -252,3 +254,19 @@ def test_commands_filled_only_by_the_runner():
         }
     )
     assert writers == ["_command"], f"COMMANDS written in {writers}"
+
+
+def test_step_count_checked_only_where_the_steps_are_taken():
+    """The one step-count message is raised in rk4_abscissae and _split_step alone."""
+    homes = sorted(
+        f"{p.name}:{getattr(top, 'name', '<module>')}"
+        for p in PACKAGE.glob("*.py")
+        for top in ast.parse(p.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise)
+        and any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str) and "need at least one step" in c.value
+            for c in ast.walk(node)
+        )
+    )
+    assert homes == ["interaction.py:_split_step", "numerics.py:rk4_abscissae"], f"step count checked in {homes}"

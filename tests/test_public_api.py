@@ -32,21 +32,39 @@ def _caller_files() -> list[Path]:
     return files
 
 
-def _caller_lines() -> list[str]:
-    return [line for p in _caller_files() for line in p.read_text().splitlines()]
+def _used_names(path: Path) -> set[str]:
+    """Every name the code of path reaches: names, attributes, imported names and
+    aliases, and the words of its string constants (a hook string such as
+    "operators.apply_H" names its target).  Docstrings do not count, and nor
+    does a def or class statement's own name."""
+    tree = ast.parse(path.read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            names.add(node.asname)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            names.update(re.findall(r"\w+", node.value))
+    return names
 
 
 def test_every_export_has_a_caller():
-    lines = _caller_lines()
-
-    def reached(name: str) -> bool:
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-        return any(word.search(line) and not own.match(line) for line in lines)
-
-    unreached = [name for name in _exports() if not reached(name)]
+    used = set().union(*map(_used_names, _caller_files()))
+    unreached = [name for name in _exports() if name not in used]
     assert not unreached, f"exported but reached only by their own tests: {unreached}"
-
 
 
 def _defaults(tree: ast.Module) -> list[tuple[str, str, int]]:
